@@ -17,7 +17,6 @@ from dendro import chaos, exact_builder, gallery, odometer
 from dendro.metric_tree import Dendrite, GeometryError
 from dendro.length_expanding import BuildError
 from dendro.serialize import dump_json, load_json, parse_rat
-from dendro.tree_map import TreeMap
 
 PATTERN_DEPTH_CAP = 8
 
@@ -207,13 +206,7 @@ def cmd_gallery(args) -> int:
 
 
 def load_map(path: str):
-    d = load_json(path)
-    kind = d.get("kind", "piecewise")
-    if kind == "piecewise":
-        return TreeMap.from_dict(d)
-    if kind == "glued_exact":
-        return exact_builder.GluedExactMap.from_dict(d)
-    raise ValueError(f"unknown map kind {kind!r}")
+    return exact_builder.map_from_dict(load_json(path))
 
 
 if __name__ == "__main__":

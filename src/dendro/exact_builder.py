@@ -48,12 +48,13 @@ from dendro.metric_tree import (
     make_subtree,
     point_subtree,
     refine_at,
+    subtree_contains,
     subtree_points,
     union_connected,
     union_subtrees,
 )
 from dendro.serialize import format_rat, parse_rat
-from dendro.tree_map import TreeMap
+from dendro.tree_map import TreeMap, compose
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -149,18 +150,6 @@ def _is_path(D: Dendrite, S: Subtree) -> bool:
         deg[ed.u] = deg.get(ed.u, 0) + 1
         deg[ed.v] = deg.get(ed.v, 0) + 1
     return all(d <= 2 for d in deg.values())
-
-
-def _arc_end_vertices(D: Dendrite, S: Subtree):
-    deg = {}
-    for e in S.intervals:
-        ed = D.edges[e]
-        deg[ed.u] = deg.get(ed.u, 0) + 1
-        deg[ed.v] = deg.get(ed.v, 0) + 1
-    ends = sorted(v for v, d in deg.items() if d == 1)
-    if len(ends) != 2:
-        raise GeometryError("subtree is not an arc")
-    return ends
 
 
 def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
@@ -488,12 +477,18 @@ class SawtoothArcMap:
 
 
 # ---------------------------------------------------------------------------
-# the glued exact map
+# glued maps: the identity on a base, one part map on each region off it
+#
+# A part has a ``region`` (a subtree of the glued space), ``apply`` and
+# ``image`` there, certification ``pieces`` (edge, lo, hi), ``to_dict`` and
+# ``from_dict(space, d)``.
 
 
 @dataclass
 class ExactBushPart:
-    bush: Subtree
+    """A bush sent onto its region E_k: zigzag, sawtooth, then g."""
+
+    region: Subtree  # the bush
     root: str
     psi: BushZigzag
     nu: SawtoothArcMap
@@ -505,18 +500,136 @@ class ExactBushPart:
 
     def image(self, S: Subtree) -> Subtree:
         iv = self.nu.image(self.psi.image(S))
-        if iv.is_degenerate():  # pragma: no cover - nondegenerate inputs only
+        if iv.is_degenerate():
             return point_subtree(self.g.codomain, self.g.apply(iv.single_point()))
         ((a, b),) = iv.intervals.values()
         if a == F0 and b == self.nu.codomain.edge_length(0):
             return self.region_image
         return self.g.image(iv)
 
+    def pieces(self):
+        return self.psi.pieces()
 
-class GluedExactMap:
-    """Identity on the base arc, expanding bush-to-region maps elsewhere."""
+    def to_dict(self):
+        return {
+            "bush": self.region.to_dict(),
+            "root": self.root,
+            "psi": self.psi.to_dict(),
+            "nu": self.nu.to_dict(),
+            "g": self.g.to_dict(),
+        }
 
-    kind = "glued_exact"
+    @staticmethod
+    def from_dict(space, d):
+        bush = Subtree.from_dict(d["bush"])
+        unit = Dendrite(["0", "1"], [("0", "1", F1)])
+        psi = BushZigzag(
+            space=space,
+            bush=bush,
+            root=d["psi"]["root"],
+            reach=parse_rat(d["psi"]["reach"]),
+            laps=int(d["psi"]["laps"]),
+            codomain=unit,
+        )
+        g = TreeMap.from_dict(d["g"])
+        nu = SawtoothArcMap(
+            domain=unit,
+            codomain=g.domain,
+            laps=int(d["nu"]["laps"]),
+            start=parse_rat(d["nu"]["start"]),
+        )
+        return ExactBushPart(
+            region=bush, root=d["root"], psi=psi, nu=nu, g=g,
+            region_image=g.image(full_subtree(g.domain)),
+        )
+
+
+@dataclass
+class ConjugatePart:
+    """A map on an extracted, rescaled copy of the region, carried back."""
+
+    region: Subtree
+    charts: tuple  # successive PieceCharts from the glued space inward
+    inner: object
+
+    def _fwd(self, p):
+        for ch in self.charts:
+            p = ch.fwd_point(p)
+        return p
+
+    def _back(self, p):
+        for ch in reversed(self.charts):
+            p = ch.back_point(p)
+        return p
+
+    def apply(self, x):
+        return self._back(self.inner.apply(self._fwd(x)))
+
+    def image(self, S):
+        for ch in self.charts:
+            S = ch.fwd_subtree(S)
+        S = self.inner.image(S)
+        for ch in reversed(self.charts):
+            S = ch.back_subtree(S)
+        return S
+
+    def pieces(self):
+        return [(e, a, b) for e, (a, b) in sorted(self.region.intervals.items())]
+
+    def to_dict(self):
+        return {"region": self.region.to_dict(), "inner": self.inner.to_dict()}
+
+    @staticmethod
+    def from_dict(space, d):
+        region = Subtree.from_dict(d["region"])
+        inner = map_from_dict(d["inner"])
+        chart = extract_region(space, region)
+        return ConjugatePart(
+            region=region,
+            charts=(chart, _measure_chart(chart.inner, inner.domain)),
+            inner=inner,
+        )
+
+
+def _measure_chart(outer: Dendrite, inner: Dendrite) -> PieceChart:
+    """Chart between two copies with identical combinatorics."""
+    to_inner, to_outer = {}, {}
+    for i, (eo, ei) in enumerate(zip(outer.edges, inner.edges)):
+        to_inner[i] = (i, ei.length / eo.length)
+        to_outer[i] = (i, eo.length / ei.length)
+    return PieceChart(outer=outer, inner=inner, to_inner=to_inner,
+                      to_outer=to_outer)
+
+
+def _off_base(D: Dendrite, C: Subtree, base: Subtree) -> Optional[Subtree]:
+    """The closure of C minus the base, or None when that is empty.
+
+    The base is whole edges and their vertices, so C loses its intervals on
+    base edges and keeps a base vertex only where a kept interval ends at
+    it; vertices off the base stay, even alone.  For a connected C this is
+    exactly the closure of C minus the base, and C itself comes back when
+    nothing is dropped.  The result has one component for each branch by
+    which C leaves the base.
+    """
+    ivs = {e: iv for e, iv in C.intervals.items() if e not in base.intervals}
+    ends = {v for e in ivs for v in (D.edges[e].u, D.edges[e].v)}
+    verts = {v for v in C.vertices if v in ends or v not in base.vertices}
+    if len(ivs) == len(C.intervals) and len(verts) == len(C.vertices):
+        return C
+    if not verts and not ivs:
+        return None
+    # dropping whole base edges and their bare ends keeps the canonical form
+    return Subtree(vertices=frozenset(verts), intervals=ivs)
+
+
+class GluedMap:
+    """The identity on the base, each part's map on its region off the base.
+
+    Regions meet the base and each other only where the map is the
+    identity, so the image of a set is its base overlap together with each
+    part's image of its overlap with the region, taken off the base.
+    Subclasses set the file ``kind`` and the ``part_type`` that loads parts.
+    """
 
     def __init__(self, space, base, parts, manifest=None):
         self.domain = space
@@ -525,100 +638,98 @@ class GluedExactMap:
         self.parts = parts
         self.manifest = manifest or {}
 
-    def _part_for(self, x: PointRef):
-        for part in self.parts:
-            if contains_point(self.domain, part.bush, x):
-                return part
-        return None
-
     def apply(self, x: PointRef) -> PointRef:
         self.domain.check_point(x)
         if contains_point(self.domain, self.base, x):
             return x
-        part = self._part_for(x)
-        if part is None:
-            raise GeometryError("point outside base and bushes")
-        return part.apply(x)
+        for part in self.parts:
+            if contains_point(self.domain, part.region, x):
+                return part.apply(x)
+        raise GeometryError("point outside the base and every part")
 
     def image(self, S: Subtree, _check_connected=True) -> Subtree:
-        parts_out = []
-        base_cap = intersect_subtrees(self.domain, S, self.base)
-        if not base_cap.is_empty():
-            parts_out.append(base_cap)
+        D = self.domain
+        parts_out = [intersect_subtrees(D, S, self.base)]
         for part in self.parts:
-            C = intersect_subtrees(self.domain, S, part.bush)
-            if C.is_empty():
-                continue
-            if C.is_degenerate():
-                parts_out.append(
-                    point_subtree(self.domain, part.apply(C.single_point()))
-                )
-            else:
-                parts_out.append(part.image(C))
-        comps = union_subtrees(self.domain, parts_out)
+            C = intersect_subtrees(D, S, part.region)
+            if not C.is_empty():
+                C = _off_base(D, C, self.base)
+                if C is not None:
+                    parts_out.append(part.image(C))
+        comps = union_subtrees(D, parts_out)
         if _check_connected and len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")
         return comps[0]
 
     def pieces(self):
-        """Coarse certification partition: bush linearity pieces + base edges."""
-        out = []
-        for part in self.parts:
-            for e, a, b in part.psi.pieces():
-                out.append((e, a, b, "bush"))
+        """Certification partition: part pieces off the base, base edges."""
+        out = [
+            (e, a, b, "bush")
+            for part in self.parts
+            for e, a, b in part.pieces()
+            if e not in self.base.intervals
+        ]
         for e, (a, b) in sorted(self.base.intervals.items()):
             out.append((e, a, b, "base"))
         return out
+
+    def invariant_regions(self):
+        return [part.region for part in self.parts]
 
     def to_dict(self):
         return {
             "kind": self.kind,
             "space": self.domain.to_dict(),
             "base": self.base.to_dict(),
-            "parts": [
-                {
-                    "bush": part.bush.to_dict(),
-                    "root": part.root,
-                    "psi": part.psi.to_dict(),
-                    "nu": part.nu.to_dict(),
-                    "g": part.g.to_dict(),
-                }
-                for part in self.parts
-            ],
+            "parts": [part.to_dict() for part in self.parts],
             "manifest": self.manifest,
         }
 
-    @staticmethod
-    def from_dict(d):
+    @classmethod
+    def from_dict(cls, d):
         space = Dendrite.from_dict(d["space"])
-        base = Subtree.from_dict(d["base"])
-        unit = Dendrite(["0", "1"], [("0", "1", F1)])
-        parts = []
-        for pd in d["parts"]:
-            bush = Subtree.from_dict(pd["bush"])
-            psi = BushZigzag(
-                space=space,
-                bush=bush,
-                root=pd["psi"]["root"],
-                reach=parse_rat(pd["psi"]["reach"]),
-                laps=int(pd["psi"]["laps"]),
-                codomain=unit,
-            )
-            g = TreeMap.from_dict(pd["g"])
-            nu = SawtoothArcMap(
-                domain=unit,
-                codomain=g.domain,
-                laps=int(pd["nu"]["laps"]),
-                start=parse_rat(pd["nu"]["start"]),
-            )
-            region_image = g.image(full_subtree(g.domain))
-            parts.append(
-                ExactBushPart(
-                    bush=bush, root=pd["root"], psi=psi, nu=nu, g=g,
-                    region_image=region_image,
-                )
-            )
-        return GluedExactMap(space, base, parts, manifest=d.get("manifest"))
+        parts = [cls.part_type.from_dict(space, pd) for pd in d["parts"]]
+        return cls(space, Subtree.from_dict(d["base"]), parts,
+                   manifest=d.get("manifest"))
+
+
+class GluedExactMap(GluedMap):
+    """Identity on the base arc, expanding bush-to-region maps elsewhere."""
+
+    kind = "glued_exact"
+    part_type = ExactBushPart
+    image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
+
+
+class GluedPointMap(GluedMap):
+    """Identity at the shared fixed point, conjugated exact maps per bush."""
+
+    kind = "glued_point"
+    part_type = ConjugatePart
+    image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
+
+
+class GluedPieceMap(GluedMap):
+    """Nested invariant pieces glued along a common fixed arc."""
+
+    kind = "glued_pieces"
+    part_type = ConjugatePart
+    image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
+
+
+MAP_KINDS = {
+    cls.kind: cls for cls in (TreeMap, GluedExactMap, GluedPointMap, GluedPieceMap)
+}
+
+
+def map_from_dict(d):
+    """The map a map file describes, by its ``kind`` (default piecewise)."""
+    if not isinstance(d, dict):
+        raise ValueError("a map file must hold a JSON object")
+    kind = d.get("kind", "piecewise")
+    if kind not in MAP_KINDS:
+        raise ValueError(f"unknown map kind {kind!r}")
+    return MAP_KINDS[kind].from_dict(d)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +914,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
                 )
         parts.append(
             ExactBushPart(
-                bush=b.subtree,
+                region=b.subtree,
                 root=b.root,
                 psi=psi,
                 nu=nu,
@@ -894,120 +1005,19 @@ def _build_exact_point(dec: BushDecomposition, rho, seed):
         built = build_pair(
             chart.inner, PointRef(vertex=b.root), rho, samples=80, seed=seed
         )
-        scale_chart = _measure_chart(chart.inner, built.space)
+        inner = compose(built.phi, built.psi)
         parts.append(
             ConjugatePart(
                 region=b.subtree,
-                charts=(chart, scale_chart),
-                inner=_ComposedPair(built.psi, built.phi),
+                charts=(chart, _measure_chart(chart.inner, inner.domain)),
+                inner=inner,
             )
         )
         manifest_parts.append(
             {"bush": b.index, "root": b.root, "style": "pair",
              "laps": built.laps}
         )
-    glued = GluedPointMap(D, dec.base, parts,
-                          manifest={"parts": manifest_parts})
-    return glued
-
-
-def _measure_chart(outer: Dendrite, inner: Dendrite) -> PieceChart:
-    """Chart between two copies with identical combinatorics."""
-    to_inner, to_outer = {}, {}
-    for i, (eo, ei) in enumerate(zip(outer.edges, inner.edges)):
-        to_inner[i] = (i, ei.length / eo.length)
-        to_outer[i] = (i, eo.length / ei.length)
-    return PieceChart(outer=outer, inner=inner, to_inner=to_inner,
-                      to_outer=to_outer)
-
-
-class _ComposedPair:
-    """phi after psi: an expanding selfmap fixing the walk base point."""
-
-    def __init__(self, psi, phi):
-        self.psi, self.phi = psi, phi
-        self.domain = psi.domain
-        self.codomain = phi.codomain
-
-    def apply(self, x):
-        return self.phi.apply(self.psi.apply(x))
-
-    def image(self, S):
-        return self.phi.image(self.psi.image(S))
-
-
-@dataclass
-class ConjugatePart:
-    region: Subtree
-    charts: tuple  # successive PieceCharts from the glued space inward
-    inner: object
-
-    def _fwd(self, p):
-        for ch in self.charts:
-            p = ch.fwd_point(p)
-        return p
-
-    def _back(self, p):
-        for ch in reversed(self.charts):
-            p = ch.back_point(p)
-        return p
-
-    def apply(self, x):
-        return self._back(self.inner.apply(self._fwd(x)))
-
-    def image(self, S):
-        for ch in self.charts:
-            S = ch.fwd_subtree(S)
-        S = self.inner.image(S)
-        for ch in reversed(self.charts):
-            S = ch.back_subtree(S)
-        return S
-
-
-class GluedPointMap:
-    """Identity at the shared fixed point, conjugated exact maps per bush."""
-
-    kind = "glued_point"
-
-    def __init__(self, space, base, parts, manifest=None):
-        self.domain = space
-        self.codomain = space
-        self.base = base
-        self.parts = parts
-        self.manifest = manifest or {}
-
-    def apply(self, x: PointRef) -> PointRef:
-        if contains_point(self.domain, self.base, x):
-            return x
-        for part in self.parts:
-            if contains_point(self.domain, part.region, x):
-                return part.apply(x)
-        raise GeometryError("point outside every part")
-
-    def image(self, S: Subtree, _check_connected=True) -> Subtree:
-        parts_out = []
-        cap = intersect_subtrees(self.domain, S, self.base)
-        if not cap.is_empty():
-            parts_out.append(cap)
-        for part in self.parts:
-            C = intersect_subtrees(self.domain, S, part.region)
-            if C.is_empty():
-                continue
-            if C.is_degenerate():
-                parts_out.append(point_subtree(self.domain, part.apply(C.single_point())))
-            else:
-                parts_out.append(part.image(C))
-        comps = union_subtrees(self.domain, parts_out)
-        if _check_connected and len(comps) != 1:
-            raise GeometryError("image of a connected set came out disconnected")
-        return comps[0]
-
-    def pieces(self):
-        out = []
-        for part in self.parts:
-            for e, (a, b) in sorted(part.region.intervals.items()):
-                out.append((e, a, b, "bush"))
-        return out
+    return GluedPointMap(D, dec.base, parts, manifest={"parts": manifest_parts})
 
 
 # ---------------------------------------------------------------------------
@@ -1113,31 +1123,17 @@ def growth_outcome(Fm: GluedExactMap, C: Subtree, rho) -> str:
     rho = Fraction(rho)
     img = Fm.image(C)
     for part in Fm.parts:
-        if _subtree_contains(img, part.bush):
+        if subtree_contains(img, part.region):
             return "covers_bush"
     grew = h1_measure(img) >= rho * rho * h1_measure(C)
     if not grew:
         return "no_growth"
-    if _subtree_contains(Fm.base, img):
+    if subtree_contains(Fm.base, img):
         return "expands_into_base"
     for part in Fm.parts:
-        if _subtree_contains(part.bush, img):
+        if subtree_contains(part.region, img):
             return "expands"
     return "expands_mixed"
-
-
-def _subtree_contains(big: Subtree, small: Subtree) -> bool:
-    if not small.vertices <= big.vertices:
-        return False
-    for e, (a, b) in small.intervals.items():
-        iv = big.intervals.get(e)
-        if iv is None or a < iv[0] or b > iv[1]:
-            return False
-    return True
-
-
-def _contains_subtree(big, small):
-    return _subtree_contains(big, small)
 
 
 # ---------------------------------------------------------------------------
@@ -1225,11 +1221,10 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
         chart = extract_region(space, region)
         inner_arc = chart.fwd_subtree(sub_arc)
         inner_map = build_exact(chart.inner, inner_arc, q=q, rho=rho, seed=seed)
-        scale_chart = _measure_chart(chart.inner, inner_map.domain)
         pieces.append(
             ConjugatePart(
                 region=region,
-                charts=(chart, scale_chart),
+                charts=(chart, _measure_chart(chart.inner, inner_map.domain)),
                 inner=inner_map,
             )
         )
@@ -1241,8 +1236,7 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
                 "region_measure": format_rat(h1_measure(region)),
             }
         )
-    glued = GluedPieceMap(space, base, pieces, manifest={"pieces": manifest})
-    return glued
+    return GluedPieceMap(space, base, pieces, manifest={"pieces": manifest})
 
 
 def _clip_arc(space, base, anchor, ends, radius):
@@ -1257,76 +1251,3 @@ def _clip_arc(space, base, anchor, ends, radius):
     if clipped.is_degenerate():
         raise GeometryError("clipped arc degenerated")
     return clipped
-
-
-class GluedPieceMap:
-    """Nested invariant pieces glued along a common fixed arc."""
-
-    kind = "glued_pieces"
-
-    def __init__(self, space, base, parts, manifest=None):
-        self.domain = space
-        self.codomain = space
-        self.base = base
-        self.parts = parts
-        self.manifest = manifest or {}
-
-    def apply(self, x: PointRef) -> PointRef:
-        if contains_point(self.domain, self.base, x):
-            return x
-        for part in self.parts:
-            if contains_point(self.domain, part.region, x):
-                return part.apply(x)
-        raise GeometryError("point outside every piece")
-
-    def image(self, S: Subtree, _check_connected=True) -> Subtree:
-        parts_out = []
-        cap = intersect_subtrees(self.domain, S, self.base)
-        if not cap.is_empty():
-            parts_out.append(cap)
-        for part in self.parts:
-            C = intersect_subtrees(self.domain, S, part.region)
-            if C.is_empty():
-                continue
-            off_base = _minus_base(self.domain, C, self.base)
-            if off_base is None:
-                continue
-            if off_base.is_degenerate():
-                parts_out.append(
-                    point_subtree(self.domain, part.apply(off_base.single_point()))
-                )
-            else:
-                parts_out.append(part.image(off_base))
-        comps = union_subtrees(self.domain, parts_out)
-        if _check_connected and len(comps) != 1:
-            raise GeometryError("image of a connected set came out disconnected")
-        return comps[0]
-
-    def invariant_regions(self):
-        return [part.region for part in self.parts]
-
-
-def _minus_base(D, C, base):
-    """C with its base-arc overlap trimmed to the attachment (approximate).
-
-    Pieces overlap along the base where the map is the identity; the
-    off-base remainder determines the nontrivial image.  When C lies inside
-    the base entirely, None is returned (the identity part covers it).
-    """
-    ivs = {}
-    verts = set()
-    for e, (a, b) in C.intervals.items():
-        if e in base.intervals:
-            continue
-        ivs[e] = (a, b)
-    for v in C.vertices:
-        keep = False
-        for e in ivs:
-            ed = D.edges[e]
-            if v in (ed.u, ed.v):
-                keep = True
-        if keep:
-            verts.add(v)
-    if not ivs:
-        return None
-    return make_subtree(D, ivs, verts)

@@ -468,6 +468,17 @@ def subtrees_intersect(S1: Subtree, S2: Subtree) -> bool:
     return False
 
 
+def subtree_contains(big: Subtree, small: Subtree) -> bool:
+    """Whether ``small`` is a subset of ``big``."""
+    if not small.vertices <= big.vertices:
+        return False
+    for e, (a, b) in small.intervals.items():
+        iv = big.intervals.get(e)
+        if iv is None or a < iv[0] or b > iv[1]:
+            return False
+    return True
+
+
 def intersect_subtrees(D: Dendrite, S1: Subtree, S2: Subtree) -> Subtree:
     """Exact intersection (connected by hereditary unicoherence)."""
     ivs = {}

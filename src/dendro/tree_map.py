@@ -29,6 +29,7 @@ from dendro.metric_tree import (
     geodesic_walk,
     point_along,
     point_subtree,
+    subtree_contains,
     subtrees_intersect,
     union_connected,
     union_subtrees,
@@ -341,7 +342,7 @@ def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:
         for i in range(k - 1):
             if F.image(K_sets[i]) != K_sets[i + 1]:
                 cyclic_ok = False
-        if not _subtree_subset(F.image(K_sets[k - 1]), K_sets[0]):
+        if not subtree_contains(K_sets[0], F.image(K_sets[k - 1])):
             cyclic_ok = False
     L_sets = union_subtrees(D, K_sets)
     r = len(L_sets)
@@ -365,16 +366,6 @@ def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:
         L_sets=L_ordered,
         cyclic_ok=cyclic_ok,
     )
-
-
-def _subtree_subset(A: Subtree, B: Subtree) -> bool:
-    if not A.vertices <= B.vertices:
-        return False
-    for e, (a, b) in A.intervals.items():
-        iv = B.intervals.get(e)
-        if iv is None or a < iv[0] or b > iv[1]:
-            return False
-    return True
 
 
 def m_min(F, E: Subtree, horizon: int) -> Optional[int]:

@@ -106,6 +106,22 @@ def test_run_gch_verdict_inconclusive_for_identity(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("content,message", [
+    ("[1, 2]\n", "JSON object"),
+    ('{"kind": "spiral"}\n', "unknown map kind 'spiral'"),
+], ids=["top_level_list", "unknown_kind"])
+def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
+    mapfile = tmp_path / "bad.json"
+    mapfile.write_text(content)
+    code = run([
+        "run", "--scenario", "gch-verdict", "--map", str(mapfile),
+        "--out", str(tmp_path / "rep.json"),
+    ])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "rep.json").exists()
+
+
 # ---------------------------------------------------------------- exactness scenario
 
 
@@ -195,5 +211,5 @@ def test_exactness_map_out_roundtrip(tmp_path):
     ])
     assert code == 0
     Fm = load_map(str(map_file))
-    img = Fm.image(Fm.parts[0].bush)
+    img = Fm.image(Fm.parts[0].region)
     assert img == full_subtree(Fm.domain)

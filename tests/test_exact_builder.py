@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from dendro.cli import load_map
 from dendro.exact_builder import (
-    GluedExactMap,
     assign_metric,
     build_exact,
     build_gch_not_eps,
@@ -12,7 +12,6 @@ from dendro.exact_builder import (
     growth_outcome,
     plan_targets,
     verify_exact,
-    _subtree_contains,
 )
 from dendro.gallery import FamilyDescriptor, build_counterexample, generate
 from dendro.length_expanding import DenseFamily
@@ -20,15 +19,18 @@ from dendro.metric_tree import (
     Dendrite,
     GeometryError,
     PointRef,
+    contains_point,
     full_subtree,
     geodesic,
     h1_measure,
     make_subtree,
     point_subtree,
+    subtree_contains,
     subtree_diam,
     subtree_points,
     subtrees_intersect,
 )
+from dendro.serialize import dump_json, dumps_json
 
 F = Fraction
 
@@ -173,7 +175,7 @@ def test_roots_fixed(comb4_map):
 
 
 def test_first_bush_covers_everything(comb4_map):
-    img = comb4_map.image(comb4_map.parts[0].bush)
+    img = comb4_map.image(comb4_map.parts[0].region)
     assert img == full_subtree(comb4_map.domain)
 
 
@@ -213,7 +215,7 @@ def test_growth_dichotomy_sampled(comb4_map):
     rho = F(6, 5)
     seen = set()
     for part in comb4_map.parts[:3]:
-        for e, (lo, hi) in part.bush.intervals.items():
+        for e, (lo, hi) in part.region.intervals.items():
             span = hi - lo
             for i in range(4):
                 a = lo + span * F(i, 4)
@@ -230,18 +232,6 @@ def test_growth_dichotomy_sampled(comb4_map):
     assert "covers_bush" in seen or "expands" in seen
 
 
-def test_glued_exact_roundtrip(comb4_map):
-    d = comb4_map.to_dict()
-    back = GluedExactMap.from_dict(d)
-    D = back.domain
-    assert back.to_dict()["parts"] == d["parts"]
-    x = None
-    for part in back.parts:
-        (e, (a, b)) = sorted(part.bush.intervals.items())[0]
-        x = D.point(e, a + (b - a) / 3)
-        assert back.apply(x) == comb4_map.apply(x)
-
-
 # ---------------------------------------------------------------- build_exact (point)
 
 
@@ -256,13 +246,19 @@ def test_build_exact_star_point(star3):
     assert all(p == V("c") for p in cert_sets)
 
 
-def test_build_exact_point_general_branch():
+@pytest.fixture(scope="module")
+def branched_point_map():
     # a branched bush forces the composed-pair construction
     D = Dendrite(
         ["a", "m", "x", "y"],
         [("a", "m", F(1, 2)), ("m", "x", F(1, 4)), ("m", "y", F(1, 4))],
     )
-    Fm = build_exact(D, V("a"))
+    return build_exact(D, V("a"))
+
+
+def test_build_exact_point_general_branch(branched_point_map):
+    Fm = branched_point_map
+    D = Fm.domain
     assert Fm.apply(V("a")) == V("a")
     img = Fm.image(full_subtree(D))
     assert img == full_subtree(D)
@@ -299,13 +295,18 @@ def test_omega_star_gch_rejects_finite_order_point(star3):
         build_gch_not_eps(star3, V("c"))
 
 
-def test_comb_gch_pieces():
-    D, Fm = build_counterexample("comb_gch", depth=8)
+@pytest.fixture(scope="module")
+def comb_gch8_map():
+    return build_counterexample("comb_gch", depth=8)[1]
+
+
+def test_comb_gch_pieces(comb_gch8_map):
+    Fm = comb_gch8_map
     regions = Fm.invariant_regions()
     assert len(regions) >= 3
     for region in regions:
         img = Fm.image(region)
-        assert _subtree_contains(region, img)
+        assert subtree_contains(region, img)
     diams = [subtree_diam(Fm.domain, r) for r in regions]
     assert all(a > b for a, b in zip(diams, diams[1:]))
     for i in range(len(regions)):
@@ -314,6 +315,62 @@ def test_comb_gch_pieces():
     # the common anchor stays fixed
     anchor = Fm.domain.marked["origin"]
     assert Fm.apply(anchor) == anchor
+
+
+def test_comb_gch_vertex_images(comb_gch8_map):
+    # off-base vertices used to vanish from their own image
+    D = comb_gch8_map.domain
+    for v in sorted(D.vertices):
+        img = comb_gch8_map.image(point_subtree(D, V(v)))
+        assert img == point_subtree(D, comb_gch8_map.apply(V(v))), v
+
+
+def test_comb_gch_set_images_contain_point_images(comb_gch8_map):
+    # oracle for the off-base trim: the image of a set holds the image of
+    # every point of a 1/8 refinement of it
+    Fm = comb_gch8_map
+    D = Fm.domain
+    ends = [V(v) for v in sorted(D.vertices)]
+    ends += [D.point(e, D.edge_length(e) / 3) for e in range(len(D.edges))]
+    images = {}
+    sets = 0
+    for i, x in enumerate(ends):
+        for y in ends[i + 1:]:
+            S = geodesic(D, x, y)
+            img = Fm.image(S)
+            pts = [V(v) for v in S.vertices]
+            for e, (a, b) in S.intervals.items():
+                pts += [D.point(e, a + (b - a) * F(k, 8)) for k in range(9)]
+            for p in pts:
+                if p not in images:
+                    images[p] = Fm.apply(p)
+                assert contains_point(D, img, images[p]), (x, y, p)
+            sets += 1
+    assert sets == 903
+
+
+@pytest.mark.parametrize("fixture,kind", [
+    ("comb4_map", "glued_exact"),
+    ("comb_gch8_map", "glued_pieces"),
+    ("branched_point_map", "glued_point"),
+], ids=["glued_exact", "glued_pieces", "glued_point"])
+def test_map_file_roundtrip(fixture, kind, request, tmp_path):
+    Fm = request.getfixturevalue(fixture)
+    assert Fm.kind == kind
+    path = tmp_path / "map.json"
+    dump_json(Fm.to_dict(), path)
+    back = load_map(str(path))
+    assert type(back) is type(Fm)
+    assert dumps_json(back.to_dict()) == path.read_text()
+    D = back.domain
+    for e in range(len(D.edges)):
+        L = D.edge_length(e)
+        S = make_subtree(D, {e: (L / 4, 3 * L / 4)})
+        assert back.image(S) == Fm.image(S)
+    for part in back.parts:
+        (e, (a, b)) = sorted(part.region.intervals.items())[0]
+        x = D.point(e, a + (b - a) / 3)
+        assert back.apply(x) == Fm.apply(x)
 
 
 def test_decompose_interior_point(comb3):
