@@ -6,6 +6,12 @@ while a positive record is merely inconclusive at the horizon.  Diameter
 records grow with the horizon, so the uniform-sensitivity estimate
 ``eta_estimate`` is a lower bound for what any longer horizon would report.
 Every quantity is an exact rational.
+
+``verdict`` follows one :class:`~dendro.tree_map.SetOrbit` per family member
+and reads every record from those orbits.  A record stops at the first
+exact repeat of its orbits: from there on every step repeats one already
+read, so the value equals the plain horizon-N loop's.  Records still claim
+only "within horizon N".
 """
 
 from __future__ import annotations
@@ -14,6 +20,9 @@ import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from typing import Optional
+
 from dendro.metric_tree import (
     Dendrite,
     GeometryError,
@@ -28,6 +37,7 @@ from dendro.metric_tree import (
     subtree_dist,
 )
 from dendro.serialize import format_rat
+from dendro.tree_map import SetOrbit
 
 INTERPRETATION_NOTE = (
     "records are finite-horizon evidence: prox_record 0 certifies the image "
@@ -85,7 +95,7 @@ class SetFamily:
             for j in range(self.radii_levels):
                 r = diam / 2 * Fraction(1, 2**j)
                 B = ball(D, c, r)
-                key = (tuple(sorted(B.vertices)), tuple(sorted(B.intervals.items())))
+                key = B.key()
                 if key not in seen:
                     seen.add(key)
                     out.append(B)
@@ -121,35 +131,67 @@ def _random_point(rng: random.Random, D: Dendrite, den: int = 4096) -> PointRef:
 # records
 
 
-def prox_record(F, S1: Subtree, S2: Subtree, N: int) -> Fraction:
-    """min over 0 <= n <= N of the exact distance between the image sets."""
-    if S1.is_degenerate() or S2.is_degenerate():
+def _orbit(F, S) -> SetOrbit:
+    if not isinstance(S, SetOrbit):
+        return SetOrbit(F, S)
+    if S.F is not F:
+        raise GeometryError("set orbit belongs to another map")
+    return S
+
+
+def _cycle_end(start: int, *orbits: SetOrbit) -> Optional[int]:
+    """Last step whose joint state can be new, once every orbit is periodic.
+
+    From step max(start, preperiods) on, the joint state of the orbits
+    repeats with the lcm of their periods, so later steps add nothing.
+    """
+    if any(o.period is None for o in orbits):
+        return None
+    first = max(start, *(o.preperiod for o in orbits))
+    return first + lcm(*(o.period for o in orbits)) - 1
+
+
+def prox_record(F, S1, S2, N: int) -> Fraction:
+    """min over 0 <= n <= N of the exact distance between the image sets.
+
+    S1 and S2 are sets or :class:`SetOrbit`s of them under F.  The scan stops
+    early at a distance of 0, or once both orbits are periodic and every
+    joint state has been seen.
+    """
+    A, B = _orbit(F, S1), _orbit(F, S2)
+    if A.at(0).is_degenerate() or B.at(0).is_degenerate():
         raise GeometryError("prox_record needs nondegenerate sets")
     best = None
-    A, B = S1, S2
     for n in range(N + 1):
-        d = subtree_dist(F.codomain if n else F.domain, A, B)
+        d = subtree_dist(F.codomain if n else F.domain, A.at(n), B.at(n))
         if best is None or d < best:
             best = d
         if best == 0:
             return Fraction(0)
-        A, B = F.image(A), F.image(B)
+        end = _cycle_end(0, A, B)
+        if end is not None and n >= end:
+            break
     return best
 
 
-def sens_record(F, S: Subtree, N0: int, N: int) -> Fraction:
-    """max over N0 <= n <= N of diam f^n(S)."""
+def sens_record(F, S, N0: int, N: int) -> Fraction:
+    """max over N0 <= n <= N of diam f^n(S).
+
+    S is a set or a :class:`SetOrbit` of one under F.  The scan stops once
+    the orbit is periodic and every step of its cycle from N0 on has been
+    seen.
+    """
     if not (0 <= N0 <= N):
         raise GeometryError("need 0 <= N0 <= N")
+    orbit = _orbit(F, S)
     best = Fraction(0)
-    A = S
-    for n in range(N + 1):
-        if n >= N0:
-            d = subtree_diam(F.domain if n == 0 else F.codomain, A)
-            if d > best:
-                best = d
-        if n < N:
-            A = F.image(A)
+    for n in range(N0, N + 1):
+        d = subtree_diam(F.domain if n == 0 else F.codomain, orbit.at(n))
+        if d > best:
+            best = d
+        end = _cycle_end(N0, orbit)
+        if end is not None and n >= end:
+            break
     return best
 
 
@@ -279,14 +321,15 @@ def verdict(
     """
     members = family.generate(F.domain)
     tolerance = Fraction(tolerance)
+    orbits = [SetOrbit(F, S) for S in members]
     prox_records = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            r = prox_record(F, members[i], members[j], N)
+    for i in range(len(orbits)):
+        for j in range(i + 1, len(orbits)):
+            r = prox_record(F, orbits[i], orbits[j], N)
             prox_records.append(((i, j), r))
     sens_records = []
-    for i, S in enumerate(members):
-        sens_records.append((i, sens_record(F, S, N0, N)))
+    for i, orbit in enumerate(orbits):
+        sens_records.append((i, sens_record(F, orbit, N0, N)))
     eta = min(r for _, r in sens_records)
     prox_pass = all(r <= tolerance for _, r in prox_records)
     sens0_pass = all(r > 0 for _, r in sens_records)
@@ -316,12 +359,11 @@ def default_epsilon(D: Dendrite) -> Fraction:
 def trajectory_rows(F, S1: Subtree, S2: Subtree, N: int):
     """(n, diam f^n(S1), dist(f^n(S1), f^n(S2))) rows for CSV export."""
     rows = []
-    A, B = S1, S2
+    A, B = SetOrbit(F, S1), SetOrbit(F, S2)
     for n in range(N + 1):
         space = F.domain if n == 0 else F.codomain
-        rows.append((n, subtree_diam(space, A), subtree_dist(space, A, B)))
-        if n < N:
-            A, B = F.image(A), F.image(B)
+        rows.append((n, subtree_diam(space, A.at(n)),
+                     subtree_dist(space, A.at(n), B.at(n))))
     return rows
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from dendro import chaos, exact_builder, gallery, odometer
 from dendro.metric_tree import Dendrite, GeometryError
 from dendro.length_expanding import BuildError
-from dendro.serialize import dump_json, load_json, parse_rat
+from dendro.serialize import dump_json, from_dict_checked, load_json, parse_rat
 
 PATTERN_DEPTH_CAP = 8
 
@@ -167,7 +167,8 @@ def cmd_run(args) -> int:
     if args.scenario == "exactness":
         if not (args.dendrite and args.arc):
             raise ValueError("exactness needs --dendrite and --arc")
-        D = Dendrite.from_dict(load_json(args.dendrite))
+        D = from_dict_checked(Dendrite.from_dict, load_json(args.dendrite),
+                              "dendrite")
         Fm = exact_builder.build_exact(D, args.arc, q=args.q, rho=args.rho,
                                        seed=seed)
         cert = exact_builder.verify_exact(Fm, args.nmax)

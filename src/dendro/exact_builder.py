@@ -48,12 +48,13 @@ from dendro.metric_tree import (
     make_subtree,
     point_subtree,
     refine_at,
+    subtree_components,
     subtree_contains,
     subtree_points,
     union_connected,
     union_subtrees,
 )
-from dendro.serialize import format_rat, parse_rat
+from dendro.serialize import format_rat, from_dict_checked, parse_rat
 from dendro.tree_map import TreeMap, compose
 
 F0 = Fraction(0)
@@ -608,8 +609,10 @@ def _off_base(D: Dendrite, C: Subtree, base: Subtree) -> Optional[Subtree]:
     base edges and keeps a base vertex only where a kept interval ends at
     it; vertices off the base stay, even alone.  For a connected C this is
     exactly the closure of C minus the base, and C itself comes back when
-    nothing is dropped.  The result has one component for each branch by
-    which C leaves the base.
+    nothing is dropped.  Otherwise the result is a closed set in canonical
+    form but not always connected: C may leave the base by several
+    branches (say along the base between two teeth), and branches that
+    leave from different base points are separate components.
     """
     ivs = {e: iv for e, iv in C.intervals.items() if e not in base.intervals}
     ends = {v for e in ivs for v in (D.edges[e].u, D.edges[e].v)}
@@ -652,10 +655,15 @@ class GluedMap:
         parts_out = [intersect_subtrees(D, S, self.base)]
         for part in self.parts:
             C = intersect_subtrees(D, S, part.region)
-            if not C.is_empty():
-                C = _off_base(D, C, self.base)
-                if C is not None:
-                    parts_out.append(part.image(C))
+            if C.is_empty():
+                continue
+            off = _off_base(D, C, self.base)
+            if off is C:
+                parts_out.append(part.image(C))
+            elif off is not None:
+                # parts map connected sets: one call per component
+                for K in subtree_components(D, off):
+                    parts_out.append(part.image(K))
         comps = union_subtrees(D, parts_out)
         if _check_connected and len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")
@@ -729,7 +737,7 @@ def map_from_dict(d):
     kind = d.get("kind", "piecewise")
     if kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {kind!r}")
-    return MAP_KINDS[kind].from_dict(d)
+    return from_dict_checked(MAP_KINDS[kind].from_dict, d, f"{kind} map")
 
 
 # ---------------------------------------------------------------------------

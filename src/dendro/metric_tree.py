@@ -249,6 +249,10 @@ class Subtree:
     vertices: frozenset
     intervals: dict
 
+    def key(self) -> tuple:
+        """Hashable form: two subtrees have equal keys iff they are equal."""
+        return (self.vertices, tuple(sorted(self.intervals.items())))
+
     def is_empty(self) -> bool:
         return not self.vertices and not self.intervals
 

@@ -226,6 +226,8 @@ def fiber_diam_traj(alpha: Address, N: int) -> list[Fraction]:
 
 def write_traj_csv(path, alpha: Address, N: int) -> int:
     """CSV rows (n, ell, diam); returns the number of data rows."""
+    if N < 0:
+        raise ValueError(f"step count must be >= 0, got {N}")
     cur = alpha
     rows = 0
     with open(path, "w", newline="") as fh:

@@ -44,3 +44,18 @@ def dumps_json(obj) -> str:
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def from_dict_checked(from_dict, d, what: str):
+    """``from_dict(d)``, with a malformed ``d`` reported as ValueError.
+
+    A missing field or a value of the wrong shape surfaces inside a loader
+    as KeyError, TypeError, AttributeError or IndexError; file readers call
+    this so that every malformed file fails the same documented way.
+    """
+    try:
+        return from_dict(d)
+    except KeyError as exc:
+        raise ValueError(f"malformed {what}: missing field {exc}") from None
+    except (TypeError, AttributeError, IndexError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from None

@@ -224,18 +224,47 @@ def iterate_apply(F, x: PointRef, n: int) -> PointRef:
     return x
 
 
-def iterate_image(F, S: Subtree, n: int) -> Subtree:
-    for _ in range(n):
-        S = F.image(S)
-    return S
-
-
 def orbit_images(F, S: Subtree, n: int) -> list[Subtree]:
-    """[S, f(S), ..., f^n(S)] computed iteratively."""
+    """[S, f(S), ..., f^n(S)] computed iteratively, with no cycle cut."""
     out = [S]
     for _ in range(n):
         out.append(F.image(out[-1]))
     return out
+
+
+class SetOrbit:
+    """The orbit S, f(S), f^2(S), ... of a set, computed on demand.
+
+    Each new image is keyed exactly (:meth:`Subtree.key`).  At the first
+    exact repeat f^n(S) = f^m(S), m < n, the orbit is eventually periodic
+    with ``preperiod`` m and ``period`` n - m, and every later step is read
+    from the stored sets without calling the map.  Both stay None while no
+    repeat has been seen.
+    """
+
+    def __init__(self, F, S: Subtree):
+        self.F = F
+        self._sets = [S]
+        self._index = {S.key(): 0}
+        self.preperiod: Optional[int] = None
+        self.period: Optional[int] = None
+
+    def at(self, n: int) -> Subtree:
+        """f^n(S)."""
+        sets = self._sets
+        while n >= len(sets) and self.period is None:
+            S = self.F.image(sets[-1])
+            key = S.key()
+            m = self._index.get(key)
+            if m is None:
+                self._index[key] = len(sets)
+                sets.append(S)
+            else:
+                self.preperiod, self.period = m, len(sets) - m
+        if n < len(sets):
+            return sets[n]
+        m = self.preperiod
+        return sets[m + (n - m) % self.period]
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +336,11 @@ def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:
     """
     if horizon < 1:
         raise GeometryError("horizon must be >= 1")
-    imgs = orbit_images(F, E, horizon)
+    at = SetOrbit(F, E).at
     found = None
     for n0 in range(horizon):
         for k in range(1, horizon - n0 + 1):
-            if subtrees_intersect(imgs[n0], imgs[n0 + k]):
+            if subtrees_intersect(at(n0), at(n0 + k)):
                 found = (n0, k)
                 break
         if found:
@@ -324,11 +353,11 @@ def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:
     for i in range(k):
         # full union of the residue-class images up to the horizon; the flag
         # records whether the union had already stopped growing
-        acc = imgs[n0 + i]
+        acc = at(n0 + i)
         grew_at = 0
         j = 1
         while n0 + i + j * k <= horizon:
-            nxt = union_connected(D, [acc, imgs[n0 + i + j * k]])
+            nxt = union_connected(D, [acc, at(n0 + i + j * k)])
             if nxt != acc:
                 grew_at = j
             acc = nxt
@@ -371,12 +400,15 @@ def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:
 def m_min(F, E: Subtree, horizon: int) -> Optional[int]:
     """Least l >= 1 with f^n(E) meeting f^(n+l)(E) for some n <= horizon.
 
-    Returns None when inconclusive at the horizon.
+    Returns None when inconclusive at the horizon.  Once the orbit is
+    periodic, the pairs (n, n + l) with n past one period repeat earlier
+    ones, so the scan over n stops there.
     """
-    imgs = orbit_images(F, E, 2 * horizon)
-    best = None
+    orbit = SetOrbit(F, E)
     for l in range(1, horizon + 1):
         for n in range(0, horizon + 1):
-            if subtrees_intersect(imgs[n], imgs[n + l]):
+            if subtrees_intersect(orbit.at(n), orbit.at(n + l)):
                 return l
-    return best
+            if orbit.period is not None and n >= orbit.preperiod + orbit.period - 1:
+                break
+    return None

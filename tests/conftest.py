@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dendro.gallery import FamilyDescriptor, generate
+from dendro.gallery import FamilyDescriptor, build_counterexample, generate
 from dendro.metric_tree import Dendrite, PointRef
 from dendro.tree_map import TreeMap
 
@@ -67,3 +67,24 @@ def flip(sym_arc):
         },
         edge_breaks={},
     )
+
+
+@pytest.fixture(scope="session")
+def contraction(unit_arc):
+    """x -> x/2 on [0, 1]: no set orbit ever repeats exactly."""
+    return TreeMap(
+        unit_arc,
+        unit_arc,
+        vertex_images={"0": PointRef(vertex="0"), "1": unit_arc.point(0, F(1, 2))},
+    )
+
+
+@pytest.fixture(scope="session")
+def omega12_map():
+    """The glued GCH map on the 12-arm omega star (weight ratio 1/2)."""
+    return build_counterexample("omega_star_gch", arms=12, q=F(1, 2))[1]
+
+
+@pytest.fixture(scope="session")
+def comb_gch8_map():
+    return build_counterexample("comb_gch", depth=8)[1]

@@ -132,3 +132,45 @@ def odometer_add(digits, n):
         carry = s // 3
     assert m == 0 and carry == 0
     return {i: d for i, d in dense.items() if d != 1}
+
+
+def plain_orbit(F, S, N):
+    """[S, f(S), ..., f^N(S)] with every image computed: no cycle detection."""
+    out = [S]
+    for _ in range(N):
+        out.append(F.image(out[-1]))
+    return out
+
+
+def first_repeat(orbit):
+    """(m, p) of the first n = m + p with orbit[n] == orbit[m], m < n, or None."""
+    for n, S in enumerate(orbit):
+        for m in range(n):
+            if orbit[m] == S:
+                return m, n - m
+    return None
+
+
+def plain_dist_steps(F, A, B):
+    """dist(A[n], B[n]) at every step n of two plain orbits, up to the first 0.
+
+    The proximality record at horizon N is the min of the first N + 1 values.
+    """
+    from dendro.metric_tree import subtree_dist
+
+    out = []
+    for n, (S1, S2) in enumerate(zip(A, B)):
+        out.append(subtree_dist(F.codomain if n else F.domain, S1, S2))
+        if out[-1] == 0:
+            break
+    return out
+
+
+def plain_diam_steps(F, A):
+    """diam A[n] at every step n of a plain orbit.
+
+    The sensitivity record for N0 <= n <= N is the max of values N0 to N.
+    """
+    from dendro.metric_tree import subtree_diam
+
+    return [subtree_diam(F.codomain if n else F.domain, S) for n, S in enumerate(A)]

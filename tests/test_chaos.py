@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,9 +13,22 @@ from dendro.chaos import (
     trajectory_rows,
     verdict,
 )
-from dendro.metric_tree import full_subtree, make_subtree, subtree_diam
-from dendro.tree_map import identity_map
-from oracles import tent_iterate_interval
+from dendro.metric_tree import (
+    Dendrite,
+    GeometryError,
+    PointRef,
+    full_subtree,
+    make_subtree,
+    subtree_diam,
+)
+from dendro.tree_map import SetOrbit, TreeMap, identity_map
+from oracles import (
+    first_repeat,
+    plain_diam_steps,
+    plain_dist_steps,
+    plain_orbit,
+    tent_iterate_interval,
+)
 
 F = Fraction
 
@@ -127,6 +141,117 @@ def test_verdict_exactness_recompute(tent):
         assert prox_record(tent, members[i], members[j], 12) == r
     for i, r in rep.sens_records:
         assert sens_record(tent, members[i], 0, 12) == r
+
+
+@pytest.fixture(scope="module")
+def identity_arc(unit_arc):
+    return identity_map(unit_arc)
+
+
+@pytest.fixture(scope="module")
+def rotation():
+    """Arms of a star permuted as (a b)(x y z), each arm stretched linearly.
+
+    Free arcs come nearest the center on the short arms b and z, so the
+    arcs of arms a and x first come nearest at step 5, the sixth joint
+    phase of periods 2 and 3.
+    """
+    lengths = {"a": F(1), "b": F(1, 2), "x": F(1), "y": F(3, 4), "z": F(1, 2)}
+    D = Dendrite(["c", *lengths], [("c", v, L) for v, L in lengths.items()])
+    turn = {"c": "c", "a": "b", "b": "a", "x": "y", "y": "z", "z": "x"}
+    return TreeMap(D, D, {v: PointRef(vertex=w) for v, w in turn.items()})
+
+
+# map fixture, family, the first repeats the family's orbits must show
+# ("eventual": some m > 0; "fixed": all m = 0, p = 1; "period2": lcm of
+# the periods 2; "period6": lcm 6 from periods 2 and 3; "none": no repeat)
+CUT_CASES = [
+    ("omega12_map", SetFamily("balls", radii_levels=1), "eventual"),
+    ("comb_gch8_map", SetFamily("free_arcs"), "eventual"),
+    ("tent", SetFamily("balls", radii_levels=3), "eventual"),
+    ("identity_arc", SetFamily("balls", radii_levels=3), "fixed"),
+    ("flip", SetFamily("balls", radii_levels=3), "period2"),
+    ("rotation", SetFamily("free_arcs"), "period6"),
+    ("contraction", SetFamily("balls", radii_levels=3), "none"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,family,shape", CUT_CASES, ids=[c[0] for c in CUT_CASES]
+)
+def test_verdict_matches_plain_horizon_loop(fixture, family, shape, request):
+    # verdict stops each record at the first exact repeat of its orbits; the
+    # plain loop computes every image up to the horizon
+    Fm = request.getfixturevalue(fixture)
+    members = family.generate(Fm.domain)
+    orbits = [plain_orbit(Fm, S, 50) for S in members]
+    cycles = [first_repeat(A) for A in orbits]
+    if shape == "none":
+        assert not any(cycles)
+        Ns, N0s = [0, 1, 50], [0, 1, 3]
+    else:
+        assert all(cycles)
+        m = max(c[0] for c in cycles)
+        p = lcm(*(c[1] for c in cycles))
+        if shape == "fixed":
+            assert (m, p) == (0, 1)
+        elif shape == "period2":
+            assert p == 2
+        elif shape == "period6":
+            assert (m, p) == (0, 6)
+        else:
+            assert m > 0
+        # N0 past a whole cycle makes the sensitivity window start late
+        Ns, N0s = sorted({0, 1, m, m + p, 50}), sorted({0, 1, m + 1, m + p + 1})
+    pairs = [(i, j) for i in range(len(members)) for j in range(i + 1, len(members))]
+    dists = {(i, j): plain_dist_steps(Fm, orbits[i], orbits[j]) for i, j in pairs}
+    diams = [plain_diam_steps(Fm, A) for A in orbits]
+    for N in Ns:
+        for N0 in N0s:
+            if N0 > N:
+                continue
+            rep = verdict(Fm, family, N=N, N0=N0)
+            assert rep.prox_records == [
+                ((i, j), min(dists[i, j][: N + 1])) for i, j in pairs
+            ], (N, N0)
+            assert rep.sens_records == [
+                (i, max(d[N0 : N + 1])) for i, d in enumerate(diams)
+            ], (N, N0)
+
+
+def test_verdict_image_calls_stop_at_the_cycle(omega12_map, monkeypatch):
+    # every omega12 ball orbit is fixed within a few steps, so a longer
+    # horizon costs no further image
+    calls = []
+    image = omega12_map.image
+
+    def counted(S):
+        calls.append(S)
+        return image(S)
+
+    monkeypatch.setattr(omega12_map, "image", counted)
+    counts = []
+    for N in (50, 200):
+        calls.clear()
+        verdict(omega12_map, SetFamily("balls", radii_levels=2), N=N)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_records_accept_set_orbits(flip, sym_arc, tent):
+    S1 = make_subtree(sym_arc, {0: (F(1, 4), F(1, 2))})
+    S2 = make_subtree(sym_arc, {1: (F(1, 4), F(1, 2))})
+    A, B = SetOrbit(flip, S1), SetOrbit(flip, S2)
+    for N in range(6):
+        assert prox_record(flip, A, B, N) == prox_record(flip, S1, S2, N)
+        for N0 in range(N + 1):
+            assert sens_record(flip, A, N0, N) == sens_record(flip, S1, N0, N)
+    assert (A.preperiod, A.period) == (0, 2)
+    with pytest.raises(GeometryError):
+        sens_record(tent, A, 0, 3)
+    point = SetOrbit(flip, make_subtree(sym_arc, {0: (F(1, 2), F(1, 2))}))
+    with pytest.raises(GeometryError):
+        prox_record(flip, point, B, 3)
 
 
 def test_default_epsilon(unit_arc):

@@ -76,6 +76,16 @@ def test_run_odometer_diam(tmp_path):
     assert rows[2] == ["1", "1", "1/3"]
 
 
+def test_run_odometer_diam_rejects_negative_steps(tmp_path, capsys):
+    out = tmp_path / "diam.csv"
+    code = run([
+        "run", "--scenario", "odometer-diam", "--steps", "-5", "--out", str(out),
+    ])
+    assert code == 1
+    assert "step count must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- verdict scenario
 
 
@@ -109,7 +119,11 @@ def test_run_gch_verdict_inconclusive_for_identity(tmp_path):
 @pytest.mark.parametrize("content,message", [
     ("[1, 2]\n", "JSON object"),
     ('{"kind": "spiral"}\n', "unknown map kind 'spiral'"),
-], ids=["top_level_list", "unknown_kind"])
+    ('{"kind": "piecewise", "domain": {"vertices": ["a"]}}\n',
+     "malformed piecewise map: missing field 'edges'"),
+    ('{"kind": "glued_exact", "space": [], "base": {}, "parts": []}\n',
+     "malformed glued_exact map"),
+], ids=["top_level_list", "unknown_kind", "missing_field", "wrong_shape"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content)
@@ -118,7 +132,9 @@ def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
         "--out", str(tmp_path / "rep.json"),
     ])
     assert code == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "rep.json").exists()
 
 

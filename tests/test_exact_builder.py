@@ -25,6 +25,7 @@ from dendro.metric_tree import (
     h1_measure,
     make_subtree,
     point_subtree,
+    subtree_components,
     subtree_contains,
     subtree_diam,
     subtree_points,
@@ -295,11 +296,6 @@ def test_omega_star_gch_rejects_finite_order_point(star3):
         build_gch_not_eps(star3, V("c"))
 
 
-@pytest.fixture(scope="module")
-def comb_gch8_map():
-    return build_counterexample("comb_gch", depth=8)[1]
-
-
 def test_comb_gch_pieces(comb_gch8_map):
     Fm = comb_gch8_map
     regions = Fm.invariant_regions()
@@ -325,28 +321,56 @@ def test_comb_gch_vertex_images(comb_gch8_map):
         assert img == point_subtree(D, comb_gch8_map.apply(V(v))), v
 
 
+def _probe_geodesics(D):
+    """Geodesics between every two of the vertices and edge third-points."""
+    ends = [V(v) for v in sorted(D.vertices)]
+    ends += [D.point(e, D.edge_length(e) / 3) for e in range(len(D.edges))]
+    for i, x in enumerate(ends):
+        for y in ends[i + 1:]:
+            yield geodesic(D, x, y)
+
+
 def test_comb_gch_set_images_contain_point_images(comb_gch8_map):
     # oracle for the off-base trim: the image of a set holds the image of
     # every point of a 1/8 refinement of it
     Fm = comb_gch8_map
     D = Fm.domain
-    ends = [V(v) for v in sorted(D.vertices)]
-    ends += [D.point(e, D.edge_length(e) / 3) for e in range(len(D.edges))]
     images = {}
     sets = 0
-    for i, x in enumerate(ends):
-        for y in ends[i + 1:]:
-            S = geodesic(D, x, y)
-            img = Fm.image(S)
-            pts = [V(v) for v in S.vertices]
-            for e, (a, b) in S.intervals.items():
-                pts += [D.point(e, a + (b - a) * F(k, 8)) for k in range(9)]
-            for p in pts:
-                if p not in images:
-                    images[p] = Fm.apply(p)
-                assert contains_point(D, img, images[p]), (x, y, p)
-            sets += 1
+    for S in _probe_geodesics(D):
+        img = Fm.image(S)
+        pts = [V(v) for v in S.vertices]
+        for e, (a, b) in S.intervals.items():
+            pts += [D.point(e, a + (b - a) * F(k, 8)) for k in range(9)]
+        for p in pts:
+            if p not in images:
+                images[p] = Fm.apply(p)
+            assert contains_point(D, img, images[p]), (S, p)
+        sets += 1
     assert sets == 903
+
+
+def test_comb_gch_parts_map_connected_sets(comb_gch8_map, monkeypatch):
+    # an overlap running along the base between two teeth leaves the base
+    # by several branches; each part must still see and return one
+    # connected set per call
+    Fm = comb_gch8_map
+    D = Fm.domain
+    seen = []
+    for part in Fm.parts:
+        def image(S, _orig=part.image):
+            assert len(subtree_components(D, S)) == 1, S
+            out = _orig(S)
+            seen.append(out)
+            return out
+        monkeypatch.setattr(part, "image", image)
+    sets = 0
+    for S in _probe_geodesics(D):
+        Fm.image(S)
+        sets += 1
+    assert sets == 903 and seen
+    for out in seen:
+        assert len(subtree_components(D, out)) == 1, out
 
 
 @pytest.mark.parametrize("fixture,kind", [

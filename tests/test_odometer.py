@@ -118,6 +118,12 @@ def test_embed_and_add_match_digit_oracles():
         alpha, digs = add(alpha, 1), odometer_add(digs, 1)
         assert alpha.digits == tuple(sorted(digs.items()))
         assert Address(alpha.digits) == alpha
+    # and a long -1 orbit walks every borrow length on the way back down
+    alpha, digs = add(ONES, 3**7), odometer_add({}, 3**7)
+    for _ in range(2 * 3**7 + 5):
+        alpha, digs = add(alpha, -1), odometer_add(digs, -1)
+        assert alpha.digits == tuple(sorted(digs.items()))
+        assert Address(alpha.digits) == alpha
 
 
 # ---------------------------------------------------------------- skew map

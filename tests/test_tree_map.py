@@ -19,6 +19,7 @@ from dendro.tree_map import (
     EVADES,
     FIXED,
     JUMPS_OVER,
+    SetOrbit,
     TreeMap,
     classify_relation,
     compose,
@@ -28,7 +29,7 @@ from dendro.tree_map import (
     orbit_decomposition,
     orbit_images,
 )
-from oracles import tent_iterate_interval
+from oracles import first_repeat, plain_orbit, tent_iterate_interval
 
 F = Fraction
 
@@ -230,6 +231,38 @@ def test_orbit_decomposition_inconclusive(sym_arc):
     E = make_subtree(sym_arc, {1: (F(3, 4), F(7, 8))})
     dec = orbit_decomposition(Fm, E, horizon=3)
     assert not dec.conclusive
+
+
+def test_set_orbit_cycles(tent, flip, contraction, unit_arc, sym_arc):
+    # preperiod and period at the first exact repeat, each image computed
+    # once, and later steps read from the cycle
+    cases = [
+        (identity_map(unit_arc), interval(unit_arc, F(1, 8), F(1, 4)), (0, 1)),
+        (flip, make_subtree(sym_arc, {1: (F(1, 2), F(1))}), (0, 2)),
+        (tent, interval(unit_arc, F(1, 8), F(1, 4)), (3, 1)),
+        (contraction, interval(unit_arc, F(1, 8), F(1, 4)), None),
+    ]
+    for Fm, S, cycle in cases:
+        calls = []
+
+        class Counted:
+            domain = codomain = Fm.domain
+
+            def image(self, A):
+                calls.append(A)
+                return Fm.image(A)
+
+        counted = Counted()
+        orbit = SetOrbit(counted, S)
+        plain = plain_orbit(Fm, S, 40)
+        assert first_repeat(plain) == cycle
+        assert [orbit.at(n) for n in range(41)] == plain
+        if cycle is None:
+            assert orbit.period is None and len(calls) == 40
+        else:
+            assert (orbit.preperiod, orbit.period) == cycle
+            assert len(calls) == sum(cycle)
+            assert orbit.at(10**6) == plain[cycle[0] + (10**6 - cycle[0]) % cycle[1]]
 
 
 def test_m_min(tent, flip, unit_arc, sym_arc):
