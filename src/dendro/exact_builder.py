@@ -21,16 +21,23 @@ and so interoperate with the chaos and orbit machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from dendro.length_expanding import (
     BuildError,
+    DenseFamily,
+    LEWitness,
+    build_pair,
     build_phi_on_subtree,
+    check_length_expanding,
+    fold_cuts,
     initial_lap_count,
     sawtooth_image,
     sawtooth_value,
+    unit_arc,
 )
 from dendro.metric_tree import (
     Dendrite,
@@ -38,14 +45,17 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
+    components_minus,
     contains_point,
     dist,
     full_subtree,
     geodesic,
     h1_measure,
+    ideal_point_order,
     intersect_subtrees,
     is_full,
     make_subtree,
+    point_along,
     point_subtree,
     refine_at,
     subtree_components,
@@ -101,23 +111,28 @@ class PieceChart:
         return make_subtree(self.outer, ivs, S.vertices)
 
 
-def extract_region(D: Dendrite, S: Subtree, new_lengths=None,
-                   descriptor=None) -> PieceChart:
-    """Standalone dendrite for a whole-edge subtree; vertices keep names."""
+def extract_region(D: Dendrite, S: Subtree, like=None) -> PieceChart:
+    """Chart from a whole-edge subtree onto a standalone copy of it.
+
+    The copy keeps the vertex names and lists the edges in index order.  It
+    is a new dendrite with the same edge lengths, or ``like`` (say the
+    domain of a map built on such a copy), whose edges must join the same
+    vertices in the same order and may have any lengths.
+    """
     for e, (a, b) in S.intervals.items():
         if a != 0 or b != D.edge_length(e):
             raise GeometryError("extraction needs a whole-edge subtree")
-    vertices = sorted(S.vertices)
-    edges = []
+    edges = [D.edges[e] for e in sorted(S.intervals)]
+    if like is None:
+        like = Dendrite(sorted(S.vertices), edges)
+    elif [(ed.u, ed.v) for ed in like.edges] != [(ed.u, ed.v) for ed in edges]:
+        raise GeometryError("the inner map's domain does not match its region")
     to_inner, to_outer = {}, {}
-    for e in sorted(S.intervals):
-        ed = D.edges[e]
-        L = (new_lengths or {}).get(e, ed.length)
-        to_inner[e] = (len(edges), L / ed.length)
-        to_outer[len(edges)] = (e, ed.length / L)
-        edges.append(Edge(ed.u, ed.v, L))
-    inner = Dendrite(vertices, edges, descriptor=descriptor)
-    return PieceChart(outer=D, inner=inner, to_inner=to_inner, to_outer=to_outer)
+    for i, e in enumerate(sorted(S.intervals)):
+        s = like.edges[i].length / D.edges[e].length
+        to_inner[e] = (i, s)
+        to_outer[i] = (e, 1 / s)
+    return PieceChart(outer=D, inner=like, to_inner=to_inner, to_outer=to_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +178,6 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
     of the ideal object a truncation cannot witness; here the builder only
     requires a nonempty complement.
     """
-    from dendro.metric_tree import components_minus
-
     if isinstance(A, PointRef):
         D.check_point(A)
         if not A.is_vertex:
@@ -409,19 +422,8 @@ class BushZigzag:
             ed = self.space.edges[e]
             nu = dist(self.space, root_ref, PointRef(vertex=ed.u)) / self.reach
             nv = dist(self.space, root_ref, PointRef(vertex=ed.v)) / self.reach
-            cuts = [F0]
-            lo, hi = sorted((nu, nv))
-            j0 = int(lo * self.laps) + 1
-            j = j0
-            while Fraction(j, self.laps) < hi:
-                ft = Fraction(j, self.laps)
-                t = (ft - nu) / (nv - nu) * ed.length
-                cuts.append(t)
-                j += 1
-            cuts.append(ed.length)
-            cuts = sorted(set(cuts))
-            for a, b in zip(cuts, cuts[1:]):
-                out.append((e, a, b))
+            cuts = [F0, *fold_cuts(nu, nv, ed.length, self.laps), ed.length]
+            out.extend((e, a, b) for a, b in zip(cuts, cuts[1:]))
         return out
 
     def to_dict(self):
@@ -523,7 +525,7 @@ class ExactBushPart:
     @staticmethod
     def from_dict(space, d):
         bush = Subtree.from_dict(d["bush"])
-        unit = Dendrite(["0", "1"], [("0", "1", F1)])
+        unit = unit_arc()
         psi = BushZigzag(
             space=space,
             bush=bush,
@@ -550,29 +552,20 @@ class ConjugatePart:
     """A map on an extracted, rescaled copy of the region, carried back."""
 
     region: Subtree
-    charts: tuple  # successive PieceCharts from the glued space inward
+    chart: PieceChart  # the glued space onto the inner map's domain
     inner: object
 
-    def _fwd(self, p):
-        for ch in self.charts:
-            p = ch.fwd_point(p)
-        return p
-
-    def _back(self, p):
-        for ch in reversed(self.charts):
-            p = ch.back_point(p)
-        return p
+    @staticmethod
+    def on(space, region, inner) -> "ConjugatePart":
+        """The part that carries ``inner``, a map on a copy of the region."""
+        chart = extract_region(space, region, like=inner.domain)
+        return ConjugatePart(region, chart, inner)
 
     def apply(self, x):
-        return self._back(self.inner.apply(self._fwd(x)))
+        return self.chart.back_point(self.inner.apply(self.chart.fwd_point(x)))
 
     def image(self, S):
-        for ch in self.charts:
-            S = ch.fwd_subtree(S)
-        S = self.inner.image(S)
-        for ch in reversed(self.charts):
-            S = ch.back_subtree(S)
-        return S
+        return self.chart.back_subtree(self.inner.image(self.chart.fwd_subtree(S)))
 
     def pieces(self):
         return [(e, a, b) for e, (a, b) in sorted(self.region.intervals.items())]
@@ -582,24 +575,8 @@ class ConjugatePart:
 
     @staticmethod
     def from_dict(space, d):
-        region = Subtree.from_dict(d["region"])
-        inner = map_from_dict(d["inner"])
-        chart = extract_region(space, region)
-        return ConjugatePart(
-            region=region,
-            charts=(chart, _measure_chart(chart.inner, inner.domain)),
-            inner=inner,
-        )
-
-
-def _measure_chart(outer: Dendrite, inner: Dendrite) -> PieceChart:
-    """Chart between two copies with identical combinatorics."""
-    to_inner, to_outer = {}, {}
-    for i, (eo, ei) in enumerate(zip(outer.edges, inner.edges)):
-        to_inner[i] = (i, ei.length / eo.length)
-        to_outer[i] = (i, eo.length / ei.length)
-    return PieceChart(outer=outer, inner=inner, to_inner=to_inner,
-                      to_outer=to_outer)
+        return ConjugatePart.on(space, Subtree.from_dict(d["region"]),
+                                map_from_dict(d["inner"]))
 
 
 def _off_base(D: Dendrite, C: Subtree, base: Subtree) -> Optional[Subtree]:
@@ -650,7 +627,7 @@ class GluedMap:
                 return part.apply(x)
         raise GeometryError("point outside the base and every part")
 
-    def image(self, S: Subtree, _check_connected=True) -> Subtree:
+    def image(self, S: Subtree) -> Subtree:
         D = self.domain
         parts_out = [intersect_subtrees(D, S, self.base)]
         for part in self.parts:
@@ -665,7 +642,7 @@ class GluedMap:
                 for K in subtree_components(D, off):
                     parts_out.append(part.image(K))
         comps = union_subtrees(D, parts_out)
-        if _check_connected and len(comps) != 1:
+        if len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")
         return comps[0]
 
@@ -763,8 +740,6 @@ def _build_phi_for_bush(asg, bush, rho, seed):
 
 
 def _check_bush_expanding(phi, bush, rho_scaled, samples, seed):
-    from dendro.length_expanding import DenseFamily, LEWitness
-
     fam = DenseFamily("all_closed_intervals", seed=seed)
     for J in fam.sample(phi.domain, samples, seed):
         img = phi.image(J)
@@ -776,29 +751,6 @@ def _check_bush_expanding(phi, bush, rho_scaled, samples, seed):
                 measure=h1_measure(J),
                 image_measure=h1_measure(img),
                 rho=rho_scaled,
-            )
-    return None
-
-
-def _check_bush_psi(psi, phi, bush_measure, rho, samples, seed):
-    """psi dichotomy over walk-surjection images, in normalized bush units."""
-    from dendro.length_expanding import DenseFamily, LEWitness
-
-    rho = Fraction(rho)
-    fam = DenseFamily("all_closed_intervals", seed=seed)
-    for J in fam.sample(phi.domain, samples, seed):
-        C = phi.image(J)
-        if C.is_degenerate():
-            continue
-        img = psi.image(C)
-        if is_full(psi.codomain, img):
-            continue
-        if h1_measure(img) < rho * (h1_measure(C) / bush_measure):
-            return LEWitness(
-                set_=C,
-                measure=h1_measure(C) / bush_measure,
-                image_measure=h1_measure(img),
-                rho=rho,
             )
     return None
 
@@ -825,7 +777,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
         plan = plan_targets(asg)
     else:
         plan = BlowupPlan(targets={}, positions=_base_positions(asg), members={1: [1]})
-    unit = Dendrite(["0", "1"], [("0", "1", F1)])
+    unit = unit_arc()
     # per-bush expanding surjections
     phis, phi_laps = {}, {}
     for b in asg.bushes:
@@ -843,8 +795,6 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     )
 
     def base_point_at(s: Fraction) -> PointRef:
-        from dendro.metric_tree import point_along
-
         return point_along(asg.space, base_end1, base_end2, s)
 
     for b in asg.bushes:
@@ -901,25 +851,18 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
             dist(asg.space, root_ref[k], PointRef(vertex=v))
             for v in b.subtree.vertices
         )
-        psi = BushZigzag(
-            space=asg.space,
-            bush=b.subtree,
-            root=b.root,
-            reach=reach,
-            laps=phi_laps[k],
-            codomain=unit,
-        )
-        w = _check_bush_psi(psi, phis[k], b.measure, rho, 60, seed)
-        if w is not None:
-            psi = BushZigzag(
-                space=asg.space, bush=b.subtree, root=b.root, reach=reach,
-                laps=phi_laps[k] * 2, codomain=unit,
+        # psi expands the phi images by rho in units of the bush measure
+        for laps in (phi_laps[k], 2 * phi_laps[k]):
+            psi = BushZigzag(space=asg.space, bush=b.subtree, root=b.root,
+                             reach=reach, laps=laps, codomain=unit)
+            w = check_length_expanding(
+                psi, DenseFamily("phi_images", through=phis[k]), rho / b.measure,
+                60, seed,
             )
-            w2 = _check_bush_psi(psi, phis[k], b.measure, rho, 60, seed)
-            if w2 is not None:
-                raise BuildError(
-                    f"no expanding distance zigzag for bush {k}", witness=w2
-                )
+            if w is None:
+                break
+        else:
+            raise BuildError(f"no expanding distance zigzag for bush {k}", witness=w)
         parts.append(
             ExactBushPart(
                 region=b.subtree,
@@ -950,7 +893,6 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
         "parts": manifest_parts,
     }
     glued = GluedExactMap(asg.space, asg.base, parts, manifest=manifest)
-    glued.assigned = asg
     glued.plan = plan
     _validate_fixed_points(glued)
     return glued
@@ -1004,23 +946,12 @@ def _build_exact_point(dec: BushDecomposition, rho, seed):
         }
         return Fm
     # general point case: conjugate a built pair through an extracted copy
-    from dendro.length_expanding import build_pair
-
     parts = []
     manifest_parts = []
     for b in dec.bushes:
-        chart = extract_region(D, b.subtree)
-        built = build_pair(
-            chart.inner, PointRef(vertex=b.root), rho, samples=80, seed=seed
-        )
-        inner = compose(built.phi, built.psi)
-        parts.append(
-            ConjugatePart(
-                region=b.subtree,
-                charts=(chart, _measure_chart(chart.inner, inner.domain)),
-                inner=inner,
-            )
-        )
+        copy = extract_region(D, b.subtree).inner
+        built = build_pair(copy, PointRef(vertex=b.root), rho, samples=80, seed=seed)
+        parts.append(ConjugatePart.on(D, b.subtree, compose(built.phi, built.psi)))
         manifest_parts.append(
             {"bush": b.index, "root": b.root, "style": "pair",
              "laps": built.laps}
@@ -1159,9 +1090,6 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
     consecutive radii join piece E_j, each piece carries an exact map fixing
     its subarc, and the pieces glue along the identity on A.
     """
-    from dendro.metric_tree import ideal_point_order
-    import math
-
     if isinstance(A_or_point, PointRef):
         if ideal_point_order(D, A_or_point) != math.inf:
             raise GeometryError(
@@ -1201,8 +1129,6 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
         radius = radius0 / 2 ** (j - 1)
         for end in ends0:
             reach = min(radius, dist(space0, anchor0, end))
-            from dendro.metric_tree import point_along
-
             p = point_along(space0, anchor0, end, reach)
             if not p.is_vertex:
                 cut_pts.append(p)
@@ -1229,13 +1155,7 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
         chart = extract_region(space, region)
         inner_arc = chart.fwd_subtree(sub_arc)
         inner_map = build_exact(chart.inner, inner_arc, q=q, rho=rho, seed=seed)
-        pieces.append(
-            ConjugatePart(
-                region=region,
-                charts=(chart, _measure_chart(chart.inner, inner_map.domain)),
-                inner=inner_map,
-            )
-        )
+        pieces.append(ConjugatePart.on(space, region, inner_map))
         manifest.append(
             {
                 "piece": j,
@@ -1249,8 +1169,6 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
 
 def _clip_arc(space, base, anchor, ends, radius):
     """Subarc of the base within the given distance of the anchor."""
-    from dendro.metric_tree import point_along
-
     clip_pts = []
     for end in ends:
         reach = min(radius, dist(space, anchor, end))

@@ -11,10 +11,17 @@ a surjection phi: I -> T with phi(0) = phi(1) = a (a closed double-cover walk
 of T composed with a constant-slope zigzag) and a surjection psi: T -> I with
 psi(a) = 0 (a zigzag of the normalized distance to a).  Both are validated by
 the checker; on failure the lap count doubles and the build retries.
+
+The triangle wave behind every zigzag lives here once, in closed form: its
+control points (``sawtooth_positions``), its value and exact range
+(``sawtooth_value``, ``sawtooth_image``) and its fold pullbacks on an edge
+(``fold_cuts``).  ``exact_builder`` builds its bush maps from these helpers
+on ``unit_arc()`` and checks them with ``check_length_expanding``.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +41,7 @@ from dendro.metric_tree import (
 from dendro.serialize import format_rat
 from dendro.tree_map import TreeMap
 
+F0 = Fraction(0)
 F1 = Fraction(1)
 
 
@@ -218,33 +226,32 @@ def walk_point(D: Dendrite, legs, s: Fraction) -> PointRef:
 # zigzags (triangle waves) with exact arithmetic
 
 
-def sawtooth_positions(total: Fraction, slope_laps: int, start: Fraction):
+def sawtooth_positions(total: Fraction, laps: int):
     """Fold times and values of a triangle wave on [0,1] onto [0,total].
 
-    The wave starts at `start`, rises first, travels slope_laps * total in
-    unit time, and reflects at 0 and total.  Returns the list of
-    (time, value) control points covering [0, 1].
+    The wave starts at 0, rises first and travels laps * total in unit
+    time, so it reaches total at the odd multiples of 1/laps and 0 at the
+    even ones.  Returns the (time, value) control points j/laps, j = 0..laps.
     """
-    speed = slope_laps * total
-    pts = [(Fraction(0), start)]
-    t = Fraction(0)
-    pos = start
-    direction = 1
-    while t < 1:
-        target = total if direction > 0 else Fraction(0)
-        dt = (target - pos) / speed * direction
-        if dt == 0:
-            direction = -direction
-            continue
-        if t + dt >= 1:
-            pos = pos + direction * speed * (1 - t)
-            pts.append((F1, pos))
-            break
-        t += dt
-        pos = target
-        pts.append((t, pos))
-        direction = -direction
-    return pts
+    total = Fraction(total)
+    return [(Fraction(j, laps), total if j % 2 else F0) for j in range(laps + 1)]
+
+
+def fold_cuts(nu, nv, length, laps: int) -> list:
+    """Offsets on an edge where the lap-`laps` wave of distance folds.
+
+    The edge has the given length and the normalized distance runs affinely
+    from nu at offset 0 to nv at its far end (nu != nv); the wave folds
+    where that distance crosses a multiple j/laps strictly inside.  Returns
+    the increasing offsets of those crossings.
+    """
+    lo, hi = sorted((nu, nv))
+    cuts = []
+    j = math.floor(lo * laps) + 1
+    while Fraction(j, laps) < hi:
+        cuts.append((Fraction(j, laps) - nu) / (nv - nu) * length)
+        j += 1
+    return sorted(cuts)
 
 
 def _fold(u: Fraction, total: Fraction) -> Fraction:
@@ -260,8 +267,6 @@ def sawtooth_value(total, laps: int, start, t) -> Fraction:
 
 def sawtooth_image(total, laps: int, start, a, b):
     """Exact (min, max) of the triangle wave over the parameters [a, b]."""
-    import math
-
     total, start = Fraction(total), Fraction(start)
     a, b = Fraction(a), Fraction(b)
     if a > b:
@@ -327,14 +332,12 @@ def build_phi(T: Dendrite, a: PointRef, laps: int) -> TreeMap:
 
 def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
     """Walk zigzag surjection I -> S for a whole-edge subtree S of T."""
-    from dendro.metric_tree import h1_measure as _h1
-
     legs = double_cover_walk(T, S, root)
-    total = 2 * _h1(S)
-    unit = _unit_arc()
+    total = 2 * h1_measure(S)
+    unit = unit_arc()
     controls = []
     # fold times of the zigzag I -> [0, total]
-    zig = sawtooth_positions(total, laps, Fraction(0))
+    zig = sawtooth_positions(total, laps)
     for (t0, s0), (t1, s1) in zip(zig, zig[1:]):
         # within one monotone stretch, pull in the walk's leg boundaries
         lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
@@ -361,40 +364,31 @@ def build_psi(T: Dendrite, a: PointRef, laps: int) -> TreeMap:
     """Zigzag of the normalized distance to a: T -> I, psi(a) = 0."""
     if not a.is_vertex:
         raise GeometryError("base point must be a vertex")
-    radius = max(dist(T, a, PointRef(vertex=v)) for v in T.vertices)
+    reach = {v: dist(T, a, PointRef(vertex=v)) for v in T.vertices}
+    radius = max(reach.values())
     if radius == 0:
         raise GeometryError("degenerate tree")
-    unit = _unit_arc()
-    zig = sawtooth_positions(F1, laps, Fraction(0))
+    norm = {v: d / radius for v, d in reach.items()}
+    unit = unit_arc()
 
-    def z_value(x: Fraction) -> Fraction:
-        for (t0, s0), (t1, s1) in zip(zig, zig[1:]):
-            if t0 <= x <= t1:
-                return s0 + (s1 - s0) * (x - t0) / (t1 - t0)
-        raise GeometryError("zigzag evaluation out of range")
+    def wave(n: Fraction) -> PointRef:
+        return unit.point(0, sawtooth_value(F1, laps, F0, n))
 
-    fold_times = sorted({t for t, _ in zig if 0 < t < 1})
-    vertex_images = {}
-    for v in T.vertices:
-        n = dist(T, a, PointRef(vertex=v)) / radius
-        vertex_images[v] = unit.point(0, z_value(n))
+    vertex_images = {v: wave(n) for v, n in norm.items()}
     edge_breaks = {}
     for e, ed in enumerate(T.edges):
-        nu = dist(T, a, PointRef(vertex=ed.u)) / radius
-        nv = dist(T, a, PointRef(vertex=ed.v)) / radius
+        nu, nv = norm[ed.u], norm[ed.v]
         if nu == nv:
             raise GeometryError("edge with constant distance to base")
-        brs = []
-        for ft in fold_times:
-            if min(nu, nv) < ft < max(nu, nv):
-                t = (ft - nu) / (nv - nu) * ed.length
-                brs.append((t, unit.point(0, z_value(ft))))
-        if brs:
-            edge_breaks[e] = tuple(sorted(brs, key=lambda tp: tp[0]))
+        edge_breaks[e] = tuple(
+            (t, wave(nu + (nv - nu) * t / ed.length))
+            for t in fold_cuts(nu, nv, ed.length, laps)
+        )
     return TreeMap(T, unit, vertex_images, edge_breaks)
 
 
-def _unit_arc() -> Dendrite:
+def unit_arc() -> Dendrite:
+    """The arc [0, 1]: vertices "0" and "1" joined by one edge of length 1."""
     return Dendrite(["0", "1"], [("0", "1", F1)])
 
 

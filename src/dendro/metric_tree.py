@@ -140,9 +140,6 @@ class Dendrite:
     def degree(self, v: str) -> int:
         return len(self._adj[v])
 
-    def neighbors(self, v: str):
-        return self._adj[v]
-
     def check_point(self, p: PointRef) -> PointRef:
         if p.is_vertex:
             if p.vertex not in self._adj:
@@ -227,6 +224,12 @@ class Dendrite:
 
     @staticmethod
     def from_dict(d: Mapping) -> "Dendrite":
+        for field, kind, json_name in (
+            ("vertices", list, "array"), ("edges", list, "array"),
+            ("marked", dict, "object"),
+        ):
+            if not isinstance(d.get(field, kind()), kind):
+                raise ValueError(f"dendrite field {field!r} must be a JSON {json_name}")
         return Dendrite(
             vertices=[str(v) for v in d["vertices"]],
             edges=[(e["u"], e["v"], parse_rat(e["len"])) for e in d["edges"]],
@@ -689,14 +692,6 @@ class ComplementDecomposition:
     components: tuple
     boundary_points: tuple
     is_whole: bool
-
-    def escape_boundary(self) -> list[PointRef]:
-        seen, out = set(), []
-        for p in self.boundary_points:
-            if p not in seen:
-                seen.add(p)
-                out.append(p)
-        return out
 
     def grouped(self, D: Dendrite) -> dict[PointRef, Subtree]:
         """B_c sets: unions of component closures sharing an attachment."""

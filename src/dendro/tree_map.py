@@ -102,7 +102,7 @@ class TreeMap:
                 )
         raise GeometryError("offset not covered by controls")  # pragma: no cover
 
-    def image(self, S: Subtree, _check_connected=True) -> Subtree:
+    def image(self, S: Subtree) -> Subtree:
         parts = []
         for v in S.vertices:
             parts.append(point_subtree(self.codomain, self.vertex_images[v]))
@@ -115,9 +115,9 @@ class TreeMap:
             for p0, p1 in zip(pts, pts[1:]):
                 parts.append(geodesic(self.codomain, p0, p1))
         comps = union_subtrees(self.codomain, parts)
-        if _check_connected and len(comps) != 1:
+        if len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")
-        return comps[0] if len(comps) == 1 else _reassemble(self.codomain, comps)
+        return comps[0]
 
     def pieces(self):
         """Domain partition on which the map is geodesic-linear."""
@@ -157,10 +157,6 @@ class TreeMap:
                 for e, brs in d.get("edge_breaks", {}).items()
             },
         )
-
-
-def _reassemble(D, comps):  # pragma: no cover - defensive
-    return union_connected(D, comps)
 
 
 def identity_map(D: Dendrite) -> TreeMap:

@@ -174,3 +174,43 @@ def plain_diam_steps(F, A):
     from dendro.metric_tree import subtree_diam
 
     return [subtree_diam(F.codomain if n else F.domain, S) for n, S in enumerate(A)]
+
+
+def stepwise_sawtooth(total, laps, start):
+    """Control points of a triangle wave onto [0, total], one fold at a time.
+
+    The wave starts at ``start``, rises first, travels laps * total in unit
+    time and reflects at 0 and total; each step runs to the next wall (or
+    to time 1) and records (time, value).
+    """
+    speed = laps * total
+    pts = [(Fraction(0), start)]
+    t, pos, direction = Fraction(0), start, 1
+    while t < 1:
+        target = total if direction > 0 else Fraction(0)
+        dt = (target - pos) / speed * direction
+        if dt == 0:
+            direction = -direction
+            continue
+        if t + dt >= 1:
+            pts.append((Fraction(1), pos + direction * speed * (1 - t)))
+            break
+        t += dt
+        pos = target
+        pts.append((t, pos))
+        direction = -direction
+    return pts
+
+
+def scan_fold_cuts(nu, nv, length, laps):
+    """Offsets on an edge where the distance nu -> nv crosses some j/laps.
+
+    Scans every j = 0..laps and keeps the crossings strictly inside the edge.
+    """
+    out = []
+    for j in range(laps + 1):
+        x = Fraction(j, laps)
+        s = (x - nu) / (nv - nu)
+        if 0 < s < 1:
+            out.append(s * length)
+    return sorted(out)

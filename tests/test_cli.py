@@ -116,6 +116,24 @@ def test_run_gch_verdict_inconclusive_for_identity(tmp_path):
     assert code == 2
 
 
+def _swapped_parts_map():
+    """A point-based glued map file whose two parts carry each other's map."""
+    from dendro.exact_builder import build_exact
+    from dendro.metric_tree import PointRef
+    from dendro.serialize import dumps_json
+
+    D = Dendrite(
+        ["c", "m1", "x1", "y1", "m2", "x2", "y2"],
+        [("c", "m1", F(1, 4)), ("m1", "x1", F(1, 8)), ("m1", "y1", F(1, 8)),
+         ("c", "m2", F(1, 4)), ("m2", "x2", F(1, 8)), ("m2", "y2", F(1, 8))],
+    )
+    d = build_exact(D, PointRef(vertex="c")).to_dict()
+    assert d["kind"] == "glued_point" and len(d["parts"]) == 2
+    p0, p1 = d["parts"]
+    p0["inner"], p1["inner"] = p1["inner"], p0["inner"]
+    return dumps_json(d)
+
+
 @pytest.mark.parametrize("content,message", [
     ("[1, 2]\n", "JSON object"),
     ('{"kind": "spiral"}\n', "unknown map kind 'spiral'"),
@@ -123,10 +141,12 @@ def test_run_gch_verdict_inconclusive_for_identity(tmp_path):
      "malformed piecewise map: missing field 'edges'"),
     ('{"kind": "glued_exact", "space": [], "base": {}, "parts": []}\n',
      "malformed glued_exact map"),
-], ids=["top_level_list", "unknown_kind", "missing_field", "wrong_shape"])
+    (_swapped_parts_map, "the inner map's domain does not match its region"),
+], ids=["top_level_list", "unknown_kind", "missing_field", "wrong_shape",
+        "mismatched_part"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
-    mapfile.write_text(content)
+    mapfile.write_text(content() if callable(content) else content)
     code = run([
         "run", "--scenario", "gch-verdict", "--map", str(mapfile),
         "--out", str(tmp_path / "rep.json"),
@@ -158,6 +178,29 @@ def test_run_exactness_comb4(tmp_path):
 
 
 # ---------------------------------------------------------------- pattern export
+
+
+@pytest.mark.parametrize("field,value,kind", [
+    ("vertices", "ab", "array"),
+    ("edges", {"u": "a", "v": "b", "len": "1"}, "array"),
+    ("marked", [], "object"),
+])
+def test_run_exactness_rejects_mistyped_dendrite(tmp_path, capsys, field, value,
+                                                 kind):
+    d = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "len": "1"}],
+         "marked": {}}
+    d[field] = value
+    dfile = tmp_path / "bad.json"
+    dfile.write_text(json.dumps(d))
+    code = run([
+        "run", "--scenario", "exactness", "--dendrite", str(dfile), "--arc", "A",
+        "--out", str(tmp_path / "cert.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"dendrite field {field!r} must be a JSON {kind}" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "cert.json").exists()
 
 
 def test_export_pattern_depth1(tmp_path):

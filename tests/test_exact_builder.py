@@ -5,6 +5,7 @@ import pytest
 
 from dendro.cli import load_map
 from dendro.exact_builder import (
+    BushZigzag,
     assign_metric,
     build_exact,
     build_gch_not_eps,
@@ -14,12 +15,20 @@ from dendro.exact_builder import (
     verify_exact,
 )
 from dendro.gallery import FamilyDescriptor, build_counterexample, generate
-from dendro.length_expanding import DenseFamily
+from dendro.length_expanding import (
+    DenseFamily,
+    build_phi_on_subtree,
+    check_length_expanding,
+    initial_lap_count,
+    reverify,
+    unit_arc,
+)
 from dendro.metric_tree import (
     Dendrite,
     GeometryError,
     PointRef,
     contains_point,
+    dist,
     full_subtree,
     geodesic,
     h1_measure,
@@ -231,6 +240,26 @@ def test_growth_dichotomy_sampled(comb4_map):
                     "expands_mixed",
                 ), out
     assert "covers_bush" in seen or "expands" in seen
+
+
+def test_bush_psi_witness_reverifies(comb4):
+    # build_exact's psi check: phi images must grow by rho in bush units;
+    # one and two laps are too few on a comb4 tooth, and the witness must
+    # be a true violation of the same check
+    rho = F(6, 5)
+    A = geodesic(comb4, comb4.resolve_marked("A_left"),
+                 comb4.resolve_marked("A_right"))
+    asg = assign_metric(decompose_bushes(comb4, A), F(1, 2))
+    b = asg.bushes[0]
+    phi = build_phi_on_subtree(asg.space, b.subtree, b.root, initial_lap_count(rho))
+    reach = max(dist(asg.space, V(b.root), V(v)) for v in b.subtree.vertices)
+    for laps in (1, 2):
+        psi = BushZigzag(asg.space, b.subtree, b.root, reach, laps, unit_arc())
+        w = check_length_expanding(
+            psi, DenseFamily("phi_images", through=phi), rho / b.measure, 60, 0
+        )
+        assert w is not None and w.rho == rho / b.measure
+        assert reverify(psi, w)
 
 
 # ---------------------------------------------------------------- build_exact (point)

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from oracles import scan_fold_cuts, stepwise_sawtooth
 
 from dendro.length_expanding import (
     BuildError,
@@ -8,6 +10,7 @@ from dendro.length_expanding import (
     build_pair,
     check_length_expanding,
     double_cover_walk,
+    fold_cuts,
     initial_lap_count,
     normalize_measure,
     reverify,
@@ -86,12 +89,41 @@ def test_double_cover_walk_star(star3):
 
 
 def test_sawtooth_positions_roundtrip():
-    pts = sawtooth_positions(F(2), 4, F(0))
+    pts = sawtooth_positions(F(2), 4)
     assert pts[0] == (F(0), F(0))
     assert pts[-1][0] == 1
     assert pts[-1][1] == F(0)  # even lap count returns to start
     values = [v for _, v in pts]
     assert max(values) == 2 and min(values) == 0
+
+
+def test_sawtooth_positions_closed_form_matches_stepwise():
+    for total in (F(1), F(2), F(1, 3), F(7, 5)):
+        for laps in range(1, 13):
+            assert sawtooth_positions(total, laps) == stepwise_sawtooth(
+                total, laps, F(0)
+            ), (total, laps)
+
+
+def test_fold_cuts_match_scan():
+    cases = [
+        (F(0), F(1), F(1), 4),  # folds at 1/4, 1/2, 3/4
+        (F(1), F(0), F(2), 2),  # reversed edge: one fold, mid-edge
+        (F(1, 4), F(1, 2), F(1), 4),  # both ends on folds: none inside
+        (F(1, 3), F(2, 5), F(3, 7), 1),  # laps 1: no fold inside (0, 1)
+    ]
+    rng = random.Random(5)
+    for _ in range(400):
+        nu, nv = (F(rng.randint(0, 24), 24) for _ in range(2))
+        if nu != nv:
+            cases.append((nu, nv, F(rng.randint(1, 9), rng.randint(1, 9)),
+                          rng.randint(1, 12)))
+    for nu, nv, length, laps in cases:
+        assert fold_cuts(nu, nv, length, laps) == scan_fold_cuts(
+            nu, nv, length, laps
+        ), (nu, nv, length, laps)
+    assert fold_cuts(F(0), F(1), F(1), 4) == [F(1, 4), F(1, 2), F(3, 4)]
+    assert fold_cuts(F(1, 4), F(1, 2), F(1), 4) == []
 
 
 def test_initial_lap_count():
