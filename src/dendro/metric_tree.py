@@ -6,6 +6,12 @@ lengths; it stands in for an infinite dendrite truncated at a stated depth
 :class:`PointRef` values (a vertex, or an interior position on an edge) and
 closed connected subsets are :class:`Subtree` values.  Every operation here
 is a pure function of immutable values and returns exact rationals.
+
+Vertex distances and vertex paths come from one rooted index per tree: the
+parent edge, depth and distance from ``vertices[0]`` of every vertex, built
+in one traversal on the first query.  A query climbs both ends to their
+lowest common ancestor, and a per-pair memo answers repeated distance
+queries, so memory stays O(V + distinct pairs queried).
 """
 
 from __future__ import annotations
@@ -84,8 +90,9 @@ class Dendrite:
         self.marked: dict[str, PointRef] = dict(marked or {})
         self.descriptor: Optional[dict] = descriptor
         self._adj: dict[str, list[tuple[int, str]]] = {v: [] for v in self.vertices}
-        self._vdist_cache: dict[str, dict[str, Fraction]] = {}
-        self._parent_cache: dict[str, dict[str, tuple[int, str]]] = {}
+        # rooted index, built on the first query; vdist memo, both orders
+        self._rooted: Optional[tuple[dict, dict, dict]] = None
+        self._vdist_memo: dict[tuple[str, str], Fraction] = {}
         self._validate()
 
     # -- construction / validation
@@ -173,37 +180,63 @@ class Dendrite:
 
     # -- vertex-level shortest paths (tree: unique)
 
-    def _bfs(self, src: str):
-        if src in self._vdist_cache:
-            return self._vdist_cache[src], self._parent_cache[src]
-        dist = {src: Fraction(0)}
-        parent: dict[str, tuple[int, str]] = {}
-        stack = [src]
-        while stack:
-            v = stack.pop()
-            for ei, w in self._adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + self.edges[ei].length
-                    parent[w] = (ei, v)
-                    stack.append(w)
-        self._vdist_cache[src] = dist
-        self._parent_cache[src] = parent
-        return dist, parent
+    def _index(self):
+        """(up, depth, rdist): the rooted index from ``vertices[0]``.
+
+        ``up`` maps each non-root vertex to (parent edge, parent), ``depth``
+        counts edges and ``rdist`` is the exact distance from the root; one
+        traversal builds all three on the first query.
+        """
+        if self._rooted is None:
+            root = self.vertices[0]
+            up, depth, rdist = {}, {root: 0}, {root: Fraction(0)}
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                for ei, w in self._adj[v]:
+                    if w not in depth:
+                        up[w] = (ei, v)
+                        depth[w] = depth[v] + 1
+                        rdist[w] = rdist[v] + self.edges[ei].length
+                        stack.append(w)
+            self._rooted = (up, depth, rdist)
+        return self._rooted
+
+    def _climb(self, u: str, w: str):
+        """(lowest common ancestor, edges climbed from u, edges climbed from w)."""
+        up, depth, _ = self._index()
+        from_u, from_w = [], []
+        du, dw = depth[u], depth[w]
+        while du > dw:
+            ei, u = up[u]
+            from_u.append(ei)
+            du -= 1
+        while dw > du:
+            ei, w = up[w]
+            from_w.append(ei)
+            dw -= 1
+        while u != w:
+            ei, u = up[u]
+            from_u.append(ei)
+            ei, w = up[w]
+            from_w.append(ei)
+        return u, from_u, from_w
 
     def vdist(self, u: str, w: str) -> Fraction:
-        return self._bfs(u)[0][w]
+        try:
+            return self._vdist_memo[u, w]
+        except KeyError:
+            pass
+        rdist = self._index()[2]
+        d = rdist[u] + rdist[w] - 2 * rdist[self._climb(u, w)[0]]
+        self._vdist_memo[u, w] = self._vdist_memo[w, u] = d
+        return d
 
     def vertex_path(self, u: str, w: str) -> list[int]:
         """Edge indices along the unique vertex path from u to w."""
-        _, parent = self._bfs(u)
-        path = []
-        cur = w
-        while cur != u:
-            ei, prev = parent[cur]
-            path.append(ei)
-            cur = prev
-        path.reverse()
-        return path
+        _, from_u, from_w = self._climb(u, w)
+        from_w.reverse()
+        return from_u + from_w
 
     def total_length(self) -> Fraction:
         return sum((e.length for e in self.edges), Fraction(0))

@@ -9,8 +9,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 
-def dijkstra_dist(dend_dict, src_name, dst_name):
-    """Vertex-to-vertex distance from a raw dendrite dict via Dijkstra."""
+def dijkstra_dists(dend_dict, src_name):
+    """Distances from src_name to every vertex of a raw dendrite dict via Dijkstra."""
     adj = {}
     for e in dend_dict["edges"]:
         ln = e["len"]
@@ -23,8 +23,6 @@ def dijkstra_dist(dend_dict, src_name, dst_name):
     heap = [(Fraction(0), src_name)]
     while heap:
         d, v = heappop(heap)
-        if v == dst_name:
-            return d
         if d > dist[v]:
             continue
         for w, ln in adj.get(v, []):
@@ -32,7 +30,12 @@ def dijkstra_dist(dend_dict, src_name, dst_name):
             if w not in dist or nd < dist[w]:
                 dist[w] = nd
                 heappush(heap, (nd, w))
-    raise KeyError(dst_name)
+    return dist
+
+
+def dijkstra_dist(dend_dict, src_name, dst_name):
+    """Vertex-to-vertex distance from a raw dendrite dict via Dijkstra."""
+    return dijkstra_dists(dend_dict, src_name)[dst_name]
 
 
 def grid_points(D, E, steps=8):

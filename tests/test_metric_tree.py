@@ -1,11 +1,15 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dendro.chaos import ly_sample
+from dendro.gallery import FAMILIES, FamilyDescriptor, gehman_tree, generate
 from dendro.metric_tree import (
+    Dendrite,
     GeometryError,
     PointRef,
     ball,
@@ -35,7 +39,8 @@ from dendro.metric_tree import (
     union_subtrees,
     upper_set,
 )
-from oracles import brute_nearest, dijkstra_dist, grid_points
+from dendro.odometer import gehman_extend
+from oracles import brute_nearest, dijkstra_dist, dijkstra_dists, grid_points
 
 F = Fraction
 
@@ -60,6 +65,50 @@ def test_comb_dist_matches_path_sum_oracle(comb3):
     expected = dijkstra_dist(comb3.to_dict(), "t@1", "b@-1")
     assert expected == F(3)  # tooth height 1 plus base length 2
     assert dist(comb3, V("t@1"), V("b@-1")) == expected
+
+
+def _leaf_first_comb():
+    """comb(3) with its vertex list reordered so that a tooth tip comes first."""
+    D = generate(FamilyDescriptor("comb", {"depth": 3}))
+    verts = ["t@1/3"] + [v for v in D.vertices if v != "t@1/3"]
+    return Dendrite(verts, D.edges, marked=D.marked)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda f=f: generate(FamilyDescriptor(f, {})) for f in FAMILIES]
+    + [lambda: gehman_tree(6), _leaf_first_comb],
+    ids=list(FAMILIES) + ["gehman_tree6", "comb_leaf_root"],
+)
+def test_vdist_and_vertex_path_match_dijkstra(make):
+    D = make()
+    raw = D.to_dict()
+    for u in D.vertices:
+        expected = dijkstra_dists(raw, u)
+        assert len(expected) == len(D.vertices)
+        for w in D.vertices:
+            assert D.vdist(u, w) == D.vdist(w, u) == expected[w]
+            path = D.vertex_path(u, w)
+            cur = u
+            for ei in path:
+                e = D.edges[ei]
+                assert cur in (e.u, e.v)
+                cur = e.v if cur == e.u else e.u
+            assert cur == w
+            assert sum((D.edge_length(ei) for ei in path), F(0)) == expected[w]
+            assert path == D.vertex_path(w, u)[::-1]
+
+
+def test_vdist_memory_stays_linear_on_gehman_tree():
+    # per-source distance tables would make this O(V^2) on 2047 vertices
+    _D, Fmap = gehman_extend(10)
+    tracemalloc.start()
+    try:
+        ly_sample(Fmap, 10, 50, F(1, 1000), F(1, 2), seed=0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_dist_interior_points(star3):
