@@ -16,7 +16,10 @@ has interior, so only bush pieces can cover, and the verifier certifies
 coverage per piece together with the strictly decreasing target chain.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
-and so interoperate with the chaos and orbit machinery.
+and so interoperate with the chaos and orbit machinery.  Glued maps, like
+``TreeMap``, memoize their set images by ``Subtree.key()``, and also each
+part's images, one entry per distinct set for the life of the map, so the
+merging piece orbits of ``verify_exact`` image their shared tail once.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from dendro.metric_tree import (
     union_subtrees,
 )
 from dendro.serialize import format_rat, from_dict_checked, parse_rat
-from dendro.tree_map import TreeMap, compose
+from dendro.tree_map import TreeMap, _memo_image, compose
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -609,6 +612,11 @@ class GluedMap:
     identity, so the image of a set is its base overlap together with each
     part's image of its overlap with the region, taken off the base.
     Subclasses set the file ``kind`` and the ``part_type`` that loads parts.
+
+    Like :class:`TreeMap`, the map memoizes its set images by
+    :meth:`Subtree.key`, and it keeps one more memo per part for the part
+    images it asks for, so orbits that merge image their shared tail once.
+    Memory is one stored image per distinct set imaged, for the map's life.
     """
 
     def __init__(self, space, base, parts, manifest=None):
@@ -617,6 +625,8 @@ class GluedMap:
         self.base = base
         self.parts = parts
         self.manifest = manifest or {}
+        self._image_memo: dict[tuple, Subtree] = {}
+        self._part_memos = [{} for _ in parts]
 
     def apply(self, x: PointRef) -> PointRef:
         self.domain.check_point(x)
@@ -628,19 +638,22 @@ class GluedMap:
         raise GeometryError("point outside the base and every part")
 
     def image(self, S: Subtree) -> Subtree:
+        return _memo_image(self._image_memo, self._image, S)
+
+    def _image(self, S: Subtree) -> Subtree:
         D = self.domain
         parts_out = [intersect_subtrees(D, S, self.base)]
-        for part in self.parts:
+        for part, memo in zip(self.parts, self._part_memos):
             C = intersect_subtrees(D, S, part.region)
             if C.is_empty():
                 continue
             off = _off_base(D, C, self.base)
             if off is C:
-                parts_out.append(part.image(C))
+                parts_out.append(_memo_image(memo, part.image, C))
             elif off is not None:
                 # parts map connected sets: one call per component
                 for K in subtree_components(D, off):
-                    parts_out.append(part.image(K))
+                    parts_out.append(_memo_image(memo, part.image, K))
         comps = union_subtrees(D, parts_out)
         if len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")

@@ -277,9 +277,11 @@ class Subtree:
 
     ``intervals`` maps edge index to the closed interval of that edge
     contained in the set; ``vertices`` lists the contained tree vertices.
-    Canonical invariants (enforced by :func:`make_subtree`): interval ends at
-    offset 0 / full length imply the endpoint vertex is listed, and a
-    degenerate interval occurs only as a lone interior point.
+    Canonical invariants: interval ends at offset 0 / full length imply the
+    endpoint vertex is listed, and a degenerate interval occurs only as a
+    lone interior point.  :func:`make_subtree` enforces them on raw data;
+    :func:`geodesic` and :func:`union_subtrees` build sets that already
+    satisfy them and construct the value directly.
     """
 
     vertices: frozenset
@@ -449,14 +451,18 @@ def geodesic(D: Dendrite, x: PointRef, y: PointRef) -> Subtree:
     """The arc [x, y]; the single point {x} when x == y."""
     if x == y:
         return point_subtree(D, x)
-    ivs: dict[int, list] = {}
+    # the legs are nondegenerate and cross each edge once, so listing the
+    # ends at 0 / full length is all the canonical form asks
+    ivs, verts = {}, set()
     for e, a, b in geodesic_walk(D, x, y):
         lo, hi = (a, b) if a <= b else (b, a)
-        if e in ivs:
-            lo = min(lo, ivs[e][0])
-            hi = max(hi, ivs[e][1])
-        ivs[e] = [lo, hi]
-    return make_subtree(D, {e: (lo, hi) for e, (lo, hi) in ivs.items()})
+        ed = D.edges[e]
+        if lo == 0:
+            verts.add(ed.u)
+        if hi == ed.length:
+            verts.add(ed.v)
+        ivs[e] = (lo, hi)
+    return Subtree(vertices=frozenset(verts), intervals=ivs)
 
 
 def point_along(D: Dendrite, x: PointRef, y: PointRef, s: Fraction) -> PointRef:
@@ -568,7 +574,11 @@ def union_subtrees(D: Dendrite, parts: Sequence[Subtree]) -> list[Subtree]:
                     ivs[e][1] = max(ivs[e][1], b)
                 else:
                     ivs[e] = [a, b]
-        out.append(make_subtree(D, {e: (a, b) for e, (a, b) in ivs.items()}, verts))
+        # merged canonical parts stay canonical: an end at 0 / full length
+        # comes from a part that lists its vertex, and a lone point merges
+        # only with a part holding an interval around it
+        out.append(Subtree(vertices=frozenset(verts),
+                           intervals={e: (a, b) for e, (a, b) in ivs.items()}))
     out.sort(key=lambda s: (sorted(s.vertices), sorted(s.intervals.items())))
     return out
 

@@ -9,6 +9,13 @@ images, set images and iterates are all computed exactly.
 Maps may have distinct domain and codomain; iteration requires a selfmap.
 Anything with ``domain``/``codomain``/``apply``/``image`` quacks like a map
 here (the glued constructions elsewhere rely on that).
+
+Set images are memoized per map: each instance keeps one dict from
+:meth:`Subtree.key` to the image, so a set is imaged once however often
+orbits, builders and checkers ask for it again.  Maps are immutable after
+construction, so an entry never goes stale, and callers share the stored
+image as they share every ``Subtree``, never mutating it.  The memo lives
+as long as the map and holds one image per distinct set imaged.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ class TreeMap:
             if brs
         }
         self._controls_cache: dict[int, tuple] = {}
+        self._image_memo: dict[tuple, Subtree] = {}
         self._validate()
 
     def _validate(self):
@@ -103,6 +111,9 @@ class TreeMap:
         raise GeometryError("offset not covered by controls")  # pragma: no cover
 
     def image(self, S: Subtree) -> Subtree:
+        return _memo_image(self._image_memo, self._image, S)
+
+    def _image(self, S: Subtree) -> Subtree:
         parts = []
         for v in S.vertices:
             parts.append(point_subtree(self.codomain, self.vertex_images[v]))
@@ -157,6 +168,20 @@ class TreeMap:
                 for e, brs in d.get("edge_breaks", {}).items()
             },
         )
+
+
+def _memo_image(memo: dict, image, S: Subtree) -> Subtree:
+    """``image(S)``, read from ``memo`` under ``S.key()`` or computed once.
+
+    The lookup sits inside each map's ``image``, so every call is still a
+    call of that method; only a miss computes.  A raised error stores
+    nothing.
+    """
+    key = S.key()
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = image(S)
+    return out
 
 
 def identity_map(D: Dendrite) -> TreeMap:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dendro import exact_builder, gallery, length_expanding, metric_tree, tree_map
 from dendro.cli import load_map
 from dendro.exact_builder import (
     BushZigzag,
@@ -17,6 +18,7 @@ from dendro.exact_builder import (
 from dendro.gallery import FamilyDescriptor, build_counterexample, generate
 from dendro.length_expanding import (
     DenseFamily,
+    build_pair,
     build_phi_on_subtree,
     check_length_expanding,
     initial_lap_count,
@@ -379,11 +381,12 @@ def test_comb_gch_set_images_contain_point_images(comb_gch8_map):
     assert sets == 903
 
 
-def test_comb_gch_parts_map_connected_sets(comb_gch8_map, monkeypatch):
+def test_comb_gch_parts_map_connected_sets(monkeypatch):
     # an overlap running along the base between two teeth leaves the base
     # by several branches; each part must still see and return one
-    # connected set per call
-    Fm = comb_gch8_map
+    # connected set per call.  A map of its own: the shared fixture's image
+    # memos are already warm, so no part call would be observed there
+    Fm = build_counterexample("comb_gch", depth=8)[1]
     D = Fm.domain
     seen = []
     for part in Fm.parts:
@@ -400,6 +403,88 @@ def test_comb_gch_parts_map_connected_sets(comb_gch8_map, monkeypatch):
     assert sets == 903 and seen
     for out in seen:
         assert len(subtree_components(D, out)) == 1, out
+
+
+def _memo_cases():
+    """(name, builder of a fresh map, probe sets) for the image-memo oracles:
+    comb_gch(8) on the 903 probe geodesics, the comb(8) ``build_exact`` map
+    on its certification pieces, and the star3 ``build_pair`` maps, phi on
+    the intervals of the unit arc with ends in 1/24 Z and psi on the probe
+    geodesics of the star."""
+    comb8 = generate(FamilyDescriptor("comb", {"depth": 8}))
+    star3 = generate(FamilyDescriptor(
+        "star", {"arm_lengths": (F(1, 2), F(1, 3), F(1, 6))}))
+
+    def comb_gch8():
+        return build_counterexample("comb_gch", depth=8)[1]
+
+    def comb8_exact():
+        return build_exact(comb8, "A", q=F(1, 2), rho=F(6, 5))
+
+    def pair():
+        return build_pair(star3, V("e1"), rho=F(6, 5), samples=80, seed=3)
+
+    exact = comb8_exact()
+    built = pair()
+    unit = built.phi.domain
+    return [
+        ("comb_gch8", comb_gch8, list(_probe_geodesics(comb_gch8().domain))),
+        ("comb8_exact", comb8_exact,
+         [make_subtree(exact.domain, {e: (a, b)}) for e, a, b, _ in exact.pieces()]),
+        ("star3_phi", lambda: pair().phi,
+         [make_subtree(unit, {0: (F(i, 24), F(j, 24))})
+          for i in range(25) for j in range(i, 25)]),
+        ("star3_psi", lambda: pair().psi, list(_probe_geodesics(built.space))),
+    ]
+
+
+def test_image_memo_matches_a_fresh_map(monkeypatch):
+    # oracle for the per-map image memo: a second pass over the same sets is
+    # answered from the memo and must equal the first; a freshly built map,
+    # whose memos start empty, must compute the same images when asked in
+    # the reverse order; and so must a map with every memo bypassed
+    cases = _memo_cases()
+    assert [len(sets) for _, _, sets in cases] == [903, 45, 325, 21]
+    images = {}
+    for name, build, sets in cases:
+        Fm = build()
+        images[name] = [Fm.image(S) for S in sets]
+        assert [Fm.image(S) for S in sets] == images[name], name
+        fresh = build()
+        assert [fresh.image(S) for S in reversed(sets)] == images[name][::-1], name
+    for mod in (tree_map, exact_builder):
+        monkeypatch.setattr(mod, "_memo_image", lambda memo, image, S: image(S))
+    for name, build, sets in cases:
+        plain = build()
+        assert [plain.image(S) for S in sets] == images[name], name
+
+
+def test_geodesics_and_unions_are_canonical(monkeypatch):
+    # geodesic and union_subtrees build their results without make_subtree;
+    # renormalizing any of them through make_subtree must change nothing
+    seen = []
+
+    def recording(fn):
+        def wrapper(D, *args):
+            out = fn(D, *args)
+            for S in out if isinstance(out, list) else [out]:
+                seen.append((D, S))
+            return out
+        return wrapper
+
+    for fn_name in ("geodesic", "union_subtrees"):
+        wrapper = recording(getattr(metric_tree, fn_name))
+        for mod in (metric_tree, tree_map, exact_builder, length_expanding, gallery):
+            if hasattr(mod, fn_name):
+                monkeypatch.setattr(mod, fn_name, wrapper)
+    for name, build, sets in _memo_cases():
+        Fm = build()
+        for S in sets:  # the probes are geodesics or pieces themselves
+            seen.append((Fm.domain, S))
+            Fm.image(S)
+    assert len(seen) > 10000
+    for D, S in seen:
+        assert make_subtree(D, S.intervals, S.vertices) == S, S
 
 
 @pytest.mark.parametrize("fixture,kind", [

@@ -124,6 +124,18 @@ def test_embed_and_add_match_digit_oracles():
         alpha, digs = add(alpha, -1), odometer_add(digs, -1)
         assert alpha.digits == tuple(sorted(digs.items()))
         assert Address(alpha.digits) == alpha
+    # a 3^7-step -1 orbit from a high address, retraced by +1 back to its start
+    start = Address.parse("0202021^inf")
+    down = [start]
+    for _ in range(3**7):
+        down.append(add(down[-1], -1))
+    assert down[-1] == Address.from_digit_map(
+        odometer_add(dict(start.digits), -3**7))
+    alpha = down[-1]
+    for prev in reversed(down[:-1]):
+        alpha = add(alpha, 1)
+        assert alpha == prev
+    assert alpha == start
 
 
 # ---------------------------------------------------------------- skew map
