@@ -273,8 +273,8 @@ def sawtooth_image(total, laps: int, start, a, b):
         a, b = b, a
     u1 = start + laps * total * a
     u2 = start + laps * total * b
-    lo = min(_fold(u1, total), _fold(u2, total))
-    hi = max(_fold(u1, total), _fold(u2, total))
+    f1, f2 = _fold(u1, total), _fold(u2, total)
+    lo, hi = min(f1, f2), max(f1, f2)
     # peaks at odd multiples of `total`, troughs at even multiples
     m_lo = math.ceil(u1 / total)
     m_hi = math.floor(u2 / total)

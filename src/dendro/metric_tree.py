@@ -23,6 +23,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 from dendro.serialize import format_rat, parse_rat
 
 Rat = Fraction
+F0 = Fraction(0)
+
+
+def _rat(x) -> Fraction:
+    """x as a Fraction; a Fraction is returned as it is."""
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class GeometryError(ValueError):
@@ -162,7 +168,7 @@ class Dendrite:
 
     def point(self, edge: int, offset) -> PointRef:
         """Canonical point on an edge; endpoint offsets collapse to vertices."""
-        offset = Fraction(offset)
+        offset = _rat(offset)
         e = self.edges[edge]
         if offset < 0 or offset > e.length:
             raise GeometryError(f"offset {offset} outside edge {edge}")
@@ -189,7 +195,7 @@ class Dendrite:
         """
         if self._rooted is None:
             root = self.vertices[0]
-            up, depth, rdist = {}, {root: 0}, {root: Fraction(0)}
+            up, depth, rdist = {}, {root: 0}, {root: F0}
             stack = [root]
             while stack:
                 v = stack.pop()
@@ -239,7 +245,7 @@ class Dendrite:
         return from_u + from_w
 
     def total_length(self) -> Fraction:
-        return sum((e.length for e in self.edges), Fraction(0))
+        return sum((e.length for e in self.edges), F0)
 
     # -- serialization
 
@@ -280,8 +286,8 @@ class Subtree:
     Canonical invariants: interval ends at offset 0 / full length imply the
     endpoint vertex is listed, and a degenerate interval occurs only as a
     lone interior point.  :func:`make_subtree` enforces them on raw data;
-    :func:`geodesic` and :func:`union_subtrees` build sets that already
-    satisfy them and construct the value directly.
+    :func:`merge_walks` (so :func:`geodesic`) and :func:`union_subtrees`
+    build sets that already satisfy them and construct the value directly.
     """
 
     vertices: frozenset
@@ -334,7 +340,7 @@ def make_subtree(D: Dendrite, intervals=None, vertices=()) -> Subtree:
     ivs: dict[int, tuple[Fraction, Fraction]] = {}
     verts = set(vertices)
     for e, (a, b) in (intervals or {}).items():
-        a, b = Fraction(a), Fraction(b)
+        a, b = _rat(a), _rat(b)
         if a > b:
             a, b = b, a
         L = D.edge_length(e)
@@ -371,7 +377,7 @@ def point_subtree(D: Dendrite, p: PointRef) -> Subtree:
 def full_subtree(D: Dendrite) -> Subtree:
     return Subtree(
         vertices=frozenset(D.vertices),
-        intervals={i: (Fraction(0), e.length) for i, e in enumerate(D.edges)},
+        intervals={i: (F0, e.length) for i, e in enumerate(D.edges)},
     )
 
 
@@ -393,7 +399,7 @@ def contains_point(D: Dendrite, S: Subtree, p: PointRef) -> bool:
 def _exits(D: Dendrite, p: PointRef):
     """(vertex, cost-to-reach-it) pairs through which paths from p leave."""
     if p.is_vertex:
-        return ((p.vertex, Fraction(0)),)
+        return ((p.vertex, F0),)
     e = D.edges[p.edge]
     return ((e.u, p.offset), (e.v, e.length - p.offset))
 
@@ -403,7 +409,7 @@ def dist(D: Dendrite, x: PointRef, y: PointRef) -> Fraction:
     D.check_point(x)
     D.check_point(y)
     if x == y:
-        return Fraction(0)
+        return F0
     if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
         return abs(x.offset - y.offset)
     return min(
@@ -428,20 +434,20 @@ def geodesic_walk(D: Dendrite, x: PointRef, y: PointRef):
     _, u, w = best
     legs = []
     if not x.is_vertex:
-        target = Fraction(0) if D.edges[x.edge].u == u else D.edges[x.edge].length
+        target = F0 if D.edges[x.edge].u == u else D.edges[x.edge].length
         if target != x.offset:
             legs.append((x.edge, x.offset, target))
     cur = u
     for ei in D.vertex_path(u, w):
         e = D.edges[ei]
         if e.u == cur:
-            legs.append((ei, Fraction(0), e.length))
+            legs.append((ei, F0, e.length))
             cur = e.v
         else:
-            legs.append((ei, e.length, Fraction(0)))
+            legs.append((ei, e.length, F0))
             cur = e.u
     if not y.is_vertex:
-        start = Fraction(0) if D.edges[y.edge].u == w else D.edges[y.edge].length
+        start = F0 if D.edges[y.edge].u == w else D.edges[y.edge].length
         if start != y.offset:
             legs.append((y.edge, start, y.offset))
     return legs
@@ -449,41 +455,63 @@ def geodesic_walk(D: Dendrite, x: PointRef, y: PointRef):
 
 def geodesic(D: Dendrite, x: PointRef, y: PointRef) -> Subtree:
     """The arc [x, y]; the single point {x} when x == y."""
-    if x == y:
-        return point_subtree(D, x)
-    # the legs are nondegenerate and cross each edge once, so listing the
-    # ends at 0 / full length is all the canonical form asks
-    ivs, verts = {}, set()
-    for e, a, b in geodesic_walk(D, x, y):
-        lo, hi = (a, b) if a <= b else (b, a)
+    return merge_walks(D, [geodesic_walk(D, x, y)], x)
+
+
+def merge_walks(D: Dendrite, walks, start: PointRef) -> Subtree:
+    """The set covered by chained walks from ``start``, as a canonical Subtree.
+
+    Each walk is a list of legs (edge, t_from, t_to) that begins where the
+    previous one ends, so the union is connected and meets every edge in
+    one interval: the min and max of that edge's legs, plus the vertices
+    the legs reach.  Legs are nondegenerate, so listing the ends at 0 /
+    full length is all the canonical form asks.  Walks with no legs leave
+    the single point {start}.
+    """
+    ivs = {}
+    for legs in walks:
+        for e, a, b in legs:
+            lo, hi = (a, b) if a <= b else (b, a)
+            iv = ivs.get(e)
+            if iv is not None:
+                if iv[0] < lo:
+                    lo = iv[0]
+                if iv[1] > hi:
+                    hi = iv[1]
+            ivs[e] = (lo, hi)
+    if not ivs:
+        return point_subtree(D, start)
+    verts = set()
+    for e, (lo, hi) in ivs.items():
         ed = D.edges[e]
         if lo == 0:
             verts.add(ed.u)
         if hi == ed.length:
             verts.add(ed.v)
-        ivs[e] = (lo, hi)
     return Subtree(vertices=frozenset(verts), intervals=ivs)
+
+
+def point_on_walk(D: Dendrite, legs, s: Fraction) -> PointRef:
+    """The point at distance s > 0 along a walk's legs."""
+    for e, a, b in legs:
+        leg = abs(b - a)
+        if s <= leg:
+            return D.point(e, a + s if b > a else a - s)
+        s -= leg
+    raise GeometryError("distance exceeds geodesic length")
 
 
 def point_along(D: Dendrite, x: PointRef, y: PointRef, s: Fraction) -> PointRef:
     """The point of [x, y] at distance s from x (0 <= s <= dist)."""
-    s = Fraction(s)
+    s = _rat(s)
     if s == 0:
         return x
-    for e, a, b in geodesic_walk(D, x, y):
-        leg = abs(b - a)
-        if s <= leg:
-            t = a + s if b > a else a - s
-            return D.point(e, t)
-        s -= leg
-    if s == 0:
-        return y
-    raise GeometryError("distance exceeds geodesic length")
+    return point_on_walk(D, geodesic_walk(D, x, y), s)
 
 
 def h1_measure(S: Subtree) -> Fraction:
     """Total edge-interval length (Hausdorff 1-measure in the path metric)."""
-    return sum((b - a for a, b in S.intervals.values()), Fraction(0))
+    return sum((b - a for a, b in S.intervals.values()), F0)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +659,7 @@ def project(D: Dendrite, E: Subtree, x: PointRef) -> PointRef:
 def subtree_dist(D: Dendrite, S1: Subtree, S2: Subtree) -> Fraction:
     """Exact set distance between two closed subtrees (0 iff they meet)."""
     if subtrees_intersect(S1, S2):
-        return Fraction(0)
+        return F0
     q0 = subtree_points(D, S1)[0]
     p2 = project(D, S2, q0)
     p1 = project(D, S1, p2)
@@ -642,7 +670,7 @@ def subtree_diam(D: Dendrite, S: Subtree) -> Fraction:
     """Diameter via double sweep over extremal candidate points."""
     pts = subtree_points(D, S)
     if len(pts) <= 1:
-        return Fraction(0)
+        return F0
     p0 = pts[0]
     p1 = max(pts, key=lambda p: dist(D, p0, p))
     return max(dist(D, p1, p) for p in pts)
@@ -662,7 +690,7 @@ def _side_subtree(D: Dendrite, root: str, blocked_edge: int) -> Subtree:
         for ei, w in D._adj[v]:
             if ei == blocked_edge or ei in ivs:
                 continue
-            ivs[ei] = (Fraction(0), D.edge_length(ei))
+            ivs[ei] = (F0, D.edge_length(ei))
             if w not in verts:
                 verts.add(w)
                 stack.append(w)
@@ -683,7 +711,7 @@ def upper_set(D: Dendrite, a: PointRef, x: PointRef) -> Subtree:
                 continue
             side = _side_subtree(D, w, ei)
             L = D.edge_length(ei)
-            stub = make_subtree(D, {ei: (Fraction(0), L)})
+            stub = make_subtree(D, {ei: (F0, L)})
             parts.append(union_connected(D, [stub, side]))
         return union_connected(D, parts)
     e = D.edges[x.edge]
@@ -697,7 +725,7 @@ def upper_set(D: Dendrite, a: PointRef, x: PointRef) -> Subtree:
         stub = make_subtree(D, {x.edge: (t, e.length)})
         side = _side_subtree(D, e.v, x.edge)
     else:
-        stub = make_subtree(D, {x.edge: (Fraction(0), t)})
+        stub = make_subtree(D, {x.edge: (F0, t)})
         side = _side_subtree(D, e.u, x.edge)
     return union_connected(D, [stub, side])
 
@@ -756,15 +784,15 @@ def components_minus(D: Dendrite, E: Subtree) -> ComplementDecomposition:
         iv = E.intervals.get(ei)
         if iv is None:
             if e.u in E.vertices:
-                iv = (Fraction(0), Fraction(0))
+                iv = (F0, F0)
             elif e.v in E.vertices:
                 iv = (e.length, e.length)
         if iv is None:
-            pieces.append((ei, Fraction(0), e.length, None))
+            pieces.append((ei, F0, e.length, None))
             continue
         lo, hi = iv
         if lo > 0:
-            pieces.append((ei, Fraction(0), lo, D.point(ei, lo)))
+            pieces.append((ei, F0, lo, D.point(ei, lo)))
         if hi < e.length:
             pieces.append((ei, hi, e.length, D.point(ei, hi)))
 
@@ -895,7 +923,7 @@ def subtree_boundary_contains(D: Dendrite, E: Subtree, p: PointRef) -> bool:
 
 def ball(D: Dendrite, x: PointRef, radius) -> Subtree:
     """Closed metric ball as a spanned subtree, by exact edge clipping."""
-    radius = Fraction(radius)
+    radius = _rat(radius)
     if radius < 0:
         raise GeometryError("negative radius")
     D.check_point(x)
@@ -903,7 +931,7 @@ def ball(D: Dendrite, x: PointRef, radius) -> Subtree:
     verts = set()
     for ei, e in enumerate(D.edges):
         if not x.is_vertex and x.edge == ei:
-            lo = max(Fraction(0), x.offset - radius)
+            lo = max(F0, x.offset - radius)
             hi = min(e.length, x.offset + radius)
             ivs[ei] = (lo, hi)
             continue
@@ -911,9 +939,9 @@ def ball(D: Dendrite, x: PointRef, radius) -> Subtree:
         dv = dist(D, x, PointRef(vertex=e.v))
         spans = []
         if du <= radius:
-            spans.append((Fraction(0), min(e.length, radius - du)))
+            spans.append((F0, min(e.length, radius - du)))
         if dv <= radius:
-            spans.append((max(Fraction(0), e.length - (radius - dv)), e.length))
+            spans.append((max(F0, e.length - (radius - dv)), e.length))
         if not spans:
             continue
         if len(spans) == 2:
@@ -956,7 +984,7 @@ def refine_at(D: Dendrite, points: Iterable[PointRef]):
     for ei, e in enumerate(D.edges):
         cuts = sorted(set(by_edge.get(ei, [])))
         segs = []
-        prev_off, prev_v = Fraction(0), e.u
+        prev_off, prev_v = F0, e.u
         for c in cuts:
             name = f"cut:{ei}:{format_rat(c)}"
             vertices.append(name)

@@ -16,15 +16,29 @@ orbits, builders and checkers ask for it again.  Maps are immutable after
 construction, so an entry never goes stale, and callers share the stored
 image as they share every ``Subtree``, never mutating it.  The memo lives
 as long as the map and holds one image per distinct set imaged.
+
+Each piece of the control polyline is found and walked once.  A point's
+piece, and the controls inside an interval, are found by bisecting the
+edge's tuple of control times.  The geodesic of a piece (its legs and
+length) is walked on first use and kept per map next to the controls,
+under the same never-stale contract, so the cache holds O(pieces walked)
+for the map's life.  ``apply`` takes the point at the scaled distance
+along the cached legs; a point on a control time is that control's image,
+read without a walk.  The image of an interval chains the cached walks of
+its full pieces with fresh walks over the two partial end pieces, and
+merges them per edge into one set (:func:`merge_walks`); ``compose`` reads
+the same cached walks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
 from dendro.metric_tree import (
+    F0,
     Dendrite,
     GeometryError,
     PointRef,
@@ -34,7 +48,8 @@ from dendro.metric_tree import (
     enclosed,
     geodesic,
     geodesic_walk,
-    point_along,
+    merge_walks,
+    point_on_walk,
     point_subtree,
     subtree_contains,
     subtrees_intersect,
@@ -59,6 +74,7 @@ class TreeMap:
             for e, brs in (edge_breaks or {}).items()
             if brs
         }
+        # per edge: controls, their times, and per piece its walk and length
         self._controls_cache: dict[int, tuple] = {}
         self._image_memo: dict[tuple, Subtree] = {}
         self._validate()
@@ -70,7 +86,7 @@ class TreeMap:
             self.codomain.check_point(self.vertex_images[v])
         for e, brs in self.edge_breaks.items():
             L = self.domain.edge_length(e)
-            last = Fraction(0)
+            last = F0
             for t, p in brs:
                 if not (0 < t < L):
                     raise GeometryError(f"breakpoint {t} outside edge {e}")
@@ -82,16 +98,36 @@ class TreeMap:
     # -- control polyline per edge
 
     def controls(self, e: int):
+        return self._edge_controls(e)[0]
+
+    def _edge_controls(self, e: int):
+        """(controls, their strictly increasing times, walks, lengths) of edge e.
+
+        ``walks[k]`` and ``lengths[k]`` hold the legs and length of the
+        geodesic of piece k once :meth:`_piece_walk` has walked it.
+        """
         cached = self._controls_cache.get(e)
         if cached is None:
             ed = self.domain.edges[e]
-            cached = (
-                (Fraction(0), self.vertex_images[ed.u]),
+            ctrl = (
+                (F0, self.vertex_images[ed.u]),
                 *self.edge_breaks.get(e, ()),
                 (ed.length, self.vertex_images[ed.v]),
             )
-            self._controls_cache[e] = cached
+            n = len(ctrl) - 1
+            cached = self._controls_cache[e] = (
+                ctrl, tuple(t for t, _ in ctrl), [None] * n, [None] * n)
         return cached
+
+    def _piece_walk(self, e: int, k: int):
+        """(legs, length) of the geodesic of piece k of edge e, walked once."""
+        ctrl, _, walks, lengths = self._edge_controls(e)
+        legs = walks[k]
+        if legs is None:
+            legs = walks[k] = tuple(
+                geodesic_walk(self.codomain, ctrl[k][1], ctrl[k + 1][1]))
+            lengths[k] = sum((abs(b - a) for _, a, b in legs), F0)
+        return legs, lengths[k]
 
     # -- evaluation
 
@@ -99,16 +135,17 @@ class TreeMap:
         self.domain.check_point(x)
         if x.is_vertex:
             return self.vertex_images[x.vertex]
-        ctrl = self.controls(x.edge)
-        for (t0, p0), (t1, p1) in zip(ctrl, ctrl[1:]):
-            if t0 <= x.offset <= t1:
-                if t0 == t1:
-                    return p0
-                d = dist(self.codomain, p0, p1)
-                return point_along(
-                    self.codomain, p0, p1, d * (x.offset - t0) / (t1 - t0)
-                )
-        raise GeometryError("offset not covered by controls")  # pragma: no cover
+        ctrl, times, _, _ = self._edge_controls(x.edge)
+        t = x.offset
+        k = bisect_left(times, t)
+        if times[k] == t:
+            return ctrl[k][1]
+        k -= 1  # t lies strictly inside piece k
+        legs, d = self._piece_walk(x.edge, k)
+        if d == 0:
+            return ctrl[k][1]
+        t0 = times[k]
+        return point_on_walk(self.codomain, legs, d * (t - t0) / (times[k + 1] - t0))
 
     def image(self, S: Subtree) -> Subtree:
         return _memo_image(self._image_memo, self._image, S)
@@ -118,17 +155,29 @@ class TreeMap:
         for v in S.vertices:
             parts.append(point_subtree(self.codomain, self.vertex_images[v]))
         for e, (a, b) in S.intervals.items():
-            pts = [self.apply(self.domain.point(e, a))]
-            for t, p in self.edge_breaks.get(e, ()):
-                if a < t < b:
-                    pts.append(p)
-            pts.append(self.apply(self.domain.point(e, b)))
-            for p0, p1 in zip(pts, pts[1:]):
-                parts.append(geodesic(self.codomain, p0, p1))
+            parts.append(self._interval_image(e, a, b))
         comps = union_subtrees(self.codomain, parts)
         if len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")
         return comps[0]
+
+    def _interval_image(self, e: int, a: Fraction, b: Fraction) -> Subtree:
+        """Image of [a, b] on edge e: the chained walks through its controls."""
+        D = self.codomain
+        ctrl, times, _, _ = self._edge_controls(e)
+        pa = self.apply(self.domain.point(e, a))
+        pb = self.apply(self.domain.point(e, b))
+        i = bisect_left(times, a)  # controls i .. j - 1 lie in [a, b]
+        j = bisect_right(times, b, i)
+        if i == j:  # inside one piece
+            return geodesic(D, pa, pb)
+        walks = []
+        if a < times[i]:
+            walks.append(geodesic_walk(D, pa, ctrl[i][1]))
+        walks.extend(self._piece_walk(e, k)[0] for k in range(i, j - 1))
+        if times[j - 1] < b:
+            walks.append(geodesic_walk(D, ctrl[j - 1][1], pb))
+        return merge_walks(D, walks, pa)
 
     def pieces(self):
         """Domain partition on which the map is geodesic-linear."""
@@ -205,17 +254,17 @@ def compose(G, F) -> TreeMap:
     for e in range(len(F.domain.edges)):
         ctrl = F.controls(e)
         brs = []
-        for (t0, p0), (t1, p1) in zip(ctrl, ctrl[1:]):
+        for k, ((t0, p0), (t1, _)) in enumerate(zip(ctrl, ctrl[1:])):
             if 0 < t0:
                 brs.append((t0, G.apply(p0)))
-            d = dist(F.codomain, p0, p1)
+            legs, d = F._piece_walk(e, k)
             if d == 0:
                 continue
             # arc positions where the composite changes geodesic: walk-leg
             # boundaries (vertex crossings) plus G's interior breakpoints
             cuts = []
-            s_acc = Fraction(0)
-            for ge, a, b in geodesic_walk(F.codomain, p0, p1):
+            s_acc = F0
+            for ge, a, b in legs:
                 lo, hi = (a, b) if a <= b else (b, a)
                 for gt, _gp in G.edge_breaks.get(ge, ()):
                     if lo < gt < hi:

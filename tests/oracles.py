@@ -217,3 +217,45 @@ def scan_fold_cuts(nu, nv, length, laps):
         if 0 < s < 1:
             out.append(s * length)
     return sorted(out)
+
+
+def _plain_controls(F, e):
+    """(time, image) control points of edge e, from the map's raw data."""
+    ed = F.domain.edges[e]
+    return [(Fraction(0), F.vertex_images[ed.u]),
+            *F.edge_breaks.get(e, ()),
+            (ed.length, F.vertex_images[ed.v])]
+
+
+def plain_apply(F, x):
+    """F(x) by a linear scan of the controls, then dist and point_along."""
+    from dendro.metric_tree import dist, point_along
+
+    if x.is_vertex:
+        return F.vertex_images[x.vertex]
+    ctrl = _plain_controls(F, x.edge)
+    for (t0, p0), (t1, p1) in zip(ctrl, ctrl[1:]):
+        if t0 <= x.offset <= t1:
+            d = dist(F.codomain, p0, p1)
+            return point_along(F.codomain, p0, p1, d * (x.offset - t0) / (t1 - t0))
+    raise AssertionError("offset not covered by the controls")
+
+
+def plain_image(F, S):
+    """F(S): one geodesic per consecutive control pair, then union_subtrees.
+
+    Each interval [a, b] contributes the geodesics through F(a), the
+    controls strictly inside it and F(b); each vertex its image point.
+    """
+    from dendro.metric_tree import geodesic, point_subtree, union_subtrees
+
+    D = F.codomain
+    parts = [point_subtree(D, F.vertex_images[v]) for v in sorted(S.vertices)]
+    for e, (a, b) in sorted(S.intervals.items()):
+        pts = [plain_apply(F, F.domain.point(e, a))]
+        pts += [p for t, p in F.edge_breaks.get(e, ()) if a < t < b]
+        pts.append(plain_apply(F, F.domain.point(e, b)))
+        parts += [geodesic(D, p0, p1) for p0, p1 in zip(pts, pts[1:])]
+    comps = union_subtrees(D, parts)
+    assert len(comps) == 1, comps
+    return comps[0]

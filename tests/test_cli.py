@@ -272,3 +272,39 @@ def test_exactness_map_out_roundtrip(tmp_path):
     Fm = load_map(str(map_file))
     img = Fm.image(Fm.parts[0].region)
     assert img == full_subtree(Fm.domain)
+
+
+# ---------------------------------------------------------------- golden bytes
+
+GOLDEN_SHA256 = {
+    "map": "2ae71fae7cfd099c6f9e1704a0a3618bb979c81d5fbc170de0ad4621541d82cf",
+    "certificate": "4ffddb4d6862740821d5334d2d2f662b7b1f866242c35a4367517bc8a3ed3e62",
+    "balls": "787bdf8992dad241b7612967c27e1ab2a1f57748330f95d9628d1d75cba5e2b5",
+    "subdendrites": "6978ef563da328197cd7f4d8b9d4b370f95862e49bed28074fdd761464ee32fd",
+    "free_arcs": "3799b080685617baff7c7b581d73ded80917d6af512111eecabefd1b0fcc933a",
+}
+
+
+def test_golden_output_bytes(tmp_path):
+    # speedups must keep every emitted byte: the comb 8 exactness map and
+    # certificate at seed 0, and the omega12 verdict reports at N=200, seed 7
+    import hashlib
+
+    out = {name: tmp_path / f"{name}.json" for name in GOLDEN_SHA256}
+    comb8, omega12 = tmp_path / "comb8.json", tmp_path / "omega12.json"
+    assert run(["gen", "comb", "--depth", "8", "-o", str(comb8)]) == 0
+    assert run([
+        "run", "--scenario", "exactness", "--dendrite", str(comb8), "--arc", "A",
+        "--seed", "0", "--out", str(out["certificate"]),
+        "--map-out", str(out["map"]),
+    ]) == 0
+    assert run(["build", "omega_star_gch", "--arms", "12", "-o", str(omega12)]) == 0
+    for family in ("balls", "subdendrites", "free_arcs"):
+        assert run([
+            "run", "--scenario", "gch-verdict", "--map", str(omega12),
+            "--family", family, "--N", "200", "--seed", "7",
+            "--out", str(out[family]),
+        ]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in out.items()}
+    assert digests == GOLDEN_SHA256

@@ -42,7 +42,10 @@ from dendro.metric_tree import (
     subtree_points,
     subtrees_intersect,
 )
+from dendro.odometer import gehman_extend
 from dendro.serialize import dump_json, dumps_json
+from dendro.tree_map import TreeMap
+from oracles import plain_apply, plain_image
 
 F = Fraction
 
@@ -460,8 +463,9 @@ def test_image_memo_matches_a_fresh_map(monkeypatch):
 
 
 def test_geodesics_and_unions_are_canonical(monkeypatch):
-    # geodesic and union_subtrees build their results without make_subtree;
-    # renormalizing any of them through make_subtree must change nothing
+    # merge_walks, geodesic and union_subtrees build their results without
+    # make_subtree; renormalizing any of them through make_subtree must
+    # change nothing
     seen = []
 
     def recording(fn):
@@ -472,7 +476,7 @@ def test_geodesics_and_unions_are_canonical(monkeypatch):
             return out
         return wrapper
 
-    for fn_name in ("geodesic", "union_subtrees"):
+    for fn_name in ("merge_walks", "geodesic", "union_subtrees"):
         wrapper = recording(getattr(metric_tree, fn_name))
         for mod in (metric_tree, tree_map, exact_builder, length_expanding, gallery):
             if hasattr(mod, fn_name):
@@ -485,6 +489,82 @@ def test_geodesics_and_unions_are_canonical(monkeypatch):
     assert len(seen) > 10000
     for D, S in seen:
         assert make_subtree(D, S.intervals, S.vertices) == S, S
+
+
+def _control_probes(Fm):
+    """(points on every control time, points at every piece midpoint, sets):
+    the sets are each edge's intervals between any two such ends at most
+    four apart (lone points, ends on controls, ends inside pieces, one or
+    two full pieces) and every whole edge."""
+    D = Fm.domain
+    on_controls, inside, sets = [], [], []
+    for e in range(len(D.edges)):
+        ts = [t for t, _ in Fm.controls(e)]
+        mids = [(t0 + t1) / 2 for t0, t1 in zip(ts, ts[1:])]
+        on_controls += [D.point(e, t) for t in ts]
+        inside += [D.point(e, t) for t in mids]
+        ends = sorted(ts + mids)
+        for i, a in enumerate(ends):
+            for b in ends[i:i + 5]:
+                sets.append(make_subtree(D, {e: (a, b)}))
+        sets.append(make_subtree(D, {e: (ts[0], ts[-1])}))
+    return on_controls, inside, sets
+
+
+def _plain_scan_cases():
+    """(name, map, extra probe sets) for the control-lookup oracle."""
+    comb8 = generate(FamilyDescriptor("comb", {"depth": 8}))
+    exact = build_exact(comb8, "A", q=F(1, 2), rho=F(6, 5))
+    cases = []
+    for k, part in enumerate(exact.parts):
+        # the intervals the certification pieces hand to g
+        ivs = [part.nu.image(part.psi.image(make_subtree(exact.domain, {e: (a, b)})))
+               for e, a, b in part.pieces()]
+        cases.append((f"comb8_g{k}", part.g, ivs))
+    star3 = generate(FamilyDescriptor(
+        "star", {"arm_lengths": (F(1, 2), F(1, 3), F(1, 6))}))
+    built = build_pair(star3, V("e1"), rho=F(6, 5), samples=80, seed=3)
+    unit = built.phi.domain
+    cases.append(("star3_phi", built.phi,
+                  [make_subtree(unit, {0: (F(i, 24), F(j, 24))})
+                   for i in range(25) for j in range(i, 25)]))
+    cases.append(("star3_psi", built.psi, list(_probe_geodesics(star3))))
+    gehman, G = gehman_extend(6)
+    cases.append(("gehman6", G,
+                  [geodesic(gehman, V("g"), V(v)) for v in gehman.vertices]))
+    # constant pieces: [1/4, 1/2] stays at the center, [5/8, 3/4] at a point
+    # inside the arm c-e1
+    mid = star3.point(0, F(1, 4))
+    flat = TreeMap(unit, star3, {"0": V("e2"), "1": V("e3")}, {0: (
+        (F(1, 4), V("c")), (F(1, 2), V("c")), (F(5, 8), mid), (F(3, 4), mid))})
+    cases.append(("constant_pieces", flat, []))
+    return cases
+
+
+def test_tree_map_matches_the_plain_control_scan(monkeypatch):
+    # oracle for the bisected control lookup and the per-piece walk cache:
+    # apply and image equal a linear control scan that walks every piece
+    # afresh; a point on a control time is that control, read without a walk
+    walks = []
+    real_walk = tree_map.geodesic_walk
+
+    def counting_walk(D, x, y):
+        walks.append((x, y))
+        return real_walk(D, x, y)
+
+    monkeypatch.setattr(tree_map, "geodesic_walk", counting_walk)
+    for name, built, extra in _plain_scan_cases():
+        Fm = TreeMap(built.domain, built.codomain, built.vertex_images,
+                     built.edge_breaks)  # fresh, nothing walked yet
+        on_controls, inside, sets = _control_probes(Fm)
+        walks.clear()
+        for x in on_controls:
+            assert Fm.apply(x) == plain_apply(Fm, x), (name, x)
+        assert walks == [], name
+        for x in inside:
+            assert Fm.apply(x) == plain_apply(Fm, x), (name, x)
+        for S in sets + extra:
+            assert Fm.image(S) == plain_image(Fm, S), (name, S)
 
 
 @pytest.mark.parametrize("fixture,kind", [
