@@ -50,6 +50,7 @@ from dendro.metric_tree import (
     Subtree,
     components_minus,
     contains_point,
+    diameter_ends,
     dist,
     full_subtree,
     geodesic,
@@ -188,7 +189,7 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
             return decompose_bushes(D2, mp(A))
         base = point_subtree(D, A)
         dec = components_minus(D, base)
-        if dec.is_whole or not dec.components:
+        if not dec.components:
             raise GeometryError("point base must have a nonempty complement")
         bushes = [
             (comp, A.vertex) for comp in dec.components
@@ -207,7 +208,7 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
                 if 0 < t < D.edge_length(e):
                     cut_pts.append(D.point(e, t))
         if cut_pts:
-            A_ends = _arc_endpoints_any(D, A)
+            A_ends = diameter_ends(D, A)
             space, mp = refine_at(D, cut_pts)
             A = geodesic(space, mp(A_ends[0]), mp(A_ends[1]))
         else:
@@ -218,7 +219,7 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
             if a != 0 or b != space.edge_length(e):
                 raise GeometryError("arc base must be a whole-edge subtree")
         dec = components_minus(space, A)
-        if dec.is_whole or not dec.components:
+        if not dec.components:
             raise GeometryError("arc base must have a nonempty complement")
         grouped = dec.grouped(space)
         bushes = []
@@ -234,17 +235,6 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
         for i, (comp, root) in enumerate(bushes)
     ]
     return BushDecomposition(space=space, base=base, base_kind=kind, bushes=out)
-
-
-def _arc_endpoints_any(D: Dendrite, A: Subtree):
-    """Extremal points of an arc subtree (vertices or interval ends)."""
-    pts = subtree_points(D, A)
-    if len(pts) == 1:
-        return pts[0], pts[0]
-    p0 = pts[0]
-    p1 = max(pts, key=lambda p: dist(D, p0, p))
-    p2 = max(pts, key=lambda p: dist(D, p1, p))
-    return p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +334,7 @@ def _base_positions(asg: AssignedDecomposition) -> dict:
     D = asg.space
     if asg.base_kind == "point":
         return {b.index: F0 for b in asg.bushes}
-    end1, _ = _arc_endpoints_any(D, asg.base)
+    end1, _ = diameter_ends(D, asg.base)
     pos = {}
     for b in asg.bushes:
         pos[b.index] = dist(D, end1, PointRef(vertex=b.root))
@@ -499,7 +489,6 @@ class ExactBushPart:
     psi: BushZigzag
     nu: SawtoothArcMap
     g: TreeMap
-    region_image: Subtree  # E_k, memoized image of the whole bush
 
     def apply(self, x: PointRef) -> PointRef:
         return self.g.apply(self.nu.apply(self.psi.apply(x)))
@@ -508,9 +497,6 @@ class ExactBushPart:
         iv = self.nu.image(self.psi.image(S))
         if iv.is_degenerate():
             return point_subtree(self.g.codomain, self.g.apply(iv.single_point()))
-        ((a, b),) = iv.intervals.values()
-        if a == F0 and b == self.nu.codomain.edge_length(0):
-            return self.region_image
         return self.g.image(iv)
 
     def pieces(self):
@@ -544,10 +530,7 @@ class ExactBushPart:
             laps=int(d["nu"]["laps"]),
             start=parse_rat(d["nu"]["start"]),
         )
-        return ExactBushPart(
-            region=bush, root=d["root"], psi=psi, nu=nu, g=g,
-            region_image=g.image(full_subtree(g.domain)),
-        )
+        return ExactBushPart(region=bush, root=d["root"], psi=psi, nu=nu, g=g)
 
 
 @dataclass
@@ -753,7 +736,7 @@ def _build_phi_for_bush(asg, bush, rho, seed):
 
 
 def _check_bush_expanding(phi, bush, rho_scaled, samples, seed):
-    fam = DenseFamily("all_closed_intervals", seed=seed)
+    fam = DenseFamily("all_closed_intervals")
     for J in fam.sample(phi.domain, samples, seed):
         img = phi.image(J)
         if img == bush:
@@ -802,7 +785,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     manifest_parts = []
     base_len = h1_measure(asg.base)
     base_end1, base_end2 = (
-        _arc_endpoints_any(asg.space, asg.base)
+        diameter_ends(asg.space, asg.base)
         if asg.base_kind == "arc"
         else (None, None)
     )
@@ -883,7 +866,6 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
                 psi=psi,
                 nu=nu,
                 g=g,
-                region_image=region_image,
             )
         )
         manifest_parts.append(
@@ -1136,15 +1118,12 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
         d = dist(space0, anchor0, PointRef(vertex=b.root))
         shells.setdefault(shell_of(d), []).append(b.root)
     # refine so every shell's clipped arc ends at vertices
-    ends0 = _arc_endpoints_any(space0, dec0.base)
-    cut_pts = []
-    for j in shells:
-        radius = radius0 / 2 ** (j - 1)
-        for end in ends0:
-            reach = min(radius, dist(space0, anchor0, end))
-            p = point_along(space0, anchor0, end, reach)
-            if not p.is_vertex:
-                cut_pts.append(p)
+    ends0 = diameter_ends(space0, dec0.base)
+    cut_pts = [
+        p for j in shells
+        for p in _clip_points(space0, anchor0, ends0, radius0 / 2 ** (j - 1))
+        if not p.is_vertex
+    ]
     if cut_pts:
         space, mp = refine_at(space0, cut_pts)
         base = geodesic(space, mp(ends0[0]), mp(ends0[1]))
@@ -1157,12 +1136,14 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
     for b in dec.bushes:
         d = dist(space, anchor, PointRef(vertex=b.root))
         roots_by_shell.setdefault(shell_of(d), []).append(b)
-    ends = _arc_endpoints_any(space, base)
+    ends = diameter_ends(space, base)
     pieces = []
     manifest = []
     for j in sorted(roots_by_shell):
         radius = radius0 / 2 ** (j - 1)
-        sub_arc = _clip_arc(space, base, anchor, ends, radius)
+        sub_arc = geodesic(space, *_clip_points(space, anchor, ends, radius))
+        if sub_arc.is_degenerate():
+            raise GeometryError("clipped arc degenerated")
         members = roots_by_shell[j]
         region = union_connected(space, [sub_arc] + [b.subtree for b in members])
         chart = extract_region(space, region)
@@ -1180,13 +1161,12 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
     return GluedPieceMap(space, base, pieces, manifest={"pieces": manifest})
 
 
-def _clip_arc(space, base, anchor, ends, radius):
-    """Subarc of the base within the given distance of the anchor."""
-    clip_pts = []
-    for end in ends:
-        reach = min(radius, dist(space, anchor, end))
-        clip_pts.append(point_along(space, anchor, end, reach))
-    clipped = geodesic(space, clip_pts[0], clip_pts[1])
-    if clipped.is_degenerate():
-        raise GeometryError("clipped arc degenerated")
-    return clipped
+def _clip_points(space, anchor, ends, radius):
+    """Points of the base at distance ``radius`` from the anchor, one per end.
+
+    An end nearer than ``radius`` is its own clip point.
+    """
+    return [
+        point_along(space, anchor, end, min(radius, dist(space, anchor, end)))
+        for end in ends
+    ]

@@ -62,19 +62,14 @@ class DenseFamily:
     """Sampler for a dense family of nondegenerate test sets.
 
     kinds: ``all_closed_intervals`` on an arc domain (deterministic dyadic
-    members first, then seeded random intervals), ``phi_images`` (images of
-    the interval family under a fixed map), ``explicit``.
+    members first, then seeded random intervals) and ``phi_images`` (images
+    of the interval family under a fixed map).
     """
 
     kind: str
     through: Optional[object] = None  # map for phi_images
-    seed: int = 0
-    members: tuple = ()
 
-    def sample(self, D: Dendrite, count: int, seed: Optional[int] = None) -> list[Subtree]:
-        seed = self.seed if seed is None else seed
-        if self.kind == "explicit":
-            return list(self.members)[:count]
+    def sample(self, D: Dendrite, count: int, seed: int) -> list[Subtree]:
         if self.kind == "all_closed_intervals":
             return _interval_family(D, count, seed)
         if self.kind == "phi_images":
@@ -419,12 +414,11 @@ def build_pair(
         phi = build_phi(space, a, laps)
         psi = build_psi(space, a, laps)
         w = check_length_expanding(
-            phi, DenseFamily("all_closed_intervals", seed=seed), rho, samples, seed
+            phi, DenseFamily("all_closed_intervals"), rho, samples, seed
         )
         if w is None:
             w = check_length_expanding(
-                psi, DenseFamily("phi_images", through=phi, seed=seed), rho,
-                samples, seed,
+                psi, DenseFamily("phi_images", through=phi), rho, samples, seed
             )
         if w is None:
             if phi.image(full_subtree(phi.domain)) != full_subtree(space):

@@ -12,6 +12,13 @@ parent edge, depth and distance from ``vertices[0]`` of every vertex, built
 in one traversal on the first query.  A query climbs both ends to their
 lowest common ancestor, and a per-pair memo answers repeated distance
 queries, so memory stays O(V + distinct pairs queried).
+
+The complement of a connected set E is read off one list, the ways out of
+E: each interval end of E short of its edge's end, and each edge leaving a
+vertex of E that E does not meet.  Every way out starts one component of D
+minus E, so :func:`components_minus`, :func:`upper_set` and
+:func:`subtree_boundary_contains` all read that list.  One double sweep,
+:func:`diameter_ends`, gives both the diameter and the ends of an arc.
 """
 
 from __future__ import annotations
@@ -666,76 +673,76 @@ def subtree_dist(D: Dendrite, S1: Subtree, S2: Subtree) -> Fraction:
     return dist(D, p1, p2)
 
 
-def subtree_diam(D: Dendrite, S: Subtree) -> Fraction:
-    """Diameter via double sweep over extremal candidate points."""
+def diameter_ends(D: Dendrite, S: Subtree) -> tuple[PointRef, PointRef]:
+    """Two points of S at distance diam S (one point twice when S is one).
+
+    A double sweep over the interval ends and vertices of S: the candidate
+    farthest from the first one ends a longest arc, and the candidate
+    farthest from that ends it on the other side.
+    """
     pts = subtree_points(D, S)
-    if len(pts) <= 1:
-        return F0
-    p0 = pts[0]
-    p1 = max(pts, key=lambda p: dist(D, p0, p))
-    return max(dist(D, p1, p) for p in pts)
+    p1 = max(pts, key=lambda p: dist(D, pts[0], p))
+    p2 = max(pts, key=lambda p: dist(D, p1, p))
+    return p1, p2
+
+
+def subtree_diam(D: Dendrite, S: Subtree) -> Fraction:
+    """Diameter: the distance between the two :func:`diameter_ends`."""
+    return dist(D, *diameter_ends(D, S))
 
 
 # ---------------------------------------------------------------------------
 # separation sets
 
 
-def _side_subtree(D: Dendrite, root: str, blocked_edge: int) -> Subtree:
-    """Closed component of D minus one open edge, flooded from `root`."""
-    verts = {root}
-    ivs = {}
-    stack = [root]
+def _ways_out(D: Dendrite, E: Subtree):
+    """The ways out of a connected set E, as (edge, boundary point, stub, far).
+
+    There is one at each interval end of E short of its edge's end, and one
+    from each vertex of E into each edge E does not meet.  ``stub`` is the
+    closed part of ``edge`` outside E and ``far`` the stub's vertex away from
+    E.  In a tree each way out starts one component of D minus E, which meets
+    E only in the boundary point.
+    """
+    for ei, (lo, hi) in E.intervals.items():
+        e = D.edges[ei]
+        if lo > 0:
+            yield ei, D.point(ei, lo), (F0, lo), e.u
+        if hi < e.length:
+            yield ei, D.point(ei, hi), (hi, e.length), e.v
+    for v in E.vertices:
+        for ei, w in D._adj[v]:
+            if ei not in E.intervals:
+                yield ei, PointRef(vertex=v), (F0, D.edges[ei].length), w
+
+
+def _component(D: Dendrite, edge: int, stub, far: str) -> Subtree:
+    """The stub on ``edge`` plus everything reached from ``far`` without it."""
+    verts, ivs = {far}, {edge: stub}
+    stack = [far]
     while stack:
         v = stack.pop()
         for ei, w in D._adj[v]:
-            if ei == blocked_edge or ei in ivs:
-                continue
-            ivs[ei] = (F0, D.edge_length(ei))
-            if w not in verts:
+            if ei not in ivs:
+                ivs[ei] = (F0, D.edges[ei].length)
                 verts.add(w)
                 stack.append(w)
-    return make_subtree(D, ivs, verts)
+    # edge order, not flood order: callers walking the intervals see them sorted
+    return make_subtree(D, dict(sorted(ivs.items())), verts)
 
 
 def upper_set(D: Dendrite, a: PointRef, x: PointRef) -> Subtree:
-    """All points y with x on the arc [a, y]; the whole tree when a == x."""
+    """All points y with x on the arc [a, y]; the whole tree when a == x.
+
+    That is {x} together with the components of D minus {x} that miss a.
+    """
     D.check_point(a)
-    D.check_point(x)
-    if a == x:
-        return full_subtree(D)
-    if x.is_vertex:
-        towards = _towards(D, x, a)
-        parts = [point_subtree(D, x)]
-        for ei, w in D._adj[x.vertex]:
-            if ei == towards:
-                continue
-            side = _side_subtree(D, w, ei)
-            L = D.edge_length(ei)
-            stub = make_subtree(D, {ei: (F0, L)})
-            parts.append(union_connected(D, [stub, side]))
-        return union_connected(D, parts)
-    e = D.edges[x.edge]
-    t = x.offset
-    if not a.is_vertex and a.edge == x.edge:
-        a_on_u_side = a.offset < t
-    else:
-        via_u = dist(D, a, PointRef(vertex=e.u)) + t
-        a_on_u_side = via_u == dist(D, a, x)
-    if a_on_u_side:
-        stub = make_subtree(D, {x.edge: (t, e.length)})
-        side = _side_subtree(D, e.v, x.edge)
-    else:
-        stub = make_subtree(D, {x.edge: (F0, t)})
-        side = _side_subtree(D, e.u, x.edge)
-    return union_connected(D, [stub, side])
-
-
-def _towards(D: Dendrite, x: PointRef, a: PointRef) -> Optional[int]:
-    """Edge index at vertex x through which the arc to a leaves (None: a==x)."""
-    if a == x:
-        return None
-    walk = geodesic_walk(D, x, a)
-    return walk[0][0]
+    X = point_subtree(D, x)
+    parts = [
+        comp for comp in components_minus(D, X).components
+        if a == x or not contains_point(D, comp, a)
+    ]
+    return union_connected(D, [X] + parts)
 
 
 def enclosed(D: Dendrite, a: PointRef, b: PointRef) -> Subtree:
@@ -753,16 +760,15 @@ def enclosed(D: Dendrite, a: PointRef, b: PointRef) -> Subtree:
 
 @dataclass(frozen=True)
 class ComplementDecomposition:
-    """Closed components of D minus a subtree, with their attachment points.
+    """Closed components of D minus a subtree E, with their attachment points.
 
-    ``components[i]`` is the closure of the i-th component and
-    ``boundary_points[i]`` its singleton boundary inside E.  ``is_whole``
-    flags the degenerate call with E = D (no components).
+    ``components[i]`` is the closure of the component that leaves E by the
+    i-th way out and ``boundary_points[i]`` its singleton boundary inside E.
+    E = D has no ways out, so no components.
     """
 
     components: tuple
     boundary_points: tuple
-    is_whole: bool
 
     def grouped(self, D: Dendrite) -> dict[PointRef, Subtree]:
         """B_c sets: unions of component closures sharing an attachment."""
@@ -776,102 +782,18 @@ def components_minus(D: Dendrite, E: Subtree) -> ComplementDecomposition:
     """Components of D minus E (closures), each with its boundary point."""
     if E.is_empty():
         raise GeometryError("complement of the empty set is not decomposable")
-    if is_full(D, E):
-        return ComplementDecomposition((), (), True)
-
-    pieces = []  # (edge, lo, hi, boundary PointRef|None, left_open, right_open)
-    for ei, e in enumerate(D.edges):
-        iv = E.intervals.get(ei)
-        if iv is None:
-            if e.u in E.vertices:
-                iv = (F0, F0)
-            elif e.v in E.vertices:
-                iv = (e.length, e.length)
-        if iv is None:
-            pieces.append((ei, F0, e.length, None))
-            continue
-        lo, hi = iv
-        if lo > 0:
-            pieces.append((ei, F0, lo, D.point(ei, lo)))
-        if hi < e.length:
-            pieces.append((ei, hi, e.length, D.point(ei, hi)))
-
-    # union-find over free vertices and pieces
-    nodes: dict = {}
-    parent: list[int] = []
-
-    def add(key):
-        nodes[key] = len(parent)
-        parent.append(len(parent))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    for v in D.vertices:
-        if v not in E.vertices:
-            add(("v", v))
-    for idx, (ei, lo, hi, bnd) in enumerate(pieces):
-        add(("p", idx))
-        e = D.edges[ei]
-        if lo == 0 and e.u not in E.vertices:
-            union(nodes[("p", idx)], nodes[("v", e.u)])
-        if hi == e.length and e.v not in E.vertices:
-            union(nodes[("p", idx)], nodes[("v", e.v)])
-
-    comps: dict[int, dict] = {}
-    for key, idx in nodes.items():
-        comps.setdefault(find(idx), {"pieces": [], "verts": set(), "bnd": []})
-        entry = comps[find(idx)]
-        if key[0] == "v":
-            entry["verts"].add(key[1])
-        else:
-            ei, lo, hi, bnd = pieces[key[1]]
-            entry["pieces"].append((ei, lo, hi))
-            if bnd is not None:
-                entry["bnd"].append(bnd)
-
-    out_comps, out_bnd = [], []
-    for entry in comps.values():
-        ivs = {ei: (lo, hi) for ei, lo, hi in entry["pieces"]}
-        sub = make_subtree(D, ivs, entry["verts"])
-        bnds = entry["bnd"]
-        if not bnds:
-            # attachment through a vertex of E (piece offsets hit 0 or length)
-            attach = None
-            for ei, (lo, hi) in ivs.items():
-                e = D.edges[ei]
-                if lo == 0 and e.u in E.vertices:
-                    attach = PointRef(vertex=e.u)
-                if hi == e.length and e.v in E.vertices:
-                    attach = PointRef(vertex=e.v)
-            if attach is None:
-                raise GeometryError("component without attachment point")
-            bnds = [attach]
-        uniq = {b for b in bnds}
-        if len(uniq) != 1:
-            raise GeometryError("component with non-singleton boundary")
-        c = bnds[0]
-        closure = union_connected(D, [sub, point_subtree(D, c)])
-        out_comps.append(closure)
-        out_bnd.append(c)
+    comps, bnds = [], []
+    for ei, c, stub, far in _ways_out(D, E):
+        comps.append(_component(D, ei, stub, far))
+        bnds.append(c)
     order = sorted(
-        range(len(out_comps)),
-        key=lambda i: (out_bnd[i].to_dict().get("vertex") or "",
-                       str(out_bnd[i].to_dict()),
-                       sorted(out_comps[i].intervals)),
+        range(len(comps)),
+        key=lambda i: (bnds[i].to_dict().get("vertex") or "",
+                       str(bnds[i].to_dict()),
+                       sorted(comps[i].intervals)),
     )
     return ComplementDecomposition(
-        tuple(out_comps[i] for i in order),
-        tuple(out_bnd[i] for i in order),
-        False,
+        tuple(comps[i] for i in order), tuple(bnds[i] for i in order)
     )
 
 
@@ -901,24 +823,7 @@ def ideal_point_order(D: Dendrite, x: PointRef):
 
 def subtree_boundary_contains(D: Dendrite, E: Subtree, p: PointRef) -> bool:
     """True when p lies in the topological boundary of E in D."""
-    if not contains_point(D, E, p):
-        return False
-    if not p.is_vertex:
-        lo, hi = E.intervals[p.edge]
-        return p.offset in (lo, hi)
-    # vertex: boundary unless every incident direction stays in E
-    for ei, w in D._adj[p.vertex]:
-        iv = E.intervals.get(ei)
-        if iv is None:
-            return True
-        e = D.edges[ei]
-        if e.u == p.vertex and iv[0] > 0:
-            return True
-        if e.v == p.vertex and iv[1] < e.length:
-            return True
-        if iv[0] == iv[1]:
-            return True
-    return False
+    return any(c == p for _, c, _, _ in _ways_out(D, E))
 
 
 def ball(D: Dendrite, x: PointRef, radius) -> Subtree:

@@ -198,7 +198,7 @@ def test_region_images_match_manifest(comb4_map):
     from dendro.serialize import parse_rat
 
     for part, entry in zip(comb4_map.parts, comb4_map.manifest["parts"]):
-        assert h1_measure(part.region_image) == parse_rat(entry["region_measure"])
+        assert h1_measure(part.image(part.region)) == parse_rat(entry["region_measure"])
 
 
 def test_verify_exact_comb4(comb4_map):

@@ -311,7 +311,7 @@ def test_components_minus_arm(star3):
 
 def test_components_minus_whole(star3):
     dec = components_minus(star3, full_subtree(star3))
-    assert dec.is_whole and dec.components == ()
+    assert dec.components == ()
 
 
 def test_components_minus_flood_fill_oracle(comb3):
@@ -320,6 +320,82 @@ def test_components_minus_flood_fill_oracle(comb3):
     # each component is one tooth: its measure equals the tooth height
     heights = sorted(h1_measure(c) for c in dec.components)
     assert heights == sorted([F(1), F(1), F(1, 2), F(1, 3)])
+
+
+SEPARATION_TREES = {
+    "arc": ("arc", {}), "star": ("star", {}),
+    "comb3": ("comb", {"depth": 3}), "comb8": ("comb", {"depth": 8}),
+    "riemann4": ("riemann", {"qmax": 4}), "cantor_comb2": ("cantor_comb", {"rank": 2}),
+    "omega_star6": ("omega_star", {"arms": 6}), "gehman3": ("gehman", {"depth": 3}),
+}
+
+
+def _separation_tree(name):
+    return generate(FamilyDescriptor(*SEPARATION_TREES[name]))
+
+
+def _test_subtrees(D, seed):
+    """Points, balls, geodesics and spans through vertices and edge midpoints."""
+    rng = random.Random(seed)
+    pts = grid_points(D, full_subtree(D), steps=2)
+    mids = [p for p in pts if not p.is_vertex]
+    out = [point_subtree(D, V(D.vertices[-1])), point_subtree(D, rng.choice(mids))]
+    out += [ball(D, rng.choice(pts), r) for r in (F(1, 7), F(1, 3))]
+    out += [geodesic(D, *rng.sample(pts, 2)) for _ in range(2)]
+    out += [geodesic(D, rng.choice(mids), rng.choice(pts))]
+    out += [span_subtree(D, rng.sample(pts, 3))]
+    return out
+
+
+def _in_boundary(D, E, p, eps=F(1, 10**9)):
+    """p in E with a point of D outside E at distance eps from it."""
+    if not contains_point(D, E, p):
+        return False
+    if p.is_vertex:
+        probes = [D.point(ei, eps if e.u == p.vertex else e.length - eps)
+                  for ei, e in enumerate(D.edges) if p.vertex in (e.u, e.v)]
+    else:
+        probes = [D.point(p.edge, p.offset - eps), D.point(p.edge, p.offset + eps)]
+    return any(not contains_point(D, E, q) for q in probes)
+
+
+@pytest.mark.parametrize("name", list(SEPARATION_TREES))
+def test_components_minus_by_definition(name):
+    D = _separation_tree(name)
+    grid = grid_points(D, full_subtree(D), steps=3)
+    for E in _test_subtrees(D, seed=len(name)):
+        dec = components_minus(D, E)
+        for comp, c in zip(dec.components, dec.boundary_points):
+            assert intersect_subtrees(D, comp, E) == point_subtree(D, c)
+        outside = [p for p in grid if not contains_point(D, E, p)]
+        owner = {}
+        for p in outside:
+            (owner[p],) = [i for i, comp in enumerate(dec.components)
+                           if contains_point(D, comp, p)]
+        for i, p in enumerate(outside):
+            for q in outside[i + 1:]:
+                apart = subtrees_intersect(geodesic(D, p, q), E)
+                assert (owner[p] == owner[q]) == (not apart)
+        assert len(set(owner.values())) == len(dec.components)
+
+
+@pytest.mark.parametrize("name", list(SEPARATION_TREES))
+def test_upper_set_and_boundary_oracle(name):
+    D = _separation_tree(name)
+    rng = random.Random(len(name))
+    pts = grid_points(D, full_subtree(D), steps=2)
+    mids = [p for p in pts if not p.is_vertex]
+    grid = grid_points(D, full_subtree(D), steps=4)
+    pairs = [(rng.choice(mids), rng.choice(mids)) for _ in range(4)]
+    pairs += [(rng.choice(pts), rng.choice(pts)) for _ in range(4)]
+    pairs += [(mids[0], mids[0])]
+    for a, x in pairs:
+        S = upper_set(D, a, x)
+        for y in grid:
+            assert contains_point(D, S, y) == _membership_upper(D, a, x, y)
+    for E in _test_subtrees(D, seed=len(name)) + [full_subtree(D)]:
+        for p in grid:
+            assert subtree_boundary_contains(D, E, p) == _in_boundary(D, E, p)
 
 
 # ---------------------------------------------------------------- orders, measure
