@@ -10,6 +10,9 @@ sawtooth onto a blown-up interval in which every involved root is widened
 into a block of that bush's measure, then a block-wise surjection whose
 blocks replay expanding walk surjections onto the bushes and whose gaps ride
 along the base arc.  Points of A stay fixed; every bush root stays fixed.
+Both waves are one :class:`Zigzag`, psi on a bush and nu on the unit arc.
+A :class:`PieceChart` runs one way; a conjugated part holds its chart and
+the chart's inverse.
 
 An ideal version of this map is exact; at a finite truncation the base arc
 has interior, so only bush pieces can cover, and the verifier certifies
@@ -81,38 +84,32 @@ F1 = Fraction(1)
 
 @dataclass
 class PieceChart:
-    """Edge-wise affine identification of a whole-edge region with a copy."""
+    """Edge-wise affine map of whole-edge sets of ``source`` into ``target``.
 
-    outer: Dendrite
-    inner: Dendrite
-    to_inner: dict  # outer edge -> (inner edge, scale)
-    to_outer: dict  # inner edge -> (outer edge, scale)
+    Vertices keep their names; a point at offset t on a charted source edge
+    goes to offset t * scale on its target edge.
+    """
 
-    def fwd_point(self, p: PointRef) -> PointRef:
+    source: Dendrite
+    target: Dendrite
+    edges: dict  # source edge -> (target edge, scale)
+
+    def point(self, p: PointRef) -> PointRef:
         if p.is_vertex:
             return p
-        ie, s = self.to_inner[p.edge]
-        return self.inner.point(ie, p.offset * s)
+        e, s = self.edges[p.edge]
+        return self.target.point(e, p.offset * s)
 
-    def back_point(self, p: PointRef) -> PointRef:
-        if p.is_vertex:
-            return p
-        oe, s = self.to_outer[p.edge]
-        return self.outer.point(oe, p.offset * s)
-
-    def fwd_subtree(self, S: Subtree) -> Subtree:
+    def subtree(self, S: Subtree) -> Subtree:
         ivs = {}
         for e, (a, b) in S.intervals.items():
-            ie, s = self.to_inner[e]
-            ivs[ie] = (a * s, b * s)
-        return make_subtree(self.inner, ivs, S.vertices)
+            te, s = self.edges[e]
+            ivs[te] = (a * s, b * s)
+        return make_subtree(self.target, ivs, S.vertices)
 
-    def back_subtree(self, S: Subtree) -> Subtree:
-        ivs = {}
-        for e, (a, b) in S.intervals.items():
-            oe, s = self.to_outer[e]
-            ivs[oe] = (a * s, b * s)
-        return make_subtree(self.outer, ivs, S.vertices)
+    def inverse(self) -> "PieceChart":
+        return PieceChart(self.target, self.source,
+                          {te: (e, 1 / s) for e, (te, s) in self.edges.items()})
 
 
 def extract_region(D: Dendrite, S: Subtree, like=None) -> PieceChart:
@@ -131,12 +128,10 @@ def extract_region(D: Dendrite, S: Subtree, like=None) -> PieceChart:
         like = Dendrite(sorted(S.vertices), edges)
     elif [(ed.u, ed.v) for ed in like.edges] != [(ed.u, ed.v) for ed in edges]:
         raise GeometryError("the inner map's domain does not match its region")
-    to_inner, to_outer = {}, {}
-    for i, e in enumerate(sorted(S.intervals)):
-        s = like.edges[i].length / D.edges[e].length
-        to_inner[e] = (i, s)
-        to_outer[i] = (e, 1 / s)
-    return PieceChart(outer=D, inner=like, to_inner=to_inner, to_outer=to_outer)
+    return PieceChart(D, like, {
+        e: (i, like.edges[i].length / D.edges[e].length)
+        for i, e in enumerate(sorted(S.intervals))
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -157,10 +152,6 @@ class BushDecomposition:
     base: Subtree  # the arc A (or single point) inside `space`
     base_kind: str  # "arc" | "point"
     bushes: list
-
-    @property
-    def roots(self):
-        return [b.root for b in self.bushes]
 
 
 def _is_path(D: Dendrite, S: Subtree) -> bool:
@@ -251,7 +242,6 @@ class AssignedDecomposition:
     lam0: Fraction
     weights: dict  # bush index -> weight
     deficit: Fraction
-    chart: PieceChart  # from the decomposition space to the reassigned one
 
     @property
     def total_measure(self) -> Fraction:
@@ -284,15 +274,14 @@ def assign_metric(dec: BushDecomposition, q) -> AssignedDecomposition:
         new_edges,
         descriptor=D.descriptor,
     )
-    to_inner = {i: (i, scale.get(i, F1)) for i in range(len(D.edges))}
-    to_outer = {i: (i, 1 / scale.get(i, F1)) for i in range(len(D.edges))}
-    chart = PieceChart(outer=D, inner=space, to_inner=to_inner, to_outer=to_outer)
-    space.marked.update({k: chart.fwd_point(p) for k, p in D.marked.items()})
+    chart = PieceChart(D, space, {i: (i, scale.get(i, F1))
+                                  for i in range(len(D.edges))})
+    space.marked.update({k: chart.point(p) for k, p in D.marked.items()})
     bushes = [
         Bush(
             index=b.index,
             root=b.root,
-            subtree=chart.fwd_subtree(b.subtree),
+            subtree=chart.subtree(b.subtree),
             measure=lam[b.index],
         )
         for b in dec.bushes
@@ -301,14 +290,13 @@ def assign_metric(dec: BushDecomposition, q) -> AssignedDecomposition:
     deficit = q ** (K + 1)
     return AssignedDecomposition(
         space=space,
-        base=chart.fwd_subtree(dec.base),
+        base=chart.subtree(dec.base),
         base_kind=dec.base_kind,
         bushes=bushes,
         q=q,
         lam0=lam0 if dec.base_kind == "arc" else F0,
         weights=lam,
         deficit=deficit,
-        chart=chart,
     )
 
 
@@ -377,99 +365,48 @@ def plan_targets(asg: AssignedDecomposition) -> BlowupPlan:
 
 
 @dataclass
-class BushZigzag:
-    """Normalized-distance sawtooth from a bush onto the unit arc."""
+class Zigzag:
+    """Triangle wave of the normalized distance to a root, onto a one-edge arc.
 
-    space: Dendrite
-    bush: Subtree
+    A point x of ``region`` goes to offset ``sawtooth_value(len(codomain),
+    laps, start, dist(root, x) / reach)`` on the codomain's edge.  The bush
+    zigzag psi is the instance on a bush; the sawtooth nu is the instance on
+    the unit arc, rooted at "0" with reach 1.
+    """
+
+    domain: Dendrite
+    region: Subtree
     root: str
-    reach: Fraction  # max distance from the root within the bush
+    reach: Fraction  # max distance from the root within the region
     laps: int
     codomain: Dendrite
-
-    @property
-    def domain(self):
-        return self.space
+    start: Fraction = F0
 
     def _norm(self, x: PointRef) -> Fraction:
-        return dist(self.space, PointRef(vertex=self.root), x) / self.reach
+        return dist(self.domain, PointRef(vertex=self.root), x) / self.reach
 
     def apply(self, x: PointRef) -> PointRef:
-        val = sawtooth_value(F1, self.laps, F0, self._norm(x))
-        return self.codomain.point(0, val)
+        total = self.codomain.edge_length(0)
+        return self.codomain.point(
+            0, sawtooth_value(total, self.laps, self.start, self._norm(x)))
 
     def image(self, S: Subtree) -> Subtree:
-        lo = hi = None
-        for p in subtree_points(self.space, S):
-            n = self._norm(p)
-            lo = n if lo is None else min(lo, n)
-            hi = n if hi is None else max(hi, n)
-        a, b = sawtooth_image(F1, self.laps, F0, lo, hi)
+        norms = [self._norm(p) for p in subtree_points(self.domain, S)]
+        a, b = sawtooth_image(self.codomain.edge_length(0), self.laps, self.start,
+                              min(norms), max(norms))
         return make_subtree(self.codomain, {0: (a, b)})
 
     def pieces(self):
         """Per-edge linearity intervals: cut at fold pullbacks."""
         out = []
         root_ref = PointRef(vertex=self.root)
-        for e in sorted(self.bush.intervals):
-            ed = self.space.edges[e]
-            nu = dist(self.space, root_ref, PointRef(vertex=ed.u)) / self.reach
-            nv = dist(self.space, root_ref, PointRef(vertex=ed.v)) / self.reach
+        for e in sorted(self.region.intervals):
+            ed = self.domain.edges[e]
+            nu = dist(self.domain, root_ref, PointRef(vertex=ed.u)) / self.reach
+            nv = dist(self.domain, root_ref, PointRef(vertex=ed.v)) / self.reach
             cuts = [F0, *fold_cuts(nu, nv, ed.length, self.laps), ed.length]
             out.extend((e, a, b) for a, b in zip(cuts, cuts[1:]))
         return out
-
-    def to_dict(self):
-        return {
-            "kind": "bush_zigzag",
-            "bush": self.bush.to_dict(),
-            "root": self.root,
-            "reach": format_rat(self.reach),
-            "laps": self.laps,
-        }
-
-
-@dataclass
-class SawtoothArcMap:
-    """Constant-slope triangle wave between two single-edge arcs."""
-
-    domain: Dendrite
-    codomain: Dendrite
-    laps: int
-    start: Fraction
-
-    def _params(self):
-        dl = self.domain.edge_length(0)
-        cl = self.codomain.edge_length(0)
-        return dl, cl
-
-    def apply(self, x: PointRef) -> PointRef:
-        dl, cl = self._params()
-        t = F0 if x.is_vertex and x.vertex == self.domain.edges[0].u else (
-            dl if x.is_vertex else x.offset
-        )
-        val = sawtooth_value(cl, self.laps, self.start, t / dl)
-        return self.codomain.point(0, val)
-
-    def image(self, S: Subtree) -> Subtree:
-        dl, cl = self._params()
-        lo = hi = None
-        for p in subtree_points(self.domain, S):
-            t = F0 if (p.is_vertex and p.vertex == self.domain.edges[0].u) else (
-                dl if p.is_vertex else p.offset
-            )
-            lo = t if lo is None else min(lo, t)
-            hi = t if hi is None else max(hi, t)
-        a, b = sawtooth_image(cl, self.laps, self.start, lo / dl, hi / dl)
-        return make_subtree(self.codomain, {0: (a, b)})
-
-    def to_dict(self):
-        return {
-            "kind": "sawtooth_arc",
-            "laps": self.laps,
-            "start": format_rat(self.start),
-            "codomain_length": format_rat(self.codomain.edge_length(0)),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -486,28 +423,30 @@ class ExactBushPart:
 
     region: Subtree  # the bush
     root: str
-    psi: BushZigzag
-    nu: SawtoothArcMap
+    psi: Zigzag  # the bush onto the unit arc
+    nu: Zigzag  # the unit arc onto g's domain
     g: TreeMap
 
     def apply(self, x: PointRef) -> PointRef:
         return self.g.apply(self.nu.apply(self.psi.apply(x)))
 
     def image(self, S: Subtree) -> Subtree:
-        iv = self.nu.image(self.psi.image(S))
-        if iv.is_degenerate():
-            return point_subtree(self.g.codomain, self.g.apply(iv.single_point()))
-        return self.g.image(iv)
+        return self.g.image(self.nu.image(self.psi.image(S)))
 
     def pieces(self):
         return self.psi.pieces()
 
     def to_dict(self):
+        psi, nu = self.psi, self.nu
         return {
             "bush": self.region.to_dict(),
             "root": self.root,
-            "psi": self.psi.to_dict(),
-            "nu": self.nu.to_dict(),
+            "psi": {"kind": "bush_zigzag", "bush": psi.region.to_dict(),
+                    "root": psi.root, "reach": format_rat(psi.reach),
+                    "laps": psi.laps},
+            "nu": {"kind": "sawtooth_arc", "laps": nu.laps,
+                   "start": format_rat(nu.start),
+                   "codomain_length": format_rat(nu.codomain.edge_length(0))},
             "g": self.g.to_dict(),
         }
 
@@ -515,21 +454,11 @@ class ExactBushPart:
     def from_dict(space, d):
         bush = Subtree.from_dict(d["bush"])
         unit = unit_arc()
-        psi = BushZigzag(
-            space=space,
-            bush=bush,
-            root=d["psi"]["root"],
-            reach=parse_rat(d["psi"]["reach"]),
-            laps=int(d["psi"]["laps"]),
-            codomain=unit,
-        )
+        psi = Zigzag(space, bush, d["psi"]["root"], parse_rat(d["psi"]["reach"]),
+                     int(d["psi"]["laps"]), unit)
         g = TreeMap.from_dict(d["g"])
-        nu = SawtoothArcMap(
-            domain=unit,
-            codomain=g.domain,
-            laps=int(d["nu"]["laps"]),
-            start=parse_rat(d["nu"]["start"]),
-        )
+        nu = Zigzag(unit, full_subtree(unit), "0", F1, int(d["nu"]["laps"]),
+                    g.domain, parse_rat(d["nu"]["start"]))
         return ExactBushPart(region=bush, root=d["root"], psi=psi, nu=nu, g=g)
 
 
@@ -539,19 +468,20 @@ class ConjugatePart:
 
     region: Subtree
     chart: PieceChart  # the glued space onto the inner map's domain
+    back: PieceChart  # the chart's inverse
     inner: object
 
     @staticmethod
     def on(space, region, inner) -> "ConjugatePart":
         """The part that carries ``inner``, a map on a copy of the region."""
         chart = extract_region(space, region, like=inner.domain)
-        return ConjugatePart(region, chart, inner)
+        return ConjugatePart(region, chart, chart.inverse(), inner)
 
     def apply(self, x):
-        return self.chart.back_point(self.inner.apply(self.chart.fwd_point(x)))
+        return self.back.point(self.inner.apply(self.chart.point(x)))
 
     def image(self, S):
-        return self.chart.back_subtree(self.inner.image(self.chart.fwd_subtree(S)))
+        return self.back.subtree(self.inner.image(self.chart.subtree(S)))
 
     def pieces(self):
         return [(e, a, b) for e, (a, b) in sorted(self.region.intervals.items())]
@@ -841,16 +771,14 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
         # the sawtooth start: the block of bush k itself
         k_start = next(start for h, start in blocks if h == k)
         nu_laps = _nu_lap_count(total)
-        nu = SawtoothArcMap(domain=unit, codomain=depth_arc, laps=nu_laps,
-                            start=k_start)
+        nu = Zigzag(unit, full_subtree(unit), "0", F1, nu_laps, depth_arc, k_start)
         reach = max(
             dist(asg.space, root_ref[k], PointRef(vertex=v))
             for v in b.subtree.vertices
         )
         # psi expands the phi images by rho in units of the bush measure
         for laps in (phi_laps[k], 2 * phi_laps[k]):
-            psi = BushZigzag(space=asg.space, bush=b.subtree, root=b.root,
-                             reach=reach, laps=laps, codomain=unit)
+            psi = Zigzag(asg.space, b.subtree, b.root, reach, laps, unit)
             w = check_length_expanding(
                 psi, DenseFamily("phi_images", through=phis[k]), rho / b.measure,
                 60, seed,
@@ -944,7 +872,7 @@ def _build_exact_point(dec: BushDecomposition, rho, seed):
     parts = []
     manifest_parts = []
     for b in dec.bushes:
-        copy = extract_region(D, b.subtree).inner
+        copy = extract_region(D, b.subtree).target
         built = build_pair(copy, PointRef(vertex=b.root), rho, samples=80, seed=seed)
         parts.append(ConjugatePart.on(D, b.subtree, compose(built.phi, built.psi)))
         manifest_parts.append(
@@ -1147,8 +1075,8 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
         members = roots_by_shell[j]
         region = union_connected(space, [sub_arc] + [b.subtree for b in members])
         chart = extract_region(space, region)
-        inner_arc = chart.fwd_subtree(sub_arc)
-        inner_map = build_exact(chart.inner, inner_arc, q=q, rho=rho, seed=seed)
+        inner_arc = chart.subtree(sub_arc)
+        inner_map = build_exact(chart.target, inner_arc, q=q, rho=rho, seed=seed)
         pieces.append(ConjugatePart.on(space, region, inner_map))
         manifest.append(
             {

@@ -37,6 +37,7 @@ from dendro.metric_tree import (
     h1_measure,
     is_full,
     make_subtree,
+    point_on_walk,
 )
 from dendro.serialize import format_rat
 from dendro.tree_map import TreeMap
@@ -174,8 +175,8 @@ def check_length_expanding(F, family: DenseFamily, rho, samples: int, seed: int 
 def double_cover_walk(D: Dendrite, S: Subtree, root: str):
     """Closed depth-first walk from `root` covering each edge interval twice.
 
-    Returns legs (cumulative_start, edge, t_from, t_to); total time is twice
-    the measure of S.  S must consist of whole edges of D.
+    Returns legs (edge, t_from, t_to), the shape of ``geodesic_walk``; total
+    time is twice the measure of S.  S must consist of whole edges of D.
     """
     for e, (a, b) in S.intervals.items():
         if a != 0 or b != D.edge_length(e):
@@ -186,35 +187,21 @@ def double_cover_walk(D: Dendrite, S: Subtree, root: str):
         adj[ed.u].append((e, ed.v))
         adj[ed.v].append((e, ed.u))
     legs = []
-    clock = Fraction(0)
 
     def visit(v, blocked):
-        nonlocal clock
         for e, w in adj[v]:
             if e == blocked:
                 continue
             ed = D.edges[e]
             down = (Fraction(0), ed.length) if ed.u == v else (ed.length, Fraction(0))
-            legs.append((clock, e, down[0], down[1]))
-            clock += ed.length
+            legs.append((e, down[0], down[1]))
             visit(w, e)
-            legs.append((clock, e, down[1], down[0]))
-            clock += ed.length
+            legs.append((e, down[1], down[0]))
 
     if root not in adj:
         raise GeometryError("walk root must be a vertex of the subtree")
     visit(root, None)
     return legs
-
-
-def walk_point(D: Dendrite, legs, s: Fraction) -> PointRef:
-    """Point of the walk at time s (exact)."""
-    for start, e, a, b in legs:
-        leg_len = abs(b - a)
-        if start <= s <= start + leg_len:
-            t = a + (s - start) if b > a else a - (s - start)
-            return D.point(e, t)
-    raise GeometryError("walk time out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +316,10 @@ def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
     """Walk zigzag surjection I -> S for a whole-edge subtree S of T."""
     legs = double_cover_walk(T, S, root)
     total = 2 * h1_measure(S)
+    starts, clock = [], F0
+    for _e, a, b in legs:
+        starts.append(clock)
+        clock += abs(b - a)
     unit = unit_arc()
     controls = []
     # fold times of the zigzag I -> [0, total]
@@ -337,13 +328,11 @@ def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
         # within one monotone stretch, pull in the walk's leg boundaries
         lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
         cuts = [s0, s1]
-        for start, _e, _a, _b in legs:
-            if lo < start < hi:
-                cuts.append(start)
+        cuts.extend(start for start in starts if lo < start < hi)
         cuts = sorted(set(cuts), reverse=s0 > s1)
         for s in cuts:
             t = t0 + (t1 - t0) * (s - s0) / (s1 - s0)
-            controls.append((t, walk_point(T, legs, s)))
+            controls.append((t, point_on_walk(T, legs, s)))
     controls.sort(key=lambda tp: tp[0])
     vertex_images = {"0": controls[0][1], "1": controls[-1][1]}
     breaks = []

@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from dendro.serialize import format_rat, parse_rat
 
-Rat = Fraction
 F0 = Fraction(0)
 
 
@@ -121,23 +120,19 @@ class Dendrite:
                 raise GeometryError(f"edge {i} is a loop")
             self._adj[e.u].append((i, e.v))
             self._adj[e.v].append((i, e.u))
-        # connected and acyclic
+        # a tree: connected with |V| - 1 edges
         if self.vertices:
             seen = {self.vertices[0]}
             stack = [self.vertices[0]]
-            used_edges = set()
             while stack:
-                v = stack.pop()
-                for ei, w in self._adj[v]:
-                    if ei in used_edges:
-                        continue
-                    used_edges.add(ei)
-                    if w in seen:
-                        raise GeometryError("edge graph contains a cycle")
-                    seen.add(w)
-                    stack.append(w)
+                for _, w in self._adj[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
             if len(seen) != len(self.vertices):
                 raise GeometryError("edge graph is not connected")
+            if len(self.edges) != len(self.vertices) - 1:
+                raise GeometryError("edge graph contains a cycle")
         for name, p in self.marked.items():
             self.check_point(p)
 
@@ -499,7 +494,7 @@ def merge_walks(D: Dendrite, walks, start: PointRef) -> Subtree:
 
 
 def point_on_walk(D: Dendrite, legs, s: Fraction) -> PointRef:
-    """The point at distance s > 0 along a walk's legs."""
+    """The point at distance s along a walk's legs (0 <= s <= its length)."""
     for e, a, b in legs:
         leg = abs(b - a)
         if s <= leg:
@@ -827,48 +822,27 @@ def subtree_boundary_contains(D: Dendrite, E: Subtree, p: PointRef) -> bool:
 
 
 def ball(D: Dendrite, x: PointRef, radius) -> Subtree:
-    """Closed metric ball as a spanned subtree, by exact edge clipping."""
+    """Closed metric ball as a spanned subtree, by exact edge clipping.
+
+    The edge holding x is clipped around x; any other edge is reached from
+    its end nearer to x, so it keeps the part within radius of that end.
+    """
     radius = _rat(radius)
     if radius < 0:
         raise GeometryError("negative radius")
     D.check_point(x)
+    near = {v: dist(D, x, PointRef(vertex=v)) for v in D.vertices}
     ivs = {}
-    verts = set()
     for ei, e in enumerate(D.edges):
         if not x.is_vertex and x.edge == ei:
-            lo = max(F0, x.offset - radius)
-            hi = min(e.length, x.offset + radius)
-            ivs[ei] = (lo, hi)
+            ivs[ei] = (max(F0, x.offset - radius), min(e.length, x.offset + radius))
             continue
-        du = dist(D, x, PointRef(vertex=e.u))
-        dv = dist(D, x, PointRef(vertex=e.v))
-        spans = []
-        if du <= radius:
-            spans.append((F0, min(e.length, radius - du)))
-        if dv <= radius:
-            spans.append((max(F0, e.length - (radius - dv)), e.length))
-        if not spans:
-            continue
-        if len(spans) == 2:
-            # both reachable: in a tree the two clips always merge
-            lo = min(s[0] for s in spans)
-            hi = max(s[1] for s in spans)
-            if spans[0][1] < spans[1][0]:
-                raise GeometryError("ball split an edge; tree invariant broken")
-            spans = [(lo, hi)]
-        lo, hi = spans[0]
-        if lo < hi:
-            ivs[ei] = (lo, hi)
-        elif lo == hi:
-            verts_or_point = D.point(ei, lo)
-            if verts_or_point.is_vertex:
-                verts.add(verts_or_point.vertex)
-    for v in D.vertices:
-        if dist(D, x, PointRef(vertex=v)) <= radius:
-            verts.add(v)
-    if not ivs and not verts:
-        return point_subtree(D, x)
-    return make_subtree(D, ivs, verts)
+        du, dv = near[e.u], near[e.v]
+        left = radius - min(du, dv)
+        if left > 0:
+            ivs[ei] = ((F0, min(e.length, left)) if du < dv
+                       else (max(F0, e.length - left), e.length))
+    return make_subtree(D, ivs, {v for v, d in near.items() if d <= radius})
 
 
 def refine_at(D: Dendrite, points: Iterable[PointRef]):

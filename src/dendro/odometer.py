@@ -125,43 +125,17 @@ def add(alpha: Address, n: int) -> Address:
         if k < len(digits) and digits[k] == (k, 0):
             return Address._trusted(head + digits[k + 1:])
         return Address._trusted(head + ((k, 2),) + digits[k:])
+    # one signed carry: it ends because only finitely many digits differ
+    # from 1, and past them a carry of c becomes floor((1 + c) / 3)
     out = dict(alpha.digits)
-
-    def get(pos):
-        return out.get(pos, 1)
-
-    def put(pos, d):
-        if d == 1:
+    pos, carry = 0, n
+    while carry:
+        s = out.get(pos, 1) + carry
+        digit, carry = s % 3, s // 3
+        if digit == 1:
             out.pop(pos, None)
         else:
-            out[pos] = d
-
-    if n > 0:
-        pos = 0
-        carry = 0
-        m = n
-        while m > 0 or carry:
-            add_digit = m % 3
-            m //= 3
-            s = get(pos) + add_digit + carry
-            put(pos, s % 3)
-            carry = s // 3
-            pos += 1
-        return Address._trusted(tuple(sorted(out.items())))
-    # subtraction with borrow
-    m = -n
-    pos = 0
-    borrow = 0
-    while m > 0 or borrow:
-        sub_digit = m % 3
-        m //= 3
-        s = get(pos) - sub_digit - borrow
-        if s < 0:
-            s += 3
-            borrow = 1
-        else:
-            borrow = 0
-        put(pos, s)
+            out[pos] = digit
         pos += 1
     return Address._trusted(tuple(sorted(out.items())))
 

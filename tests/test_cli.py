@@ -177,6 +177,23 @@ def test_run_exactness_comb4(tmp_path):
     assert cert["manifest"]["q"] == "1/2"
 
 
+def test_run_exactness_rejects_cyclic_dendrite(tmp_path, capsys):
+    d = {"vertices": ["a", "b", "c"],
+         "edges": [{"u": "a", "v": "b", "len": "1"}, {"u": "b", "v": "c", "len": "1"},
+                   {"u": "c", "v": "a", "len": "1"}],
+         "marked": {}}
+    dfile = tmp_path / "cycle.json"
+    dfile.write_text(json.dumps(d))
+    code = run([
+        "run", "--scenario", "exactness", "--dendrite", str(dfile), "--arc", "A",
+        "--out", str(tmp_path / "cert.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: edge graph contains a cycle\n"
+    assert not (tmp_path / "cert.json").exists()
+
+
 # ---------------------------------------------------------------- pattern export
 
 

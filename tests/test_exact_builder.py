@@ -6,7 +6,7 @@ import pytest
 from dendro import exact_builder, gallery, length_expanding, metric_tree, tree_map
 from dendro.cli import load_map
 from dendro.exact_builder import (
-    BushZigzag,
+    Zigzag,
     assign_metric,
     build_exact,
     build_gch_not_eps,
@@ -259,7 +259,7 @@ def test_bush_psi_witness_reverifies(comb4):
     phi = build_phi_on_subtree(asg.space, b.subtree, b.root, initial_lap_count(rho))
     reach = max(dist(asg.space, V(b.root), V(v)) for v in b.subtree.vertices)
     for laps in (1, 2):
-        psi = BushZigzag(asg.space, b.subtree, b.root, reach, laps, unit_arc())
+        psi = Zigzag(asg.space, b.subtree, b.root, reach, laps, unit_arc())
         w = check_length_expanding(
             psi, DenseFamily("phi_images", through=phi), rho / b.measure, 60, 0
         )

@@ -15,7 +15,6 @@ from dendro.length_expanding import (
     normalize_measure,
     reverify,
     sawtooth_positions,
-    walk_point,
 )
 from dendro.metric_tree import (
     Dendrite,
@@ -24,6 +23,7 @@ from dendro.metric_tree import (
     h1_measure,
     is_full,
     make_subtree,
+    point_on_walk,
 )
 from dendro.tree_map import TreeMap, identity_map
 
@@ -83,9 +83,9 @@ def test_double_cover_walk_star(star3):
     legs = double_cover_walk(star3, full_subtree(star3), "c")
     assert len(legs) == 6  # each arm down and back
     total = 2 * star3.total_length()
-    assert legs[-1][0] + abs(legs[-1][3] - legs[-1][2]) == total
-    assert walk_point(star3, legs, F(0)) == V("c")
-    assert walk_point(star3, legs, total) == V("c")
+    assert sum(abs(b - a) for _e, a, b in legs) == total
+    assert point_on_walk(star3, legs, F(0)) == V("c")
+    assert point_on_walk(star3, legs, total) == V("c")
 
 
 def test_sawtooth_positions_roundtrip():

@@ -124,6 +124,26 @@ def test_invalid_point_rejected(star3):
         star3.check_point(V("nope"))
 
 
+@pytest.mark.parametrize("vertices,edges,message", [
+    (["a", "b", "a"], [("a", "b", 1)], "duplicate vertex ids"),
+    (["a", "b"], [("a", "c", 1)], "edge 0 references unknown vertex"),
+    (["a", "b"], [("a", "b", 1), ("b", "b", 1)], "edge 1 is a loop"),
+    (["a", "b", "c"], [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)],
+     "edge graph contains a cycle"),
+    (["a", "b"], [("a", "b", 1), ("b", "a", 2)], "edge graph contains a cycle"),
+    (["a", "b", "c", "d"], [("a", "b", 1), ("c", "d", 1)],
+     "edge graph is not connected"),
+    # a cycle in one component of a disconnected graph: connectivity is
+    # checked first
+    (["a", "b", "c", "d"], [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)],
+     "edge graph is not connected"),
+    (["a", "b"], [("a", "b", 0)], "edge a-b has nonpositive length"),
+])
+def test_dendrite_rejects_non_trees(vertices, edges, message):
+    with pytest.raises(GeometryError, match=message):
+        Dendrite(vertices, edges)
+
+
 # ---------------------------------------------------------------- geodesics
 
 
@@ -482,9 +502,26 @@ def test_subtree_dist_and_diam(star3):
 
 
 def test_ball_is_exact_distance_sublevel(star3):
-    B = ball(star3, V("c"), F(1, 4))
-    for p in grid_points(star3, full_subtree(star3), steps=8):
-        assert contains_point(star3, B, p) == (dist(star3, V("c"), p) <= F(1, 4))
+    # on star3 and the eight separation trees, around vertices and edge
+    # midpoints: the ball is canonical, holds exactly the grid points within
+    # the radius, and each interval end short of its edge's end is at the
+    # radius
+    for D in [star3] + [_separation_tree(name) for name in SEPARATION_TREES]:
+        rng = random.Random(len(D.vertices))
+        mids = [D.point(ei, e.length / 2) for ei, e in enumerate(D.edges)]
+        centres = [V(D.vertices[0]), V(D.vertices[-1]),
+                   *rng.sample(mids, min(2, len(mids)))]
+        grid = grid_points(D, full_subtree(D), steps=8)
+        for x in centres:
+            for r in (F(0), F(1, 7), F(1, 4), F(1, 3), F(1), F(5, 2)):
+                B = ball(D, x, r)
+                assert make_subtree(D, B.intervals, B.vertices) == B
+                for p in grid:
+                    assert contains_point(D, B, p) == (dist(D, x, p) <= r)
+                for e, (a, b) in B.intervals.items():
+                    for t in (a, b):
+                        if 0 < t < D.edge_length(e):
+                            assert dist(D, x, D.point(e, t)) == r
 
 
 def test_ball_around_edge_point(comb3):

@@ -107,7 +107,8 @@ def test_embed_and_add_match_digit_oracles():
         alpha = Address.from_digit_map(digs)
         assert embed_x(alpha) == odometer_embed(digs)
         for n in (1, 2, -1, rng.randint(-300, 300), rng.randint(0, 3**8),
-                  -rng.randint(0, 3**8), 3**12 + rng.randint(0, 3**12)):
+                  -rng.randint(0, 3**8), 3**12 + rng.randint(0, 3**12),
+                  -(3**12 + rng.randint(0, 3**12))):
             got = add(alpha, n)
             assert got == Address.from_digit_map(odometer_add(digs, n))
             assert Address(got.digits) == got
