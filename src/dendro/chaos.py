@@ -163,7 +163,7 @@ def prox_record(F, S1, S2, N: int) -> Fraction:
         raise GeometryError("prox_record needs nondegenerate sets")
     best = None
     for n in range(N + 1):
-        d = subtree_dist(F.codomain if n else F.domain, A.at(n), B.at(n))
+        d = subtree_dist(F.domain, A.at(n), B.at(n))
         if best is None or d < best:
             best = d
         if best == 0:
@@ -186,7 +186,7 @@ def sens_record(F, S, N0: int, N: int) -> Fraction:
     orbit = _orbit(F, S)
     best = Fraction(0)
     for n in range(N0, N + 1):
-        d = subtree_diam(F.domain if n == 0 else F.codomain, orbit.at(n))
+        d = subtree_diam(F.domain, orbit.at(n))
         if d > best:
             best = d
         end = _cycle_end(N0, orbit)
@@ -361,9 +361,8 @@ def trajectory_rows(F, S1: Subtree, S2: Subtree, N: int):
     rows = []
     A, B = SetOrbit(F, S1), SetOrbit(F, S2)
     for n in range(N + 1):
-        space = F.domain if n == 0 else F.codomain
-        rows.append((n, subtree_diam(space, A.at(n)),
-                     subtree_dist(space, A.at(n), B.at(n))))
+        rows.append((n, subtree_diam(F.domain, A.at(n)),
+                     subtree_dist(F.domain, A.at(n), B.at(n))))
     return rows
 
 

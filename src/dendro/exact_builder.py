@@ -19,7 +19,9 @@ has interior, so only bush pieces can cover, and the verifier certifies
 coverage per piece together with the strictly decreasing target chain.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
-and so interoperate with the chaos and orbit machinery.  Glued maps, like
+and so interoperate with the chaos and orbit machinery.  A glued map images
+a set's overlap with each region whole, in one part call, and skips an
+overlap inside the base, where it is the identity.  Glued maps, like
 ``TreeMap``, memoize their set images by ``Subtree.key()``, and also each
 part's images, one entry per distinct set for the life of the map, so the
 merging piece orbits of ``verify_exact`` image their shared tail once.
@@ -55,6 +57,7 @@ from dendro.metric_tree import (
     contains_point,
     diameter_ends,
     dist,
+    first_point,
     full_subtree,
     geodesic,
     h1_measure,
@@ -65,7 +68,6 @@ from dendro.metric_tree import (
     point_along,
     point_subtree,
     refine_at,
-    subtree_components,
     subtree_contains,
     subtree_points,
     union_connected,
@@ -189,7 +191,7 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
         space = D
     else:
         if A.is_degenerate():
-            return decompose_bushes(D, A.single_point())
+            return decompose_bushes(D, first_point(A))
         if is_full(D, A):
             raise GeometryError("base equals the whole space")
         # refine so the arc's endpoints (and hence all attachments) are vertices
@@ -495,35 +497,14 @@ class ConjugatePart:
                                 map_from_dict(d["inner"]))
 
 
-def _off_base(D: Dendrite, C: Subtree, base: Subtree) -> Optional[Subtree]:
-    """The closure of C minus the base, or None when that is empty.
-
-    The base is whole edges and their vertices, so C loses its intervals on
-    base edges and keeps a base vertex only where a kept interval ends at
-    it; vertices off the base stay, even alone.  For a connected C this is
-    exactly the closure of C minus the base, and C itself comes back when
-    nothing is dropped.  Otherwise the result is a closed set in canonical
-    form but not always connected: C may leave the base by several
-    branches (say along the base between two teeth), and branches that
-    leave from different base points are separate components.
-    """
-    ivs = {e: iv for e, iv in C.intervals.items() if e not in base.intervals}
-    ends = {v for e in ivs for v in (D.edges[e].u, D.edges[e].v)}
-    verts = {v for v in C.vertices if v in ends or v not in base.vertices}
-    if len(ivs) == len(C.intervals) and len(verts) == len(C.vertices):
-        return C
-    if not verts and not ivs:
-        return None
-    # dropping whole base edges and their bare ends keeps the canonical form
-    return Subtree(vertices=frozenset(verts), intervals=ivs)
-
-
 class GluedMap:
     """The identity on the base, each part's map on its region off the base.
 
     Regions meet the base and each other only where the map is the
     identity, so the image of a set is its base overlap together with each
-    part's image of its overlap with the region, taken off the base.
+    part's image of its overlap with the region.  Two subtrees meet in a
+    connected set, so each overlap goes to its part whole, in one call, and
+    an overlap inside the base is skipped.
     Subclasses set the file ``kind`` and the ``part_type`` that loads parts.
 
     Like :class:`TreeMap`, the map memoizes its set images by
@@ -558,15 +539,8 @@ class GluedMap:
         parts_out = [intersect_subtrees(D, S, self.base)]
         for part, memo in zip(self.parts, self._part_memos):
             C = intersect_subtrees(D, S, part.region)
-            if C.is_empty():
-                continue
-            off = _off_base(D, C, self.base)
-            if off is C:
+            if not C.is_empty() and not subtree_contains(self.base, C):
                 parts_out.append(_memo_image(memo, part.image, C))
-            elif off is not None:
-                # parts map connected sets: one call per component
-                for K in subtree_components(D, off):
-                    parts_out.append(_memo_image(memo, part.image, K))
         comps = union_subtrees(D, parts_out)
         if len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")

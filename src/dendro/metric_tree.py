@@ -19,6 +19,11 @@ vertex of E that E does not meet.  Every way out starts one component of D
 minus E, so :func:`components_minus`, :func:`upper_set` and
 :func:`subtree_boundary_contains` all read that list.  One double sweep,
 :func:`diameter_ends`, gives both the diameter and the ends of an arc.
+
+A connected set is read whole, never sampled: an arc from a point of one
+set to a point of another meets each set in one end segment, so the set
+distance (:func:`subtree_dist`: the bridge between the two sets) and the
+first point (:func:`project`) come from one arc's length outside the sets.
 """
 
 from __future__ import annotations
@@ -311,12 +316,6 @@ class Subtree:
             )
         return len(self.vertices) <= 1
 
-    def single_point(self) -> PointRef:
-        if self.vertices:
-            return PointRef(vertex=next(iter(self.vertices)))
-        (e, (a, _b)), = self.intervals.items()
-        return PointRef(edge=e, offset=a)
-
     def to_dict(self) -> dict:
         return {
             "vertices": sorted(self.vertices),
@@ -463,12 +462,12 @@ def geodesic(D: Dendrite, x: PointRef, y: PointRef) -> Subtree:
 def merge_walks(D: Dendrite, walks, start: PointRef) -> Subtree:
     """The set covered by chained walks from ``start``, as a canonical Subtree.
 
-    Each walk is a list of legs (edge, t_from, t_to) that begins where the
-    previous one ends, so the union is connected and meets every edge in
-    one interval: the min and max of that edge's legs, plus the vertices
-    the legs reach.  Legs are nondegenerate, so listing the ends at 0 /
-    full length is all the canonical form asks.  Walks with no legs leave
-    the single point {start}.
+    Each walk is a list of legs (edge, t_from, t_to) that starts on the set
+    the earlier walks cover (the first at ``start``), so the union is
+    connected and meets every edge in one interval: the min and max of that
+    edge's legs, plus the vertices the legs reach.  Legs are nondegenerate,
+    so listing the ends at 0 / full length is all the canonical form asks.
+    Walks with no legs leave the single point {start}.
     """
     ivs = {}
     for legs in walks:
@@ -625,47 +624,46 @@ def span_subtree(D: Dendrite, points: Sequence[PointRef]) -> Subtree:
     if not points:
         raise GeometryError("span of no points")
     base = points[0]
-    parts = [point_subtree(D, base)]
-    parts.extend(geodesic(D, base, p) for p in points[1:])
-    return union_connected(D, parts)
+    return merge_walks(D, [geodesic_walk(D, base, p) for p in points[1:]], base)
+
+
+def first_point(S: Subtree) -> PointRef:
+    """A point of a nonempty connected S: its least vertex, or, when it has
+    none, the start of its one interval."""
+    if S.vertices:
+        return PointRef(vertex=min(S.vertices))
+    (e, (a, _)), = S.intervals.items()
+    return PointRef(edge=e, offset=a)
+
+
+def _outside(legs, *sets) -> Fraction:
+    """Length of a walk's legs outside the given pairwise disjoint sets."""
+    out = F0
+    for e, a, b in legs:
+        lo, hi = (a, b) if a <= b else (b, a)
+        out += hi - lo
+        for S in sets:
+            iv = S.intervals.get(e)
+            if iv is not None and iv[0] < hi and lo < iv[1]:
+                out -= min(hi, iv[1]) - max(lo, iv[0])
+    return out
 
 
 def project(D: Dendrite, E: Subtree, x: PointRef) -> PointRef:
-    """First-point map: the unique point of E nearest to x."""
+    """First-point map: the point of E nearest to x, where [x, e] enters E."""
     if E.is_empty():
         raise GeometryError("projection onto empty subtree")
     if contains_point(D, E, x):
         return x
-    anchor = subtree_points(D, E)[0]
-    for e, a, b in geodesic_walk(D, x, anchor):
-        iv = E.intervals.get(e)
-        lo, hi = (a, b) if a <= b else (b, a)
-        hits = []
-        if iv:
-            ilo, ihi = max(lo, iv[0]), min(hi, iv[1])
-            if ilo <= ihi:
-                # nearest end of the overlap in walk direction
-                hits.append(ilo if b > a else ihi)
-        # vertex entry: the far endpoint of the leg may be a vertex of E
-        if not hits:
-            endpoint = D.point(e, b)
-            if endpoint.is_vertex and endpoint.vertex in E.vertices:
-                hits.append(b)
-        if hits:
-            return D.point(e, hits[0])
-    if contains_point(D, E, anchor):
-        return anchor
-    raise GeometryError("projection walk failed")  # pragma: no cover
+    legs = geodesic_walk(D, x, first_point(E))
+    return point_on_walk(D, legs, _outside(legs, E))
 
 
 def subtree_dist(D: Dendrite, S1: Subtree, S2: Subtree) -> Fraction:
     """Exact set distance between two closed subtrees (0 iff they meet)."""
     if subtrees_intersect(S1, S2):
         return F0
-    q0 = subtree_points(D, S1)[0]
-    p2 = project(D, S2, q0)
-    p1 = project(D, S1, p2)
-    return dist(D, p1, p2)
+    return _outside(geodesic_walk(D, first_point(S1), first_point(S2)), S1, S2)
 
 
 def diameter_ends(D: Dendrite, S: Subtree) -> tuple[PointRef, PointRef]:

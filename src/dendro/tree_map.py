@@ -151,11 +151,11 @@ class TreeMap:
         return _memo_image(self._image_memo, self._image, S)
 
     def _image(self, S: Subtree) -> Subtree:
-        parts = []
-        for v in S.vertices:
-            parts.append(point_subtree(self.codomain, self.vertex_images[v]))
-        for e, (a, b) in S.intervals.items():
-            parts.append(self._interval_image(e, a, b))
+        # every vertex of a connected set with intervals ends one of them
+        parts = [self._interval_image(e, a, b) for e, (a, b) in S.intervals.items()]
+        if not parts:
+            parts = [point_subtree(self.codomain, self.vertex_images[v])
+                     for v in S.vertices]
         comps = union_subtrees(self.codomain, parts)
         if len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")
@@ -294,14 +294,6 @@ def iterate_apply(F, x: PointRef, n: int) -> PointRef:
     return x
 
 
-def orbit_images(F, S: Subtree, n: int) -> list[Subtree]:
-    """[S, f(S), ..., f^n(S)] computed iteratively, with no cycle cut."""
-    out = [S]
-    for _ in range(n):
-        out.append(F.image(out[-1]))
-    return out
-
-
 class SetOrbit:
     """The orbit S, f(S), f^2(S), ... of a set, computed on demand.
 
@@ -313,6 +305,9 @@ class SetOrbit:
     """
 
     def __init__(self, F, S: Subtree):
+        if F.codomain is not F.domain and F.codomain != F.domain:
+            raise GeometryError(
+                "set orbits need a selfmap: codomain differs from domain")
         self.F = F
         self._sets = [S]
         self._index = {S.key(): 0}

@@ -137,6 +137,16 @@ def odometer_add(digits, n):
     return {i: d for i, d in dense.items() if d != 1}
 
 
+def span_by_geodesics(D, points):
+    """The span of the points: {points[0]} united with the arcs from it to
+    every other point, merged by ``union_connected``."""
+    from dendro.metric_tree import geodesic, point_subtree, union_connected
+
+    base = points[0]
+    parts = [point_subtree(D, base)] + [geodesic(D, base, p) for p in points[1:]]
+    return union_connected(D, parts)
+
+
 def plain_orbit(F, S, N):
     """[S, f(S), ..., f^N(S)] with every image computed: no cycle detection."""
     out = [S]

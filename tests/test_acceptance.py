@@ -43,7 +43,8 @@ from dendro.odometer import (
     eps_scrambled_max,
     fiber_diam_traj,
 )
-from dendro.tree_map import TreeMap, orbit_decomposition, orbit_images
+from dendro.tree_map import TreeMap, orbit_decomposition
+from oracles import plain_orbit
 
 F = Fraction
 ONES = Address.ones()
@@ -316,7 +317,7 @@ def test_criterion_8_metric_exactness():
 def _brute_orbit_decomposition(Fm, E, horizon):
     """Literal enumeration: scan all (n0, k), union images term by term,
     split the orbit into components by repeated pairwise merging."""
-    imgs = orbit_images(Fm, E, horizon)
+    imgs = plain_orbit(Fm, E, horizon)
     found = None
     for n0 in range(horizon):
         ks = [

@@ -158,6 +158,28 @@ def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     assert not (tmp_path / "rep.json").exists()
 
 
+def test_run_gch_verdict_rejects_non_self_map(tmp_path, capsys):
+    # a valid piecewise map from a star onto an arc has no set orbits
+    from dendro.gallery import FamilyDescriptor, generate
+    from dendro.length_expanding import unit_arc
+    from dendro.metric_tree import PointRef
+    from dendro.serialize import dump_json
+    from dendro.tree_map import TreeMap
+
+    star = generate(FamilyDescriptor("star", {}))
+    images = {v: PointRef(vertex="0" if v == "c" else "1") for v in star.vertices}
+    mapfile = tmp_path / "onto_arc.json"
+    dump_json(TreeMap(star, unit_arc(), images).to_dict(), mapfile)
+    code = run([
+        "run", "--scenario", "gch-verdict", "--map", str(mapfile),
+        "--out", str(tmp_path / "rep.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: set orbits need a selfmap: codomain differs from domain\n"
+    assert not (tmp_path / "rep.json").exists()
+
+
 # ---------------------------------------------------------------- exactness scenario
 
 

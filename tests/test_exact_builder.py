@@ -365,7 +365,7 @@ def _probe_geodesics(D):
 
 
 def test_comb_gch_set_images_contain_point_images(comb_gch8_map):
-    # oracle for the off-base trim: the image of a set holds the image of
+    # oracle for the glued image: the image of a set holds the image of
     # every point of a 1/8 refinement of it
     Fm = comb_gch8_map
     D = Fm.domain
@@ -385,9 +385,10 @@ def test_comb_gch_set_images_contain_point_images(comb_gch8_map):
 
 
 def test_comb_gch_parts_map_connected_sets(monkeypatch):
-    # an overlap running along the base between two teeth leaves the base
-    # by several branches; each part must still see and return one
-    # connected set per call.  A map of its own: the shared fixture's image
+    # each part gets a set's whole overlap with its region, base included,
+    # even where it runs along the base between two teeth; two subtrees
+    # meet in a connected set, so each call must see and return one
+    # connected set.  A map of its own: the shared fixture's image
     # memos are already warm, so no part call would be observed there
     Fm = build_counterexample("comb_gch", depth=8)[1]
     D = Fm.domain
@@ -481,8 +482,12 @@ def test_geodesics_and_unions_are_canonical(monkeypatch):
         for mod in (metric_tree, tree_map, exact_builder, length_expanding, gallery):
             if hasattr(mod, fn_name):
                 monkeypatch.setattr(mod, fn_name, wrapper)
-    for name, build, sets in _memo_cases():
-        Fm = build()
+    cases = [(build(), sets) for _, build, sets in _memo_cases()]
+    # the comb(8) build_exact map on the probe geodesics as well
+    comb8 = generate(FamilyDescriptor("comb", {"depth": 8}))
+    exact = build_exact(comb8, "A", q=F(1, 2), rho=F(6, 5))
+    cases.append((exact, list(_probe_geodesics(exact.domain))))
+    for Fm, sets in cases:
         for S in sets:  # the probes are geodesics or pieces themselves
             seen.append((Fm.domain, S))
             Fm.image(S)

