@@ -37,7 +37,7 @@ from dendro.metric_tree import (
     subtree_dist,
 )
 from dendro.serialize import format_rat
-from dendro.tree_map import SetOrbit
+from dendro.tree_map import SetOrbit, require_selfmap
 
 INTERPRETATION_NOTE = (
     "records are finite-horizon evidence: prox_record 0 certifies the image "
@@ -229,6 +229,7 @@ def ly_sample(F, pair_count: int, N: int, delta, epsilon, seed: int) -> LySample
     A pair counts as scrambling evidence iff its distance dips to <= delta
     and also exceeds epsilon somewhere within the horizon.
     """
+    require_selfmap(F, "point")
     delta, epsilon = Fraction(delta), Fraction(epsilon)
     if delta <= 0 or epsilon <= 0:
         raise GeometryError("delta and epsilon must be positive")

@@ -10,7 +10,8 @@ sawtooth onto a blown-up interval in which every involved root is widened
 into a block of that bush's measure, then a block-wise surjection whose
 blocks replay expanding walk surjections onto the bushes and whose gaps ride
 along the base arc.  Points of A stay fixed; every bush root stays fixed.
-Both waves are one :class:`Zigzag`, psi on a bush and nu on the unit arc.
+Both waves are one ``length_expanding.Zigzag``, psi on a bush and nu on
+the unit arc; the walk surjections are that wave composed with a walk.
 A :class:`PieceChart` runs one way; a conjugated part holds its chart and
 the chart's inverse.
 
@@ -38,13 +39,11 @@ from dendro.length_expanding import (
     BuildError,
     DenseFamily,
     LEWitness,
+    Zigzag,
     build_pair,
     build_phi_on_subtree,
     check_length_expanding,
-    fold_cuts,
     initial_lap_count,
-    sawtooth_image,
-    sawtooth_value,
     unit_arc,
 )
 from dendro.metric_tree import (
@@ -360,55 +359,6 @@ def plan_targets(asg: AssignedDecomposition) -> BlowupPlan:
         ]
         members[k] = sorted({k, lk, *inside})
     return BlowupPlan(targets=targets, positions=pos, members=members)
-
-
-# ---------------------------------------------------------------------------
-# per-bush stages
-
-
-@dataclass
-class Zigzag:
-    """Triangle wave of the normalized distance to a root, onto a one-edge arc.
-
-    A point x of ``region`` goes to offset ``sawtooth_value(len(codomain),
-    laps, start, dist(root, x) / reach)`` on the codomain's edge.  The bush
-    zigzag psi is the instance on a bush; the sawtooth nu is the instance on
-    the unit arc, rooted at "0" with reach 1.
-    """
-
-    domain: Dendrite
-    region: Subtree
-    root: str
-    reach: Fraction  # max distance from the root within the region
-    laps: int
-    codomain: Dendrite
-    start: Fraction = F0
-
-    def _norm(self, x: PointRef) -> Fraction:
-        return dist(self.domain, PointRef(vertex=self.root), x) / self.reach
-
-    def apply(self, x: PointRef) -> PointRef:
-        total = self.codomain.edge_length(0)
-        return self.codomain.point(
-            0, sawtooth_value(total, self.laps, self.start, self._norm(x)))
-
-    def image(self, S: Subtree) -> Subtree:
-        norms = [self._norm(p) for p in subtree_points(self.domain, S)]
-        a, b = sawtooth_image(self.codomain.edge_length(0), self.laps, self.start,
-                              min(norms), max(norms))
-        return make_subtree(self.codomain, {0: (a, b)})
-
-    def pieces(self):
-        """Per-edge linearity intervals: cut at fold pullbacks."""
-        out = []
-        root_ref = PointRef(vertex=self.root)
-        for e in sorted(self.region.intervals):
-            ed = self.domain.edges[e]
-            nu = dist(self.domain, root_ref, PointRef(vertex=ed.u)) / self.reach
-            nv = dist(self.domain, root_ref, PointRef(vertex=ed.v)) / self.reach
-            cuts = [F0, *fold_cuts(nu, nv, ed.length, self.laps), ed.length]
-            out.extend((e, a, b) for a, b in zip(cuts, cuts[1:]))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,19 @@ verifies the dichotomy; a returned witness re-verifies exactly, a pass is
 sampling evidence only.
 
 ``build_pair`` produces, for a tree T of total measure 1 and a base point a,
-a surjection phi: I -> T with phi(0) = phi(1) = a (a closed double-cover walk
-of T composed with a constant-slope zigzag) and a surjection psi: T -> I with
-psi(a) = 0 (a zigzag of the normalized distance to a).  Both are validated by
-the checker; on failure the lap count doubles and the build retries.
+a surjection phi: I -> T with phi(0) = phi(1) = a and a surjection psi:
+T -> I with psi(a) = 0.  Both are validated by the checker; on failure the
+lap count doubles and the build retries.
 
 The triangle wave behind every zigzag lives here once, in closed form: its
-control points (``sawtooth_positions``), its value and exact range
-(``sawtooth_value``, ``sawtooth_image``) and its fold pullbacks on an edge
-(``fold_cuts``).  ``exact_builder`` builds its bush maps from these helpers
-on ``unit_arc()`` and checks them with ``check_length_expanding``.
+value and exact range (``sawtooth_value``, ``sawtooth_image``) and its fold
+pullbacks on an edge (``fold_cuts``).  :class:`Zigzag` is the wave of the
+normalized distance to a root onto a one-edge arc, and ``tree_map()`` makes
+it an explicit ``TreeMap``.  psi is the Zigzag of the distance to a; phi is
+the unit-arc Zigzag onto [0, 2|T|] composed with the closed double-cover
+walk of T (``tree_map.compose``).  ``exact_builder`` builds its bush maps
+from the same Zigzag on ``unit_arc()`` and checks them with
+``check_length_expanding``.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from dendro.metric_tree import (
     h1_measure,
     is_full,
     make_subtree,
-    point_on_walk,
+    subtree_points,
 )
 from dendro.serialize import format_rat
-from dendro.tree_map import TreeMap
+from dendro.tree_map import TreeMap, compose
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -208,17 +211,6 @@ def double_cover_walk(D: Dendrite, S: Subtree, root: str):
 # zigzags (triangle waves) with exact arithmetic
 
 
-def sawtooth_positions(total: Fraction, laps: int):
-    """Fold times and values of a triangle wave on [0,1] onto [0,total].
-
-    The wave starts at 0, rises first and travels laps * total in unit
-    time, so it reaches total at the odd multiples of 1/laps and 0 at the
-    even ones.  Returns the (time, value) control points j/laps, j = 0..laps.
-    """
-    total = Fraction(total)
-    return [(Fraction(j, laps), total if j % 2 else F0) for j in range(laps + 1)]
-
-
 def fold_cuts(nu, nv, length, laps: int) -> list:
     """Offsets on an edge where the lap-`laps` wave of distance folds.
 
@@ -270,6 +262,68 @@ def sawtooth_image(total, laps: int, start, a, b):
     return lo, hi
 
 
+@dataclass
+class Zigzag:
+    """Triangle wave of the normalized distance to a root, onto a one-edge arc.
+
+    A point x of ``region`` goes to offset ``sawtooth_value(len(codomain),
+    laps, start, dist(root, x) / reach)`` on the codomain's edge.  psi is
+    the instance on a tree or bush; the sawtooth nu, and the wave inside
+    phi, are the instance on the unit arc, rooted at "0" with reach 1.
+    """
+
+    domain: Dendrite
+    region: Subtree
+    root: str
+    reach: Fraction  # max distance from the root within the region
+    laps: int
+    codomain: Dendrite
+    start: Fraction = F0
+
+    def _norm(self, x: PointRef) -> Fraction:
+        return dist(self.domain, PointRef(vertex=self.root), x) / self.reach
+
+    def apply(self, x: PointRef) -> PointRef:
+        total = self.codomain.edge_length(0)
+        return self.codomain.point(
+            0, sawtooth_value(total, self.laps, self.start, self._norm(x)))
+
+    def image(self, S: Subtree) -> Subtree:
+        norms = [self._norm(p) for p in subtree_points(self.domain, S)]
+        a, b = sawtooth_image(self.codomain.edge_length(0), self.laps, self.start,
+                              min(norms), max(norms))
+        return make_subtree(self.codomain, {0: (a, b)})
+
+    def pieces(self):
+        """Per-edge linearity intervals: cut at fold pullbacks.
+
+        The wave folds where start + laps * total * n is a multiple of
+        total, so the normalized distance n is shifted by the start's share
+        of one lap before the fold pullbacks are read.
+        """
+        shift = self.start / (self.laps * self.codomain.edge_length(0))
+        out = []
+        for e in sorted(self.region.intervals):
+            ed = self.domain.edges[e]
+            nu, nv = (self._norm(PointRef(vertex=w)) + shift for w in (ed.u, ed.v))
+            cuts = [F0, *fold_cuts(nu, nv, ed.length, self.laps), ed.length]
+            out.extend((e, a, b) for a, b in zip(cuts, cuts[1:]))
+        return out
+
+    def tree_map(self) -> TreeMap:
+        """The zigzag as an explicit TreeMap, a breakpoint at each piece end.
+
+        Valid when the region is the whole domain.
+        """
+        D = self.domain
+        breaks: dict[int, list] = {}
+        for e, _a, b in self.pieces():
+            if b < D.edge_length(e):
+                breaks.setdefault(e, []).append((b, self.apply(D.point(e, b))))
+        vertex_images = {v: self.apply(PointRef(vertex=v)) for v in D.vertices}
+        return TreeMap(D, self.codomain, vertex_images, breaks)
+
+
 # ---------------------------------------------------------------------------
 # pair construction
 
@@ -294,6 +348,8 @@ class BuiltPair:
 def normalize_measure(T: Dendrite) -> Dendrite:
     """Rescale all edge lengths so the total measure is exactly 1."""
     total = T.total_length()
+    if total == 0:
+        raise GeometryError("degenerate tree")
     if total == 1:
         return T
     scale = Fraction(1) / total
@@ -305,70 +361,23 @@ def normalize_measure(T: Dendrite) -> Dendrite:
     )
 
 
-def build_phi(T: Dendrite, a: PointRef, laps: int) -> TreeMap:
-    """Zigzag of the closed double-cover walk: I -> T, endpoints at a."""
-    if not a.is_vertex:
-        raise GeometryError("base point must be a vertex")
-    return build_phi_on_subtree(T, full_subtree(T), a.vertex, laps)
-
-
 def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
-    """Walk zigzag surjection I -> S for a whole-edge subtree S of T."""
+    """Walk zigzag surjection I -> S for a whole-edge subtree S of T.
+
+    The unit-arc wave onto the arc [0, 2|S|], composed with the closed
+    double-cover walk from `root`, which runs that arc onto S.
+    """
     legs = double_cover_walk(T, S, root)
-    total = 2 * h1_measure(S)
-    starts, clock = [], F0
-    for _e, a, b in legs:
-        starts.append(clock)
-        clock += abs(b - a)
+    arc = Dendrite(["0", "1"], [("0", "1", 2 * h1_measure(S))])
+    ends, clock = [], F0
+    for e, _a, b in legs[:-1]:
+        clock += T.edge_length(e)
+        ends.append((clock, T.point(e, b)))
+    base = PointRef(vertex=root)
+    walk = TreeMap(arc, T, {"0": base, "1": base}, {0: ends})
     unit = unit_arc()
-    controls = []
-    # fold times of the zigzag I -> [0, total]
-    zig = sawtooth_positions(total, laps)
-    for (t0, s0), (t1, s1) in zip(zig, zig[1:]):
-        # within one monotone stretch, pull in the walk's leg boundaries
-        lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
-        cuts = [s0, s1]
-        cuts.extend(start for start in starts if lo < start < hi)
-        cuts = sorted(set(cuts), reverse=s0 > s1)
-        for s in cuts:
-            t = t0 + (t1 - t0) * (s - s0) / (s1 - s0)
-            controls.append((t, point_on_walk(T, legs, s)))
-    controls.sort(key=lambda tp: tp[0])
-    vertex_images = {"0": controls[0][1], "1": controls[-1][1]}
-    breaks = []
-    seen = set()
-    for t, p in controls:
-        if 0 < t < 1 and t not in seen:
-            seen.add(t)
-            breaks.append((t, p))
-    return TreeMap(unit, T, vertex_images, {0: tuple(breaks)})
-
-
-def build_psi(T: Dendrite, a: PointRef, laps: int) -> TreeMap:
-    """Zigzag of the normalized distance to a: T -> I, psi(a) = 0."""
-    if not a.is_vertex:
-        raise GeometryError("base point must be a vertex")
-    reach = {v: dist(T, a, PointRef(vertex=v)) for v in T.vertices}
-    radius = max(reach.values())
-    if radius == 0:
-        raise GeometryError("degenerate tree")
-    norm = {v: d / radius for v, d in reach.items()}
-    unit = unit_arc()
-
-    def wave(n: Fraction) -> PointRef:
-        return unit.point(0, sawtooth_value(F1, laps, F0, n))
-
-    vertex_images = {v: wave(n) for v, n in norm.items()}
-    edge_breaks = {}
-    for e, ed in enumerate(T.edges):
-        nu, nv = norm[ed.u], norm[ed.v]
-        if nu == nv:
-            raise GeometryError("edge with constant distance to base")
-        edge_breaks[e] = tuple(
-            (t, wave(nu + (nv - nu) * t / ed.length))
-            for t in fold_cuts(nu, nv, ed.length, laps)
-        )
-    return TreeMap(T, unit, vertex_images, edge_breaks)
+    wave = Zigzag(unit, full_subtree(unit), "0", F1, laps, arc)
+    return compose(walk, wave.tree_map())
 
 
 def unit_arc() -> Dendrite:
@@ -397,11 +406,13 @@ def build_pair(
     if not a.is_vertex:
         raise GeometryError("base point must be a vertex")
     space.check_point(a)
+    whole = full_subtree(space)
+    reach = max(dist(space, a, PointRef(vertex=v)) for v in space.vertices)
     laps = initial_laps if initial_laps is not None else initial_lap_count(rho)
     last_witness = None
     for attempt in range(max_retries + 1):
-        phi = build_phi(space, a, laps)
-        psi = build_psi(space, a, laps)
+        phi = build_phi_on_subtree(space, whole, a.vertex, laps)
+        psi = Zigzag(space, whole, a.vertex, reach, laps, unit_arc()).tree_map()
         w = check_length_expanding(
             phi, DenseFamily("all_closed_intervals"), rho, samples, seed
         )
@@ -410,7 +421,7 @@ def build_pair(
                 psi, DenseFamily("phi_images", through=phi), rho, samples, seed
             )
         if w is None:
-            if phi.image(full_subtree(phi.domain)) != full_subtree(space):
+            if phi.image(full_subtree(phi.domain)) != whole:
                 raise BuildError("phi is not surjective")
             return BuiltPair(phi=phi, psi=psi, space=space, laps=laps,
                              retries=attempt)

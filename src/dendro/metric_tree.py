@@ -891,12 +891,3 @@ def refine_at(D: Dendrite, points: Iterable[PointRef]):
         D2.check_point(p)
     return D2, map_point
 
-
-def subtree_components(D: Dendrite, S: Subtree) -> list[Subtree]:
-    """Connected components of an arbitrary closed interval/vertex set."""
-    parts = []
-    for e, (a, b) in S.intervals.items():
-        parts.append(make_subtree(D, {e: (a, b)}))
-    for v in S.vertices:
-        parts.append(point_subtree(D, PointRef(vertex=v)))
-    return union_subtrees(D, parts)

@@ -245,7 +245,11 @@ def compose(G, F) -> TreeMap:
     """The exact composition G after F as an explicit TreeMap.
 
     Breakpoints of the composite are F's breakpoints together with pullbacks
-    of G's geodesic-linearity boundaries along each F-piece.
+    of G's geodesic-linearity boundaries along each F-piece: the vertices
+    its walk crosses and G's interior breakpoints on its legs.  Each cut's
+    image is read off the walked legs.  A cut lies strictly inside its
+    piece, and no two coincide: G's breakpoints are interior to G's edges,
+    leg boundaries are vertices, and a geodesic crosses an edge once.
     """
     if F.codomain is not G.domain and F.codomain != G.domain:
         raise GeometryError("composition domains do not match")
@@ -260,31 +264,22 @@ def compose(G, F) -> TreeMap:
             legs, d = F._piece_walk(e, k)
             if d == 0:
                 continue
-            # arc positions where the composite changes geodesic: walk-leg
-            # boundaries (vertex crossings) plus G's interior breakpoints
             cuts = []
             s_acc = F0
             for ge, a, b in legs:
                 lo, hi = (a, b) if a <= b else (b, a)
                 for gt, _gp in G.edge_breaks.get(ge, ()):
                     if lo < gt < hi:
-                        cuts.append(s_acc + (gt - a if b > a else a - gt))
+                        cuts.append(s_acc + abs(gt - a))
                 s_acc += abs(b - a)
                 if s_acc < d:
                     cuts.append(s_acc)
             for s in cuts:
-                t = t0 + (t1 - t0) * s / d
-                if t0 < t < t1:
-                    brs.append((t, G.apply(F.apply(F.domain.point(e, t)))))
+                brs.append((t0 + (t1 - t0) * s / d,
+                            G.apply(point_on_walk(F.codomain, legs, s))))
+        # a leg that runs backwards lists its cuts in decreasing order
         brs.sort(key=lambda tp: tp[0])
-        dedup = []
-        for t, p in brs:
-            if dedup and dedup[-1][0] == t:
-                continue
-            if 0 < t < F.domain.edge_length(e):
-                dedup.append((t, p))
-        if dedup:
-            edge_breaks[e] = tuple(dedup)
+        edge_breaks[e] = brs
     return TreeMap(F.domain, G.codomain, vertex_images, edge_breaks)
 
 
@@ -292,6 +287,13 @@ def iterate_apply(F, x: PointRef, n: int) -> PointRef:
     for _ in range(n):
         x = F.apply(x)
     return x
+
+
+def require_selfmap(F, kind: str):
+    """Raise unless F's codomain is its domain: `kind` orbits iterate F."""
+    if F.codomain is not F.domain and F.codomain != F.domain:
+        raise GeometryError(
+            f"{kind} orbits need a selfmap: codomain differs from domain")
 
 
 class SetOrbit:
@@ -305,9 +307,7 @@ class SetOrbit:
     """
 
     def __init__(self, F, S: Subtree):
-        if F.codomain is not F.domain and F.codomain != F.domain:
-            raise GeometryError(
-                "set orbits need a selfmap: codomain differs from domain")
+        require_selfmap(F, "set")
         self.F = F
         self._sets = [S]
         self._index = {S.key(): 0}

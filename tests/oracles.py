@@ -269,3 +269,90 @@ def plain_image(F, S):
     comps = union_subtrees(D, parts)
     assert len(comps) == 1, comps
     return comps[0]
+
+
+def plain_phi(T, S, root, laps):
+    """Walk zigzag I -> S built point by point: within each monotone stretch
+    of the wave onto [0, 2|S|], the walk's leg boundaries are pulled back and
+    every control is placed on the walk; then sorted and deduplicated."""
+    from dendro.length_expanding import double_cover_walk, unit_arc
+    from dendro.metric_tree import h1_measure, point_on_walk
+    from dendro.tree_map import TreeMap
+
+    legs = double_cover_walk(T, S, root)
+    total = 2 * h1_measure(S)
+    starts, clock = [], Fraction(0)
+    for _e, a, b in legs:
+        starts.append(clock)
+        clock += abs(b - a)
+    controls = []
+    zig = stepwise_sawtooth(total, laps, Fraction(0))
+    for (t0, s0), (t1, s1) in zip(zig, zig[1:]):
+        lo, hi = (s0, s1) if s0 <= s1 else (s1, s0)
+        cuts = [s0, s1]
+        cuts.extend(start for start in starts if lo < start < hi)
+        cuts = sorted(set(cuts), reverse=s0 > s1)
+        for s in cuts:
+            t = t0 + (t1 - t0) * (s - s0) / (s1 - s0)
+            controls.append((t, point_on_walk(T, legs, s)))
+    controls.sort(key=lambda tp: tp[0])
+    vertex_images = {"0": controls[0][1], "1": controls[-1][1]}
+    breaks, seen = [], set()
+    for t, p in controls:
+        if 0 < t < 1 and t not in seen:
+            seen.add(t)
+            breaks.append((t, p))
+    return TreeMap(unit_arc(), T, vertex_images, {0: tuple(breaks)})
+
+
+def plain_psi(T, root, laps):
+    """Zigzag T -> [0, 1] of the normalized distance to a root vertex, built
+    edge by edge: vertex images, then the scanned fold crossings."""
+    from dendro.length_expanding import unit_arc
+    from dendro.metric_tree import PointRef, dist
+    from dendro.tree_map import TreeMap
+
+    reach = {v: dist(T, PointRef(vertex=root), PointRef(vertex=v))
+             for v in T.vertices}
+    radius = max(reach.values())
+    norm = {v: d / radius for v, d in reach.items()}
+    unit = unit_arc()
+
+    def wave(n):
+        r = (laps * n) % 2
+        return unit.point(0, r if r <= 1 else 2 - r)
+
+    edge_breaks = {}
+    for e, ed in enumerate(T.edges):
+        nu, nv = norm[ed.u], norm[ed.v]
+        edge_breaks[e] = tuple(
+            (t, wave(nu + (nv - nu) * t / ed.length))
+            for t in scan_fold_cuts(nu, nv, ed.length, laps)
+        )
+    return TreeMap(T, unit, {v: wave(n) for v, n in norm.items()}, edge_breaks)
+
+
+def components(D, S):
+    """Connected components of a closed set of edge intervals and vertices,
+    by flood fill: an interval touches an end vertex it reaches."""
+    nodes = [("v", v) for v in S.vertices] + [("e", e) for e in S.intervals]
+    adj = {n: [] for n in nodes}
+    for e, (a, b) in S.intervals.items():
+        ed = D.edges[e]
+        for end, at in ((ed.u, a == 0), (ed.v, b == ed.length)):
+            if at and ("v", end) in adj:
+                adj[("e", e)].append(("v", end))
+                adj[("v", end)].append(("e", e))
+    out, seen = [], set()
+    for n in nodes:
+        if n in seen:
+            continue
+        comp, stack = set(), [n]
+        while stack:
+            m = stack.pop()
+            if m not in comp:
+                comp.add(m)
+                stack.extend(adj[m])
+        seen |= comp
+        out.append(comp)
+    return out

@@ -101,6 +101,13 @@ def test_ly_sample_deterministic(tent):
     assert r1 == r2
 
 
+def test_ly_sample_rejects_a_map_onto_another_tree(star3, unit_arc):
+    images = {v: PointRef(vertex="0" if v == "c" else "1") for v in star3.vertices}
+    onto_arc = TreeMap(star3, unit_arc, images)
+    with pytest.raises(GeometryError, match="point orbits need a selfmap"):
+        ly_sample(onto_arc, 3, 4, F(1, 10), F(1, 10), 0)
+
+
 def test_ly_sample_tent_mostly_scrambling(tent):
     rep = ly_sample(tent, 100, 200, F(1, 1000), F(1, 2), seed=1)
     assert rep.scrambling_evidence >= 95

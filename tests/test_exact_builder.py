@@ -36,7 +36,6 @@ from dendro.metric_tree import (
     h1_measure,
     make_subtree,
     point_subtree,
-    subtree_components,
     subtree_contains,
     subtree_diam,
     subtree_points,
@@ -45,7 +44,7 @@ from dendro.metric_tree import (
 from dendro.odometer import gehman_extend
 from dendro.serialize import dump_json, dumps_json
 from dendro.tree_map import TreeMap
-from oracles import plain_apply, plain_image
+from oracles import components, plain_apply, plain_image
 
 F = Fraction
 
@@ -395,7 +394,7 @@ def test_comb_gch_parts_map_connected_sets(monkeypatch):
     seen = []
     for part in Fm.parts:
         def image(S, _orig=part.image):
-            assert len(subtree_components(D, S)) == 1, S
+            assert len(components(D, S)) == 1, S
             out = _orig(S)
             seen.append(out)
             return out
@@ -406,7 +405,7 @@ def test_comb_gch_parts_map_connected_sets(monkeypatch):
         sets += 1
     assert sets == 903 and seen
     for out in seen:
-        assert len(subtree_components(D, out)) == 1, out
+        assert len(components(D, out)) == 1, out
 
 
 def _memo_cases():

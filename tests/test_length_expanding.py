@@ -2,23 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import scan_fold_cuts, stepwise_sawtooth
+from oracles import plain_phi, plain_psi, scan_fold_cuts, stepwise_sawtooth
 
+from dendro.gallery import FAMILIES, FamilyDescriptor, generate
 from dendro.length_expanding import (
     BuildError,
     DenseFamily,
+    Zigzag,
     build_pair,
+    build_phi_on_subtree,
     check_length_expanding,
     double_cover_walk,
     fold_cuts,
     initial_lap_count,
     normalize_measure,
     reverify,
-    sawtooth_positions,
+    unit_arc,
 )
 from dendro.metric_tree import (
     Dendrite,
+    GeometryError,
     PointRef,
+    dist,
     full_subtree,
     h1_measure,
     is_full,
@@ -88,21 +93,24 @@ def test_double_cover_walk_star(star3):
     assert point_on_walk(star3, legs, total) == V("c")
 
 
-def test_sawtooth_positions_roundtrip():
-    pts = sawtooth_positions(F(2), 4)
-    assert pts[0] == (F(0), F(0))
-    assert pts[-1][0] == 1
-    assert pts[-1][1] == F(0)  # even lap count returns to start
-    values = [v for _, v in pts]
-    assert max(values) == 2 and min(values) == 0
+def _offset(arc, p):
+    if p.is_vertex:
+        return F(0) if p.vertex == "0" else arc.edge_length(0)
+    return p.offset
 
 
-def test_sawtooth_positions_closed_form_matches_stepwise():
+def test_zigzag_tree_map_controls_match_stepwise():
+    # the wave on the unit arc, as a TreeMap, has a control at every fold
+    # and at both ends, whatever the start
+    unit = unit_arc()
     for total in (F(1), F(2), F(1, 3), F(7, 5)):
+        arc = Dendrite(["0", "1"], [("0", "1", total)])
         for laps in range(1, 13):
-            assert sawtooth_positions(total, laps) == stepwise_sawtooth(
-                total, laps, F(0)
-            ), (total, laps)
+            for start in (F(0), total / 3, total / 2, 3 * total / 4):
+                wave = Zigzag(unit, full_subtree(unit), "0", F(1), laps, arc, start)
+                ctrl = [(t, _offset(arc, p)) for t, p in wave.tree_map().controls(0)]
+                assert ctrl == stepwise_sawtooth(total, laps, start), (
+                    total, laps, start)
 
 
 def test_fold_cuts_match_scan():
@@ -164,6 +172,28 @@ def test_build_pair_normalizes_measure(star3):
     )
     built = build_pair(doubled, V("e1"), rho=F(6, 5), samples=40, seed=1)
     assert built.space.total_length() == 1
+
+
+def test_phi_and_psi_match_plain_builders():
+    # the wave composed with the walk, and the distance Zigzag as a TreeMap,
+    # give the same bytes as the point-by-point loops
+    for fam in FAMILIES:
+        T = normalize_measure(generate(FamilyDescriptor(fam, {})))
+        whole = full_subtree(T)
+        for root in T.vertices[:: max(1, len(T.vertices) // 3)]:
+            reach = max(dist(T, V(root), V(v)) for v in T.vertices)
+            for laps in range(1, 9):
+                phi = build_phi_on_subtree(T, whole, root, laps)
+                assert phi.to_dict() == plain_phi(T, whole, root, laps).to_dict(), (
+                    fam, root, laps)
+                psi = Zigzag(T, whole, root, reach, laps, unit_arc()).tree_map()
+                assert psi.to_dict() == plain_psi(T, root, laps).to_dict(), (
+                    fam, root, laps)
+
+
+def test_one_vertex_tree_is_degenerate():
+    with pytest.raises(GeometryError, match="degenerate tree"):
+        build_pair(Dendrite(["a"], []), V("a"), F(6, 5))
 
 
 def test_build_failure_carries_witness(unit_arc):

@@ -30,7 +30,6 @@ from dendro.metric_tree import (
     refine_at,
     span_subtree,
     subtree_boundary_contains,
-    subtree_components,
     subtree_diam,
     subtree_dist,
     subtree_points,
@@ -588,23 +587,6 @@ def test_dendrite_roundtrip(comb3):
     back = Dendrite.from_dict(d)
     assert back == comb3
     assert back.to_dict() == d
-
-
-def test_subtree_components(star3):
-    S = make_subtree(star3, {0: (F(1, 4), F(1, 2))})
-    T = make_subtree(star3, {1: (F(1, 6), F(1, 3))})
-    parts = union_subtrees(star3, [S, T])
-    whole = subtree_components(
-        star3,
-        make_subtree(
-            star3,
-            {0: (F(1, 4), F(1, 2)), 1: (F(1, 6), F(1, 3))},
-        ),
-    )
-    assert len(whole) == 2
-    assert sorted(h1_measure(c) for c in whole) == sorted(
-        h1_measure(c) for c in parts
-    )
 
 
 def test_upper_set_interior_point(star3):
