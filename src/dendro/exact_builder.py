@@ -1,8 +1,10 @@
 """Exact selfmaps of finite trees fixing a prescribed arc or point.
 
-The arc construction: split the tree into the base arc A plus finitely many
-bushes hanging off it, reassign the metric so bush k carries total measure
-(1-q) q^k (the base gets (1-q)), and send each bush k onto the region E_k
+The arc construction: test that the base A is an arc (its measure equals
+its diameter), cut the tree once at A's ends inside edges, split it into A
+plus finitely many bushes hanging off it, reassign the metric so bush k
+carries total measure (1-q) q^k (the base gets (1-q)); the result is again
+a :class:`BushDecomposition`, and each bush k is sent onto the region E_k
 spanned by the arc from its root to a nearer, larger-bush root together with
 all smaller bushes rooted between them (E_1 is the whole tree).  Each bush
 map factors as: normalized-distance zigzag onto [0,1], a constant-slope
@@ -17,7 +19,9 @@ the chart's inverse.
 
 An ideal version of this map is exact; at a finite truncation the base arc
 has interior, so only bush pieces can cover, and the verifier certifies
-coverage per piece together with the strictly decreasing target chain.
+coverage per piece together with the strictly decreasing target chain,
+which it reads from the manifest's part targets, so a map loaded from its
+file certifies the same as the map that was built.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
 and so interoperate with the chaos and orbit machinery.  A glued map images
@@ -155,24 +159,18 @@ class BushDecomposition:
     bushes: list
 
 
-def _is_path(D: Dendrite, S: Subtree) -> bool:
-    deg = {}
-    for e in S.intervals:
-        ed = D.edges[e]
-        deg[ed.u] = deg.get(ed.u, 0) + 1
-        deg[ed.v] = deg.get(ed.v, 0) + 1
-    return all(d <= 2 for d in deg.values())
-
-
 def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
     """Bushes hanging off a base arc or point, largest first.
 
     For an arc base, complement components sharing an attachment point are
     merged (each bush meets the arc in exactly one root); for a point base
     the raw components are kept separate.  The base must be a proper subset:
-    the whole space is rejected.  Nowhere-density of the base is a property
-    of the ideal object a truncation cannot witness; here the builder only
-    requires a nonempty complement.
+    the whole space is rejected, and so is a set that is not an arc (a
+    connected set is an arc when its measure equals its diameter).  The tree
+    is cut at every interval end inside an edge, so the arc is whole edges
+    and every bush is rooted at a vertex.  Nowhere-density of the base is a
+    property of the ideal object a truncation cannot witness; here the
+    builder only requires a nonempty complement.
     """
     if isinstance(A, PointRef):
         D.check_point(A)
@@ -183,9 +181,7 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
         dec = components_minus(D, base)
         if not dec.components:
             raise GeometryError("point base must have a nonempty complement")
-        bushes = [
-            (comp, A.vertex) for comp in dec.components
-        ]
+        bushes = [(comp, A.vertex) for comp in dec.components]
         kind = "point"
         space = D
     else:
@@ -193,33 +189,15 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
             return decompose_bushes(D, first_point(A))
         if is_full(D, A):
             raise GeometryError("base equals the whole space")
-        # refine so the arc's endpoints (and hence all attachments) are vertices
-        cut_pts = []
-        for e, (a, b) in A.intervals.items():
-            for t in (a, b):
-                if 0 < t < D.edge_length(e):
-                    cut_pts.append(D.point(e, t))
-        if cut_pts:
-            A_ends = diameter_ends(D, A)
-            space, mp = refine_at(D, cut_pts)
-            A = geodesic(space, mp(A_ends[0]), mp(A_ends[1]))
-        else:
-            space = D
-        if not _is_path(space, A):
+        ends = diameter_ends(D, A)
+        if dist(D, *ends) != h1_measure(A):
             raise GeometryError("base must be an arc")
-        for e, (a, b) in A.intervals.items():
-            if a != 0 or b != space.edge_length(e):
-                raise GeometryError("arc base must be a whole-edge subtree")
-        dec = components_minus(space, A)
+        space, base = _refine_arc(D, ends, [
+            D.point(e, t) for e, iv in A.intervals.items() for t in iv])
+        dec = components_minus(space, base)
         if not dec.components:
             raise GeometryError("arc base must have a nonempty complement")
-        grouped = dec.grouped(space)
-        bushes = []
-        for c, comp in grouped.items():
-            if not c.is_vertex:
-                raise GeometryError("bush attached at a non-vertex point")
-            bushes.append((comp, c.vertex))
-        base = A
+        bushes = [(comp, c.vertex) for c, comp in dec.grouped(space).items()]
         kind = "arc"
     bushes.sort(key=lambda cr: (-h1_measure(cr[0]), cr[1]))
     out = [
@@ -229,76 +207,49 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
     return BushDecomposition(space=space, base=base, base_kind=kind, bushes=out)
 
 
+def _refine_arc(D: Dendrite, ends, points):
+    """D cut at those of ``points`` inside an edge, and the arc between the
+    images of ``ends`` in the cut tree."""
+    cuts = [p for p in points if not p.is_vertex]
+    if not cuts:
+        return D, geodesic(D, *ends)
+    space, mp = refine_at(D, cuts)
+    return space, geodesic(space, mp(ends[0]), mp(ends[1]))
+
+
 # ---------------------------------------------------------------------------
 # metric reassignment
 
 
-@dataclass
-class AssignedDecomposition:
-    space: Dendrite  # reassigned lengths
-    base: Subtree
-    base_kind: str
-    bushes: list  # measures now equal the assigned weights
-    q: Fraction
-    lam0: Fraction
-    weights: dict  # bush index -> weight
-    deficit: Fraction
+def assign_metric(dec: BushDecomposition, q) -> BushDecomposition:
+    """Rescale an arc decomposition: base to 1-q, bush k to (1-q) q^k.
 
-    @property
-    def total_measure(self) -> Fraction:
-        return h1_measure(full_subtree(self.space))
-
-
-def assign_metric(dec: BushDecomposition, q) -> AssignedDecomposition:
-    """Rescale: base to (1-q), bush k to (1-q) q^k; report the deficit."""
+    Each bush's measure is then its weight; the measure the finite tree
+    misses, q^(K+1) for K bushes, is left to the caller.
+    """
     q = Fraction(q)
     if not (0 < q < 1):
         raise GeometryError("need 0 < q < 1")
-    lam = {b.index: (1 - q) * q**b.index for b in dec.bushes}
-    lam0 = 1 - q
-    scale = {}
+    scale = {e: (1 - q) / h1_measure(dec.base) for e in dec.base.intervals}
     for b in dec.bushes:
-        s = lam[b.index] / b.measure
-        for e in b.subtree.intervals:
-            scale[e] = s
-    base_measure = h1_measure(dec.base)
-    if dec.base_kind == "arc":
-        s0 = lam0 / base_measure
-        for e in dec.base.intervals:
-            scale[e] = s0
+        s = (1 - q) * q**b.index / b.measure
+        scale.update(dict.fromkeys(b.subtree.intervals, s))
     D = dec.space
-    new_edges = [
-        Edge(e.u, e.v, e.length * scale.get(i, F1)) for i, e in enumerate(D.edges)
-    ]
     space = Dendrite(
-        [v for v in D.vertices],
-        new_edges,
+        list(D.vertices),
+        [Edge(e.u, e.v, e.length * scale.get(i, F1)) for i, e in enumerate(D.edges)],
         descriptor=D.descriptor,
     )
     chart = PieceChart(D, space, {i: (i, scale.get(i, F1))
                                   for i in range(len(D.edges))})
     space.marked.update({k: chart.point(p) for k, p in D.marked.items()})
     bushes = [
-        Bush(
-            index=b.index,
-            root=b.root,
-            subtree=chart.subtree(b.subtree),
-            measure=lam[b.index],
-        )
+        Bush(index=b.index, root=b.root, subtree=chart.subtree(b.subtree),
+             measure=(1 - q) * q**b.index)
         for b in dec.bushes
     ]
-    K = len(dec.bushes)
-    deficit = q ** (K + 1)
-    return AssignedDecomposition(
-        space=space,
-        base=chart.subtree(dec.base),
-        base_kind=dec.base_kind,
-        bushes=bushes,
-        q=q,
-        lam0=lam0 if dec.base_kind == "arc" else F0,
-        weights=lam,
-        deficit=deficit,
-    )
+    return BushDecomposition(space=space, base=chart.subtree(dec.base),
+                             base_kind=dec.base_kind, bushes=bushes)
 
 
 # ---------------------------------------------------------------------------
@@ -311,35 +262,19 @@ class BlowupPlan:
     positions: dict  # bush index -> arclength of its root along the base
     members: dict  # k -> sorted list of bush indices in N_k
 
-    def chain(self, k: int) -> list:
-        out = [k]
-        while out[-1] > 1:
-            out.append(self.targets[out[-1]])
-        return out
 
+def plan_targets(dec: BushDecomposition) -> BlowupPlan:
+    """Nearest earlier root for every bush k >= 2, ties to the smaller index.
 
-def _base_positions(asg: AssignedDecomposition) -> dict:
-    """Arclength of every bush root along the base arc, from one end."""
-    D = asg.space
-    if asg.base_kind == "point":
-        return {b.index: F0 for b in asg.bushes}
-    end1, _ = diameter_ends(D, asg.base)
-    pos = {}
-    for b in asg.bushes:
-        pos[b.index] = dist(D, end1, PointRef(vertex=b.root))
-    return pos
-
-
-def plan_targets(asg: AssignedDecomposition) -> BlowupPlan:
-    """Nearest earlier root for every bush k >= 2, ties to the smaller index."""
-    if len(asg.bushes) < 2:
-        raise GeometryError("target planning needs at least two bushes")
-    D = asg.space
-    pos = _base_positions(asg)
-    roots = {b.index: b.root for b in asg.bushes}
+    Positions are arclengths of the roots along the base arc, from one end.
+    """
+    end1, _ = diameter_ends(dec.space, dec.base)
+    pos = {b.index: dist(dec.space, end1, PointRef(vertex=b.root))
+           for b in dec.bushes}
+    roots = {b.index: b.root for b in dec.bushes}
     targets = {}
     members = {}
-    for b in asg.bushes:
+    for b in dec.bushes:
         k = b.index
         if k == 1:
             members[1] = sorted(roots)
@@ -562,7 +497,7 @@ def map_from_dict(d):
     if not isinstance(d, dict):
         raise ValueError("a map file must hold a JSON object")
     kind = d.get("kind", "piecewise")
-    if kind not in MAP_KINDS:
+    if not isinstance(kind, str) or kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {kind!r}")
     return from_dict_checked(MAP_KINDS[kind].from_dict, d, f"{kind} map")
 
@@ -623,10 +558,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     if dec.base_kind == "point":
         return _build_exact_point(dec, rho, seed)
     asg = assign_metric(dec, q)
-    if len(asg.bushes) >= 2:
-        plan = plan_targets(asg)
-    else:
-        plan = BlowupPlan(targets={}, positions=_base_positions(asg), members={1: [1]})
+    plan = plan_targets(asg)
     unit = unit_arc()
     # per-bush expanding surjections
     phis, phi_laps = {}, {}
@@ -638,18 +570,14 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     parts = []
     manifest_parts = []
     base_len = h1_measure(asg.base)
-    base_end1, base_end2 = (
-        diameter_ends(asg.space, asg.base)
-        if asg.base_kind == "arc"
-        else (None, None)
-    )
+    base_end1, base_end2 = diameter_ends(asg.space, asg.base)
 
     def base_point_at(s: Fraction) -> PointRef:
         return point_along(asg.space, base_end1, base_end2, s)
 
     for b in asg.bushes:
         k = b.index
-        members = plan.members.get(k, [k])
+        members = plan.members[k]
         pos = plan.positions
         # block layout along the blown-up interval, ordered by base position
         ordered = sorted(members, key=lambda h: (pos[h], h))
@@ -735,12 +663,11 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     manifest = {
         "q": format_rat(q),
         "rho": format_rat(rho),
-        "base_measure": format_rat(h1_measure(asg.base)),
-        "deficit": format_rat(asg.deficit),
+        "base_measure": format_rat(base_len),
+        "deficit": format_rat(q ** (len(asg.bushes) + 1)),
         "parts": manifest_parts,
     }
     glued = GluedExactMap(asg.space, asg.base, parts, manifest=manifest)
-    glued.plan = plan
     _validate_fixed_points(glued)
     return glued
 
@@ -859,8 +786,9 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
 
     Pieces on the fixed base arc can never cover (the map is the identity
     there); they are reported with ``covered_at = None`` and excluded from
-    the pass criterion.  The target chain k -> l_k -> ... must be strictly
-    decreasing down to 1.
+    the pass criterion.  The target chain k -> l_k -> ..., read from the
+    ``target`` of each part of the map's manifest, must be strictly
+    decreasing down to 1 within as many steps as there are parts.
     """
     if n_max < 1:
         raise GeometryError("n_max must be >= 1")
@@ -879,17 +807,19 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
                     covered = n
                     break
         rows.append(CoverRow(edge=e, lo=a, hi=b, kind=kind, covered_at=covered))
+    parts = getattr(Fm, "manifest", {}).get("parts", [])
+    targets = {p["bush"]: p["target"] for p in parts if p.get("target") is not None}
     chains = {}
-    chain_ok = True
-    plan = getattr(Fm, "plan", None)
-    if plan is not None and plan.targets:
-        for k in sorted(plan.targets):
-            chain = plan.chain(k)
-            chains[k] = chain
-            if any(x <= y for x, y in zip(chain, chain[1:])):
-                chain_ok = False
-            if chain[-1] != 1 or len(chain) > len(plan.positions):
-                chain_ok = False
+    for k in sorted(targets):
+        chain = [k]
+        while chain[-1] in targets and len(chain) <= len(parts):
+            chain.append(targets[chain[-1]])
+        chains[k] = chain
+    chain_ok = all(
+        chain[-1] == 1 and len(chain) <= len(parts)
+        and all(x > y for x, y in zip(chain, chain[1:]))
+        for chain in chains.values()
+    )
     return ExactnessCertificate(rows=rows, n_max=n_max, chain_ok=chain_ok,
                                 chains=chains)
 
@@ -952,9 +882,9 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
     anchor0 = space0.marked.get("origin")
     if anchor0 is None:
         raise GeometryError("arc form needs a marked 'origin' anchor on the base")
-    radius0 = max(
-        dist(space0, anchor0, PointRef(vertex=b.root)) for b in dec0.bushes
-    )
+    dists = {b.root: dist(space0, anchor0, PointRef(vertex=b.root))
+             for b in dec0.bushes}
+    radius0 = max(dists.values())
 
     def shell_of(d: Fraction) -> int:
         if d == 0:
@@ -965,29 +895,17 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
             j += 1
         return j
 
-    shells: dict[int, list] = {}
-    for b in dec0.bushes:
-        d = dist(space0, anchor0, PointRef(vertex=b.root))
-        shells.setdefault(shell_of(d), []).append(b.root)
-    # refine so every shell's clipped arc ends at vertices
+    shell = {root: shell_of(d) for root, d in dists.items()}
+    # cut the base where each shell's clipped arc ends; roots and their
+    # distances to the anchor stay as they are
     ends0 = diameter_ends(space0, dec0.base)
-    cut_pts = [
-        p for j in shells
-        for p in _clip_points(space0, anchor0, ends0, radius0 / 2 ** (j - 1))
-        if not p.is_vertex
-    ]
-    if cut_pts:
-        space, mp = refine_at(space0, cut_pts)
-        base = geodesic(space, mp(ends0[0]), mp(ends0[1]))
-    else:
-        space, mp = space0, lambda p: p
-        base = dec0.base
+    space, base = _refine_arc(space0, ends0, [
+        p for j in set(shell.values())
+        for p in _clip_points(space0, anchor0, ends0, radius0 / 2 ** (j - 1))])
     anchor = space.marked["origin"]
-    dec = decompose_bushes(space, base)
     roots_by_shell: dict[int, list] = {}
-    for b in dec.bushes:
-        d = dist(space, anchor, PointRef(vertex=b.root))
-        roots_by_shell.setdefault(shell_of(d), []).append(b)
+    for b in decompose_bushes(space, base).bushes:
+        roots_by_shell.setdefault(shell[b.root], []).append(b)
     ends = diameter_ends(space, base)
     pieces = []
     manifest = []

@@ -20,14 +20,16 @@ def format_rat(x: Fraction) -> str:
 def parse_rat(s) -> Fraction:
     if isinstance(s, Fraction):
         return s
+    if isinstance(s, (bool, float)):
+        raise ValueError(f"refusing {type(s).__name__} rational {s!r}; use 'p/q' strings")
     if isinstance(s, int):
         return Fraction(s)
-    if isinstance(s, float):
-        raise ValueError(f"refusing float rational {s!r}; use 'p/q' strings")
     text = str(s).strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = map(int, text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in rational {s!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

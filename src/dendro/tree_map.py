@@ -284,6 +284,8 @@ def compose(G, F) -> TreeMap:
 
 
 def iterate_apply(F, x: PointRef, n: int) -> PointRef:
+    if n > 1:
+        require_selfmap(F, "point")
     for _ in range(n):
         x = F.apply(x)
     return x
@@ -346,6 +348,7 @@ def classify_relation(F, a: PointRef, x: PointRef) -> str:
     """Exactly one of fixed / evades / admires / jumps_over, for a != x."""
     if a == x:
         raise GeometryError("relation base point must differ from x")
+    require_selfmap(F, "point")
     D = F.domain
     fx = F.apply(x)
     if fx == x:

@@ -137,12 +137,13 @@ def _swapped_parts_map():
 @pytest.mark.parametrize("content,message", [
     ("[1, 2]\n", "JSON object"),
     ('{"kind": "spiral"}\n', "unknown map kind 'spiral'"),
+    ('{"kind": ["glued_exact"]}\n', "unknown map kind ['glued_exact']"),
     ('{"kind": "piecewise", "domain": {"vertices": ["a"]}}\n',
      "malformed piecewise map: missing field 'edges'"),
     ('{"kind": "glued_exact", "space": [], "base": {}, "parts": []}\n',
      "malformed glued_exact map"),
     (_swapped_parts_map, "the inner map's domain does not match its region"),
-], ids=["top_level_list", "unknown_kind", "missing_field", "wrong_shape",
+], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
         "mismatched_part"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
@@ -217,6 +218,26 @@ def test_run_exactness_rejects_cyclic_dendrite(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- pattern export
+
+
+@pytest.mark.parametrize("length,message", [
+    ("1/0", "zero denominator in rational '1/0'"),
+    (True, "refusing bool rational True"),
+], ids=["zero_denominator", "bool"])
+def test_run_exactness_rejects_bad_edge_length(tmp_path, capsys, length, message):
+    d = {"vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "len": length}],
+         "marked": {}}
+    dfile = tmp_path / "bad.json"
+    dfile.write_text(json.dumps(d))
+    code = run([
+        "run", "--scenario", "exactness", "--dendrite", str(dfile), "--arc", "A",
+        "--out", str(tmp_path / "cert.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "cert.json").exists()
 
 
 @pytest.mark.parametrize("field,value,kind", [

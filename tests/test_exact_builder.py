@@ -98,13 +98,18 @@ def test_decompose_rejects_whole_space(star3):
 
 
 def test_decompose_rejects_branched_base(comb4):
-    branched = geodesic(comb4, V("b@-1"), V("b@1"))
-    tooth = geodesic(comb4, V("b@1/2"), V("t@1/2"))
+    # the tooth at 1/2, whole or cut off at half its height: a set whose
+    # end lies inside an edge must not be traded for its longest arc
     from dendro.metric_tree import union_connected
 
-    Y = union_connected(comb4, [branched, tooth])
-    with pytest.raises(GeometryError):
-        decompose_bushes(comb4, Y)
+    arc = geodesic(comb4, V("b@-1"), V("b@1"))
+    e = next(i for i, ed in enumerate(comb4.edges) if {ed.u, ed.v} == {"b@1/2", "t@1/2"})
+    for top in (V("t@1/2"), comb4.point(e, comb4.edge_length(e) / 2)):
+        Y = union_connected(comb4, [arc, geodesic(comb4, V("b@1/2"), top)])
+        with pytest.raises(GeometryError, match="base must be an arc"):
+            decompose_bushes(comb4, Y)
+        with pytest.raises(GeometryError, match="base must be an arc"):
+            build_exact(comb4, Y)
 
 
 # ---------------------------------------------------------------- metric
@@ -114,15 +119,17 @@ def test_assign_metric_weights(comb4):
     A = geodesic(comb4, comb4.marked["A_left"], comb4.marked["A_right"])
     dec = decompose_bushes(comb4, A)
     asg = assign_metric(dec, F(1, 2))
-    assert asg.weights[1] == F(1, 4)
-    assert asg.weights[2] == F(1, 8)
-    assert asg.lam0 == F(1, 2)
+    assert [b.index for b in asg.bushes] == [b.index for b in dec.bushes]
+    assert asg.bushes[0].measure == F(1, 4)
+    assert asg.bushes[1].measure == F(1, 8)
     assert h1_measure(asg.base) == F(1, 2)
     # ordering law: smaller index = larger measure
     for b1, b2 in zip(asg.bushes, asg.bushes[1:]):
         assert b1.measure > b2.measure
-    assert asg.deficit == F(1, 2) ** (len(dec.bushes) + 1)
-    assert asg.total_measure + asg.deficit == 1
+    for b in asg.bushes:
+        assert h1_measure(b.subtree) == b.measure
+    # the finite tree misses q^(K+1) of the unit measure
+    assert h1_measure(full_subtree(asg.space)) + F(1, 2) ** (len(dec.bushes) + 1) == 1
 
 
 def test_assign_metric_rejects_bad_q(comb4):
@@ -152,10 +159,10 @@ def test_plan_targets_four_teeth():
 
 def test_chain_reaches_one(comb4):
     Fm = build_exact(comb4, "A", q=F(1, 2), rho=F(6, 5))
-    plan = Fm.plan
+    chains = verify_exact(Fm, 1).chains
     K = len(Fm.parts)
-    for k in plan.targets:
-        chain = plan.chain(k)
+    assert sorted(chains) == list(range(2, K + 1))
+    for chain in chains.values():
         assert chain[-1] == 1
         assert len(chain) <= K
         assert all(a > b for a, b in zip(chain, chain[1:]))
@@ -207,6 +214,34 @@ def test_verify_exact_comb4(comb4_map):
     assert cert.max_cover_time <= len(comb4_map.parts) + 1
     base_rows = [r for r in cert.rows if r.kind == "base"]
     assert base_rows and all(r.covered_at is None for r in base_rows)
+
+
+@pytest.mark.parametrize("targets", [{2: 3, 3: 2}, {2: 7}],
+                         ids=["cycle", "no_such_bush"])
+def test_verify_exact_rejects_bad_manifest_chain(comb4_map, targets):
+    # the chain is read from the manifest, so a file may carry any targets;
+    # a cycle or a target that names no bush fails the chain, in bounded time
+    d = comb4_map.to_dict()
+    for entry in d["manifest"]["parts"]:
+        entry["target"] = targets.get(entry["bush"], entry["target"])
+    cert = verify_exact(exact_builder.map_from_dict(d), 1)
+    assert not cert.chain_ok
+    assert all(len(chain) <= len(d["parts"]) + 1 for chain in cert.chains.values())
+
+
+def test_build_exact_one_bush():
+    # one tooth on an arc: K = 1, no target, region 1 rides the whole base
+    D = Dendrite(["l", "m", "r", "t"],
+                 [("l", "m", F(1, 2)), ("m", "r", F(1, 2)), ("m", "t", F(1, 3))],
+                 marked={"A_left": V("l"), "A_right": V("r")})
+    Fm = build_exact(D, "A")
+    assert len(Fm.parts) == 1 and Fm.manifest["parts"][0]["target"] is None
+    cert = verify_exact(Fm, 4)
+    assert cert.chains == {} and cert.chain_ok
+    assert cert.all_bush_pieces_covered
+    assert all(r.covered_at == 1 for r in cert.rows if r.kind == "bush")
+    for p in subtree_points(Fm.domain, Fm.base):
+        assert Fm.apply(p) == p
 
 
 def test_verify_identity_never_covers(comb4_map):
@@ -593,6 +628,8 @@ def test_map_file_roundtrip(fixture, kind, request, tmp_path):
         (e, (a, b)) = sorted(part.region.intervals.items())[0]
         x = D.point(e, a + (b - a) / 3)
         assert back.apply(x) == Fm.apply(x)
+    n = len(Fm.parts) + 1
+    assert verify_exact(back, n).to_dict() == verify_exact(Fm, n).to_dict()
 
 
 def test_decompose_interior_point(comb3):

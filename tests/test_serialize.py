@@ -35,6 +35,12 @@ def test_parse_rejects_floats():
         parse_rat(0.5)
 
 
+@pytest.mark.parametrize("value", [True, False, "1/0", " 3/0 ", "0/0"])
+def test_parse_rejects_bools_and_zero_denominators(value):
+    with pytest.raises(ValueError):
+        parse_rat(value)
+
+
 def test_dumps_json_is_canonical():
     a = dumps_json({"b": 1, "a": [F is None, 2]})
     b = dumps_json({"a": [False, 2], "b": 1})

@@ -172,6 +172,24 @@ def test_classify_requires_distinct_points(tent):
         classify_relation(tent, V("0"), V("0"))
 
 
+def _onto_arc(star3, unit_arc):
+    """A valid map from the star onto the unit arc: no point orbits."""
+    images = {v: V("0" if v == "c" else "1") for v in star3.vertices}
+    return TreeMap(star3, unit_arc, images)
+
+
+def test_classify_rejects_a_map_onto_another_tree(star3, unit_arc):
+    with pytest.raises(GeometryError, match="point orbits need a selfmap"):
+        classify_relation(_onto_arc(star3, unit_arc), V("e2"), V("c"))
+
+
+def test_iterate_apply_rejects_a_map_onto_another_tree(star3, unit_arc):
+    onto = _onto_arc(star3, unit_arc)
+    assert iterate_apply(onto, V("c"), 1) == V("0")  # one step needs no selfmap
+    with pytest.raises(GeometryError, match="point orbits need a selfmap"):
+        iterate_apply(onto, V("c"), 3)
+
+
 def test_trichotomy_totality_endpoint_base(tent, unit_arc):
     # endpoint base: jumps_over never occurs
     for num in range(1, 16):
