@@ -9,11 +9,15 @@ spanned by the arc from its root to a nearer, larger-bush root together with
 all smaller bushes rooted between them (E_1 is the whole tree).  Each bush
 map factors as: normalized-distance zigzag onto [0,1], a constant-slope
 sawtooth onto a blown-up interval in which every involved root is widened
-into a block of that bush's measure, then a block-wise surjection whose
+into a block of that bush's measure, then a block-wise surjection g whose
 blocks replay expanding walk surjections onto the bushes and whose gaps ride
 along the base arc.  Points of A stay fixed; every bush root stays fixed.
-Both waves are one ``length_expanding.Zigzag``, psi on a bush and nu on
-the unit arc; the walk surjections are that wave composed with a walk.
+The plan lays out each region once: its members in base order and its span
+of base.  g is read off the blocks: its ends are the base points at the
+span's ends, and its breakpoints are the members' controls shifted into
+their blocks.  Both waves are one ``length_expanding.Zigzag``, psi on a
+bush and nu on the unit arc; the walk surjections are that wave composed
+with a walk.
 A :class:`PieceChart` runs one way; a conjugated part holds its chart and
 the chart's inverse.
 
@@ -47,6 +51,7 @@ from dendro.length_expanding import (
     build_pair,
     build_phi_on_subtree,
     check_length_expanding,
+    even_lap_count,
     initial_lap_count,
     unit_arc,
 )
@@ -260,40 +265,34 @@ def assign_metric(dec: BushDecomposition, q) -> BushDecomposition:
 class BlowupPlan:
     targets: dict  # k -> target index l_k < k (k >= 2)
     positions: dict  # bush index -> arclength of its root along the base
-    members: dict  # k -> sorted list of bush indices in N_k
+    ends: tuple  # the base arc's ends; positions run from the first
+    members: dict  # k -> bush indices in N_k, in base order
+    spans: dict  # k -> (lo, hi), the positions of E_k's stretch of base
 
 
 def plan_targets(dec: BushDecomposition) -> BlowupPlan:
     """Nearest earlier root for every bush k >= 2, ties to the smaller index.
 
     Positions are arclengths of the roots along the base arc, from one end.
+    E_1 spans the whole base and holds every bush; E_k spans the base
+    between root k and its target's root and holds k, the target and the
+    smaller bushes rooted strictly between them.  Members are listed by
+    (position, index), the order of their blocks in the blown-up interval.
     """
-    end1, _ = diameter_ends(dec.space, dec.base)
-    pos = {b.index: dist(dec.space, end1, PointRef(vertex=b.root))
+    ends = diameter_ends(dec.space, dec.base)
+    pos = {b.index: dist(dec.space, ends[0], PointRef(vertex=b.root))
            for b in dec.bushes}
-    roots = {b.index: b.root for b in dec.bushes}
-    targets = {}
-    members = {}
-    for b in dec.bushes:
-        k = b.index
+    targets, members, spans = {}, {}, {}
+    for k in pos:
         if k == 1:
-            members[1] = sorted(roots)
-            continue
-        best = None
-        for j in range(1, k):
-            d = abs(pos[j] - pos[k])
-            if best is None or d < best[0] or (d == best[0] and j < best[1]):
-                best = (d, j)
-        targets[k] = best[1]
-        lk = best[1]
-        lo, hi = sorted((pos[k], pos[lk]))
-        inside = [
-            h
-            for h in roots
-            if h > k and lo < pos[h] < hi
-        ]
-        members[k] = sorted({k, lk, *inside})
-    return BlowupPlan(targets=targets, positions=pos, members=members)
+            inside, spans[1] = pos, (F0, h1_measure(dec.base))
+        else:
+            lk = targets[k] = min(range(1, k), key=lambda j: (abs(pos[j] - pos[k]), j))
+            lo, hi = spans[k] = tuple(sorted((pos[k], pos[lk])))
+            inside = {k, lk, *(h for h in pos if h > k and lo < pos[h] < hi)}
+        members[k] = sorted(inside, key=lambda h: (pos[h], h))
+    return BlowupPlan(targets=targets, positions=pos, ends=ends, members=members,
+                      spans=spans)
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +340,12 @@ class ExactBushPart:
     def from_dict(space, d):
         bush = Subtree.from_dict(d["bush"])
         unit = unit_arc()
-        psi = Zigzag(space, bush, d["psi"]["root"], parse_rat(d["psi"]["reach"]),
-                     int(d["psi"]["laps"]), unit)
+        psi = Zigzag(space, bush, d["psi"]["root"], int(d["psi"]["laps"]), unit)
+        if parse_rat(d["psi"]["reach"]) != psi.reach:
+            raise ValueError(f"psi reach {d['psi']['reach']} differs from the "
+                             f"bush's reach {format_rat(psi.reach)}")
         g = TreeMap.from_dict(d["g"])
-        nu = Zigzag(unit, full_subtree(unit), "0", F1, int(d["nu"]["laps"]),
+        nu = Zigzag(unit, full_subtree(unit), "0", int(d["nu"]["laps"]),
                     g.domain, parse_rat(d["nu"]["start"]))
         return ExactBushPart(region=bush, root=d["root"], psi=psi, nu=nu, g=g)
 
@@ -560,77 +561,41 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     asg = assign_metric(dec, q)
     plan = plan_targets(asg)
     unit = unit_arc()
+    pos = plan.positions
     # per-bush expanding surjections
     phis, phi_laps = {}, {}
     for b in asg.bushes:
-        phi, laps = _build_phi_for_bush(asg, b, rho, seed)
-        phis[b.index], phi_laps[b.index] = phi, laps
-    root_ref = {b.index: PointRef(vertex=b.root) for b in asg.bushes}
-    bush_by_index = {b.index: b for b in asg.bushes}
+        phis[b.index], phi_laps[b.index] = _build_phi_for_bush(asg, b, rho, seed)
     parts = []
     manifest_parts = []
-    base_len = h1_measure(asg.base)
-    base_end1, base_end2 = diameter_ends(asg.space, asg.base)
-
-    def base_point_at(s: Fraction) -> PointRef:
-        return point_along(asg.space, base_end1, base_end2, s)
-
     for b in asg.bushes:
         k = b.index
-        members = plan.members[k]
-        pos = plan.positions
-        # block layout along the blown-up interval, ordered by base position
-        ordered = sorted(members, key=lambda h: (pos[h], h))
-        if k == 1:
-            lo, hi_pos = F0, base_len  # region 1 rides the whole base
-        else:
-            lo = min(pos[k], pos[plan.targets[k]])
-            hi_pos = max(pos[k], pos[plan.targets[k]])
-        blocks = []
-        acc = F0
-        prev_pos = lo
-        for h in ordered:
-            gap = pos[h] - prev_pos
-            start = acc + gap
-            blocks.append((h, start))
-            acc = start + bush_by_index[h].measure
-            prev_pos = pos[h]
-        total = acc + (hi_pos - prev_pos)
+        lo, hi = plan.spans[k]
+        # blocks along the blown-up interval, one per member in base order,
+        # each as long as its bush; the gaps are the base between the roots
+        starts, acc, prev = {}, F0, lo
+        for h in plan.members[k]:
+            starts[h] = acc + pos[h] - prev
+            acc, prev = starts[h] + asg.bushes[h - 1].measure, pos[h]
+        total = acc + hi - prev
         depth_arc = _arc_dendrite(total, f"J{k}")
-        # g: blocks replay the bush surjections, gaps ride the base arc
-        g_breaks = []
-        if blocks[0][1] > 0:
-            g_breaks.append((F0, base_point_at(lo)))
-        for h, start in blocks:
-            phi_h = phis[h]
-            for t, p in phi_h.controls(0):
-                g_breaks.append((start + t * bush_by_index[h].measure, p))
-        if acc < total:
-            g_breaks.append((total, base_point_at(hi_pos)))
-        g_breaks.sort(key=lambda tp: tp[0])
-        v0 = g_breaks[0][1]
-        v1 = g_breaks[-1][1]
-        inner = tuple(
-            (t, p) for t, p in g_breaks if F0 < t < total
-        )
-        g = TreeMap(
-            depth_arc,
-            asg.space,
-            {depth_arc.edges[0].u: v0, depth_arc.edges[0].v: v1},
-            {0: inner},
-        )
+        # g: blocks replay the bush surjections, gaps ride the base arc.  Its
+        # ends are the span's base points (a block at an end starts or ends
+        # at its root, which is that point), and the roots' positions differ,
+        # so the shifted controls never share a time
+        v0, v1 = (point_along(asg.space, *plan.ends, s) for s in (lo, hi))
+        controls = [(start + t * asg.bushes[h - 1].measure, p)
+                    for h, start in starts.items() for t, p in phis[h].controls(0)]
+        inner = tuple((t, p) for t, p in controls if F0 < t < total)
+        g = TreeMap(depth_arc, asg.space,
+                    {depth_arc.edges[0].u: v0, depth_arc.edges[0].v: v1}, {0: inner})
         region_image = g.image(full_subtree(depth_arc))
-        # the sawtooth start: the block of bush k itself
-        k_start = next(start for h, start in blocks if h == k)
+        # the sawtooth starts in the block of bush k itself
         nu_laps = _nu_lap_count(total)
-        nu = Zigzag(unit, full_subtree(unit), "0", F1, nu_laps, depth_arc, k_start)
-        reach = max(
-            dist(asg.space, root_ref[k], PointRef(vertex=v))
-            for v in b.subtree.vertices
-        )
+        nu = Zigzag(unit, full_subtree(unit), "0", nu_laps, depth_arc, starts[k])
         # psi expands the phi images by rho in units of the bush measure
         for laps in (phi_laps[k], 2 * phi_laps[k]):
-            psi = Zigzag(asg.space, b.subtree, b.root, reach, laps, unit)
+            psi = Zigzag(asg.space, b.subtree, b.root, laps, unit)
             w = check_length_expanding(
                 psi, DenseFamily("phi_images", through=phis[k]), rho / b.measure,
                 60, seed,
@@ -639,22 +604,14 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
                 break
         else:
             raise BuildError(f"no expanding distance zigzag for bush {k}", witness=w)
-        parts.append(
-            ExactBushPart(
-                region=b.subtree,
-                root=b.root,
-                psi=psi,
-                nu=nu,
-                g=g,
-            )
-        )
+        parts.append(ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu, g=g))
         manifest_parts.append(
             {
                 "bush": k,
                 "root": b.root,
                 "weight": format_rat(b.measure),
                 "target": plan.targets.get(k),
-                "members": list(ordered),
+                "members": plan.members[k],
                 "phi_laps": phi_laps[k],
                 "nu_laps": nu_laps,
                 "region_measure": format_rat(h1_measure(region_image)),
@@ -663,7 +620,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     manifest = {
         "q": format_rat(q),
         "rho": format_rat(rho),
-        "base_measure": format_rat(base_len),
+        "base_measure": format_rat(h1_measure(asg.base)),
         "deficit": format_rat(q ** (len(asg.bushes) + 1)),
         "parts": manifest_parts,
     }
@@ -674,9 +631,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
 
 def _nu_lap_count(total: Fraction) -> int:
     """Even stretch count: non-covering subintervals expand by at least 2."""
-    need = Fraction(4) / total
-    laps = max(2, int(need) + (0 if need == int(need) else 1))
-    return laps + (laps % 2)
+    return even_lap_count(4 / total, 2)
 
 
 def _validate_fixed_points(glued: GluedExactMap):
@@ -710,15 +665,7 @@ def _build_exact_point(dec: BushDecomposition, rho, seed):
             vertex_images[far] = PointRef(vertex=b.root)
             mid = ed.length / 2
             edge_breaks[e] = ((mid, PointRef(vertex=far)),)
-        Fm = TreeMap(D, D, vertex_images, edge_breaks)
-        Fm.manifest = {
-            "base": root_name,
-            "parts": [
-                {"bush": b.index, "root": b.root, "style": "fold"}
-                for b in dec.bushes
-            ],
-        }
-        return Fm
+        return TreeMap(D, D, vertex_images, edge_breaks)
     # general point case: conjugate a built pair through an extracted copy
     parts = []
     manifest_parts = []

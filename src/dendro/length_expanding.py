@@ -14,19 +14,21 @@ lap count doubles and the build retries.
 The triangle wave behind every zigzag lives here once, in closed form: its
 value and exact range (``sawtooth_value``, ``sawtooth_image``) and its fold
 pullbacks on an edge (``fold_cuts``).  :class:`Zigzag` is the wave of the
-normalized distance to a root onto a one-edge arc, and ``tree_map()`` makes
-it an explicit ``TreeMap``.  psi is the Zigzag of the distance to a; phi is
-the unit-arc Zigzag onto [0, 2|T|] composed with the closed double-cover
-walk of T (``tree_map.compose``).  ``exact_builder`` builds its bush maps
-from the same Zigzag on ``unit_arc()`` and checks them with
-``check_length_expanding``.
+normalized distance to a root onto a one-edge arc; it derives its reach,
+the root's farthest distance in its region, and ``tree_map()`` makes it an
+explicit ``TreeMap``.  Every lap count is the least even count at or
+above a need and a floor (``even_lap_count``).  psi is the Zigzag of the
+distance to a; phi is the unit-arc Zigzag onto [0, 2|T|] composed with
+the closed double-cover walk of T (``tree_map.compose``).
+``exact_builder`` builds its bush maps from the same Zigzag on
+``unit_arc()`` and checks them with ``check_length_expanding``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -270,15 +272,24 @@ class Zigzag:
     laps, start, dist(root, x) / reach)`` on the codomain's edge.  psi is
     the instance on a tree or bush; the sawtooth nu, and the wave inside
     phi, are the instance on the unit arc, rooted at "0" with reach 1.
+    The reach is derived: the region is whole edges, so its farthest point
+    from the root, which must be a vertex of the region, is a vertex.
     """
 
     domain: Dendrite
     region: Subtree
     root: str
-    reach: Fraction  # max distance from the root within the region
     laps: int
     codomain: Dendrite
     start: Fraction = F0
+    reach: Fraction = field(init=False)  # max distance from the root in the region
+
+    def __post_init__(self):
+        if self.root not in self.region.vertices:
+            raise GeometryError(f"zigzag root {self.root!r} is not in its region")
+        root = PointRef(vertex=self.root)
+        self.reach = max(dist(self.domain, root, PointRef(vertex=v))
+                         for v in self.region.vertices)
 
     def _norm(self, x: PointRef) -> Fraction:
         return dist(self.domain, PointRef(vertex=self.root), x) / self.reach
@@ -328,12 +339,16 @@ class Zigzag:
 # pair construction
 
 
+def even_lap_count(need, least: int) -> int:
+    """The least even lap count that is at least ``least`` and ``need``."""
+    laps = max(least, math.ceil(need))
+    return laps + laps % 2
+
+
 def initial_lap_count(rho) -> int:
     """Even zigzag stretch count: non-covering intervals expand >= rho."""
-    rho = Fraction(rho)
-    m = 2 * rho  # fold halves the stretch expansion; walk halves again
-    laps = max(4, int(m) + (0 if m == int(m) else 1))
-    return laps + (laps % 2)
+    # fold halves the stretch expansion; walk halves again
+    return even_lap_count(2 * Fraction(rho), 4)
 
 
 @dataclass
@@ -376,7 +391,7 @@ def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
     base = PointRef(vertex=root)
     walk = TreeMap(arc, T, {"0": base, "1": base}, {0: ends})
     unit = unit_arc()
-    wave = Zigzag(unit, full_subtree(unit), "0", F1, laps, arc)
+    wave = Zigzag(unit, full_subtree(unit), "0", laps, arc)
     return compose(walk, wave.tree_map())
 
 
@@ -407,12 +422,11 @@ def build_pair(
         raise GeometryError("base point must be a vertex")
     space.check_point(a)
     whole = full_subtree(space)
-    reach = max(dist(space, a, PointRef(vertex=v)) for v in space.vertices)
     laps = initial_laps if initial_laps is not None else initial_lap_count(rho)
     last_witness = None
     for attempt in range(max_retries + 1):
         phi = build_phi_on_subtree(space, whole, a.vertex, laps)
-        psi = Zigzag(space, whole, a.vertex, reach, laps, unit_arc()).tree_map()
+        psi = Zigzag(space, whole, a.vertex, laps, unit_arc()).tree_map()
         w = check_length_expanding(
             phi, DenseFamily("all_closed_intervals"), rho, samples, seed
         )

@@ -10,9 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from dendro.chaos import SetFamily, prox_record, sens_record, verdict
+from dendro.chaos import SetFamily, verdict
 from dendro.exact_builder import build_exact, verify_exact
 from dendro.gallery import FamilyDescriptor, build_counterexample, generate
 from dendro.length_expanding import (
@@ -25,13 +23,10 @@ from dendro.metric_tree import (
     PointRef,
     ball,
     dist,
-    full_subtree,
-    geodesic,
     intersect_subtrees,
     make_subtree,
     point_along,
     span_subtree,
-    subtree_diam,
     subtrees_intersect,
     union_subtrees,
 )

@@ -17,9 +17,7 @@ from dendro.metric_tree import (
     Dendrite,
     GeometryError,
     PointRef,
-    full_subtree,
     make_subtree,
-    subtree_diam,
 )
 from dendro.tree_map import SetOrbit, TreeMap, identity_map
 from oracles import (

@@ -134,6 +134,17 @@ def _swapped_parts_map():
     return dumps_json(d)
 
 
+def _comb8_map_with_psi(field, value):
+    """The comb 8 exactness map file with one field of part 0's psi replaced."""
+    from dendro.exact_builder import build_exact
+    from dendro.gallery import FamilyDescriptor, generate
+    from dendro.serialize import dumps_json
+
+    d = build_exact(generate(FamilyDescriptor("comb", {"depth": 8})), "A").to_dict()
+    d["parts"][0]["psi"][field] = value
+    return dumps_json(d)
+
+
 @pytest.mark.parametrize("content,message", [
     ("[1, 2]\n", "JSON object"),
     ('{"kind": "spiral"}\n', "unknown map kind 'spiral'"),
@@ -143,8 +154,11 @@ def _swapped_parts_map():
     ('{"kind": "glued_exact", "space": [], "base": {}, "parts": []}\n',
      "malformed glued_exact map"),
     (_swapped_parts_map, "the inner map's domain does not match its region"),
+    (lambda: _comb8_map_with_psi("root", ["x"]), "malformed glued_exact map"),
+    (lambda: _comb8_map_with_psi("reach", "7/3"),
+     "psi reach 7/3 differs from the bush's reach 1/4"),
 ], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
-        "mismatched_part"])
+        "mismatched_part", "psi_root_list", "psi_reach_differs"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content() if callable(content) else content)
@@ -368,3 +382,41 @@ def test_golden_output_bytes(tmp_path):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in out.items()}
     assert digests == GOLDEN_SHA256
+
+
+GLUED_SHA256 = {
+    "comb_gch8_map": "585b48c125608e325be9c3500a36d4c0af5a615d2ce37a4352d121b41bb7d297",
+    "gehman3_point_map":
+        "ff3dcd3b64f38f9b9629192159758c802de813bdac38261779c94a2dd7381aa2",
+    "riemann4_map": "0bca39be34e4db8d4fa64ddf2dfb8c3fb66a310ac1cfc635bb76cba79601498c",
+    "riemann4_certificate":
+        "9b76fbf1c3f7ba938bfd3888879aaf96e80303b08dbdf8b862834dbb75422f37",
+}
+
+
+def test_glued_output_bytes():
+    # the glued kinds the table above leaves out: the comb_gch 8 map
+    # (glued_pieces), the gehman 3 build at its point g (glued_point), and
+    # the riemann 4 arc build (glued_exact) with its certificate at n_max 64
+    import hashlib
+
+    from dendro.exact_builder import build_exact, verify_exact
+    from dendro.gallery import FamilyDescriptor, build_counterexample, generate
+    from dendro.metric_tree import PointRef
+    from dendro.serialize import dumps_json
+
+    comb_gch8 = build_counterexample("comb_gch", depth=8)[1]
+    gehman3 = build_exact(generate(FamilyDescriptor("gehman", {"depth": 3})),
+                          PointRef(vertex="g"))
+    riemann4 = build_exact(generate(FamilyDescriptor("riemann", {"qmax": 4})), "A")
+    assert [m.kind for m in (comb_gch8, gehman3, riemann4)] == [
+        "glued_pieces", "glued_point", "glued_exact"]
+    payloads = {
+        "comb_gch8_map": comb_gch8.to_dict(),
+        "gehman3_point_map": gehman3.to_dict(),
+        "riemann4_map": riemann4.to_dict(),
+        "riemann4_certificate": verify_exact(riemann4, 64).to_dict(),
+    }
+    digests = {name: hashlib.sha256(dumps_json(d).encode()).hexdigest()
+               for name, d in payloads.items()}
+    assert digests == GLUED_SHA256

@@ -142,7 +142,7 @@ def test_assign_metric_rejects_bad_q(comb4):
 # ---------------------------------------------------------------- targets
 
 
-def test_plan_targets_four_teeth():
+def test_plan_targets_four_teeth(comb4):
     D = comb_teeth_only(4)
     A = geodesic(D, D.marked["A_left"], D.marked["A_right"])
     dec = decompose_bushes(D, A)
@@ -155,6 +155,20 @@ def test_plan_targets_four_teeth():
     assert plan.targets[3] == 2  # |1/3-1/2| < |1/3-1|
     assert plan.targets[4] == 3
     assert all(plan.targets[k] < k for k in plan.targets)
+    # the base [0, 1] is rescaled to length 1/2; positions run from b@1
+    assert plan.ends == (V("b@1"), V("b@0"))
+    assert plan.positions == {1: F(0), 2: F(1, 4), 3: F(1, 3), 4: F(3, 8)}
+    assert plan.members == {1: [1, 2, 3, 4], 2: [1, 2], 3: [2, 3], 4: [3, 4]}
+    assert plan.spans == {1: (F(0), F(1, 2)), 2: (F(0), F(1, 4)),
+                          3: (F(1, 4), F(1, 3)), 4: (F(1, 3), F(3, 8))}
+    # on comb4 the largest bush, at b@0, lies past four smaller roots, so
+    # the base order of a region's members is not their index order
+    A = geodesic(comb4, comb4.marked["A_left"], comb4.marked["A_right"])
+    plan = plan_targets(assign_metric(decompose_bushes(comb4, A), F(1, 2)))
+    assert plan.members == {1: [2, 3, 4, 5, 1], 2: [2, 3, 4, 5, 1],
+                            3: [3, 4, 5, 1], 4: [3, 4], 5: [4, 5]}
+    assert plan.spans[1] == (F(0), F(1, 2))
+    assert plan.spans[3] == (F(1, 8), F(1, 4))
 
 
 def test_chain_reaches_one(comb4):
@@ -293,7 +307,8 @@ def test_bush_psi_witness_reverifies(comb4):
     phi = build_phi_on_subtree(asg.space, b.subtree, b.root, initial_lap_count(rho))
     reach = max(dist(asg.space, V(b.root), V(v)) for v in b.subtree.vertices)
     for laps in (1, 2):
-        psi = Zigzag(asg.space, b.subtree, b.root, reach, laps, unit_arc())
+        psi = Zigzag(asg.space, b.subtree, b.root, laps, unit_arc())
+        assert psi.reach == reach
         w = check_length_expanding(
             psi, DenseFamily("phi_images", through=phi), rho / b.measure, 60, 0
         )

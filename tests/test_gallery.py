@@ -12,10 +12,7 @@ from dendro.gallery import (
 from dendro.metric_tree import (
     PointRef,
     dist,
-    full_subtree,
     geodesic,
-    h1_measure,
-    point_order,
 )
 from oracles import farey_count
 

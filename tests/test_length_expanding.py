@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from oracles import plain_phi, plain_psi, scan_fold_cuts, stepwise_sawtooth
 
+from dendro.exact_builder import _nu_lap_count
 from dendro.gallery import FAMILIES, FamilyDescriptor, generate
 from dendro.length_expanding import (
     BuildError,
@@ -107,7 +108,7 @@ def test_zigzag_tree_map_controls_match_stepwise():
         arc = Dendrite(["0", "1"], [("0", "1", total)])
         for laps in range(1, 13):
             for start in (F(0), total / 3, total / 2, 3 * total / 4):
-                wave = Zigzag(unit, full_subtree(unit), "0", F(1), laps, arc, start)
+                wave = Zigzag(unit, full_subtree(unit), "0", laps, arc, start)
                 ctrl = [(t, _offset(arc, p)) for t, p in wave.tree_map().controls(0)]
                 assert ctrl == stepwise_sawtooth(total, laps, start), (
                     total, laps, start)
@@ -137,6 +138,16 @@ def test_fold_cuts_match_scan():
 def test_initial_lap_count():
     assert initial_lap_count(F(6, 5)) == 4
     assert initial_lap_count(F(3)) == 6
+    # the sawtooth nu on a blown-up interval of a given total: laps >= 4/total
+    assert _nu_lap_count(F(3, 4)) == 6
+    assert _nu_lap_count(F(4)) == 2
+
+
+def test_zigzag_root_outside_region_fails(star3):
+    arm = make_subtree(star3, {0: (F(0), star3.edge_length(0))})
+    outside = next(v for v in star3.vertices if v not in arm.vertices)
+    with pytest.raises(GeometryError, match="not in its region"):
+        Zigzag(star3, arm, outside, 4, unit_arc())
 
 
 # ---------------------------------------------------------------- build_pair
@@ -186,7 +197,9 @@ def test_phi_and_psi_match_plain_builders():
                 phi = build_phi_on_subtree(T, whole, root, laps)
                 assert phi.to_dict() == plain_phi(T, whole, root, laps).to_dict(), (
                     fam, root, laps)
-                psi = Zigzag(T, whole, root, reach, laps, unit_arc()).tree_map()
+                wave = Zigzag(T, whole, root, laps, unit_arc())
+                assert wave.reach == reach
+                psi = wave.tree_map()
                 assert psi.to_dict() == plain_psi(T, root, laps).to_dict(), (
                     fam, root, laps)
 

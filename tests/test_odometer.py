@@ -1,14 +1,11 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dendro.odometer import (
     Address,
-    AddressError,
-    EpsScrambledResult,
     FiberPoint,
     add,
     ell,

@@ -9,9 +9,7 @@ from dendro.metric_tree import (
     PointRef,
     full_subtree,
     geodesic,
-    h1_measure,
     make_subtree,
-    subtree_diam,
     union_subtrees,
 )
 from dendro.tree_map import (
