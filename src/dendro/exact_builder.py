@@ -18,6 +18,10 @@ span's ends, and its breakpoints are the members' controls shifted into
 their blocks.  Both waves are one ``length_expanding.Zigzag``, psi on a
 bush and nu on the unit arc; the walk surjections are that wave composed
 with a walk.
+Every lap count comes from the fold lemma of ``length_expanding``, so the
+builder samples nothing: phi gets ``initial_lap_count(rho)`` laps and
+expands by rho times its bush's measure; psi gets ``psi_lap_count`` laps
+and expands phi's images by rho over that measure.
 A :class:`PieceChart` runs one way; a conjugated part holds its chart and
 the chart's inverse.
 
@@ -45,14 +49,12 @@ from typing import Optional
 
 from dendro.length_expanding import (
     BuildError,
-    DenseFamily,
-    LEWitness,
     Zigzag,
     build_pair,
     build_phi_on_subtree,
-    check_length_expanding,
     even_lap_count,
     initial_lap_count,
+    psi_lap_count,
     unit_arc,
 )
 from dendro.metric_tree import (
@@ -347,7 +349,18 @@ class ExactBushPart:
         g = TreeMap.from_dict(d["g"])
         nu = Zigzag(unit, full_subtree(unit), "0", int(d["nu"]["laps"]),
                     g.domain, parse_rat(d["nu"]["start"]))
-        return ExactBushPart(region=bush, root=d["root"], psi=psi, nu=nu, g=g)
+        # the kinds are fixed, and a fact written twice agrees with its copy
+        for field, got, other, want in (
+            ("psi.kind", d["psi"]["kind"], "'bush_zigzag'", "bush_zigzag"),
+            ("nu.kind", d["nu"]["kind"], "'sawtooth_arc'", "sawtooth_arc"),
+            ("psi.bush", Subtree.from_dict(d["psi"]["bush"]), "the part's bush", bush),
+            ("root", d["root"], "psi.root", psi.root),
+            ("nu.codomain_length", parse_rat(d["nu"]["codomain_length"]),
+             "the length of g's domain", g.domain.edge_length(0)),
+        ):
+            if got != want:
+                raise ValueError(f"part {field} differs from {other}")
+        return ExactBushPart(region=bush, root=psi.root, psi=psi, nu=nu, g=g)
 
 
 @dataclass
@@ -444,9 +457,6 @@ class GluedMap:
             out.append((e, a, b, "base"))
         return out
 
-    def invariant_regions(self):
-        return [part.region for part in self.parts]
-
     def to_dict(self):
         return {
             "kind": self.kind,
@@ -511,36 +521,6 @@ def _arc_dendrite(length: Fraction, name: str) -> Dendrite:
     return Dendrite([f"{name}:0", f"{name}:1"], [(f"{name}:0", f"{name}:1", length)])
 
 
-def _build_phi_for_bush(asg, bush, rho, seed):
-    """Expanding walk surjection I -> bush inside the assigned space."""
-    laps = initial_lap_count(rho)
-    rho = Fraction(rho)
-    lam = bush.measure
-    for attempt in range(4):
-        phi = build_phi_on_subtree(asg.space, bush.subtree, bush.root, laps)
-        w = _check_bush_expanding(phi, bush.subtree, rho * lam, 60, seed)
-        if w is None:
-            return phi, laps
-        laps *= 2
-    raise BuildError(f"no expanding walk for bush {bush.index}", witness=w)
-
-
-def _check_bush_expanding(phi, bush, rho_scaled, samples, seed):
-    fam = DenseFamily("all_closed_intervals")
-    for J in fam.sample(phi.domain, samples, seed):
-        img = phi.image(J)
-        if img == bush:
-            continue
-        if h1_measure(img) < rho_scaled * h1_measure(J):
-            return LEWitness(
-                set_=J,
-                measure=h1_measure(J),
-                image_measure=h1_measure(img),
-                rho=rho_scaled,
-            )
-    return None
-
-
 def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int = 0):
     """Selfmap fixing A pointwise whose bush pieces expand onto regions E_k.
 
@@ -548,7 +528,10 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     ``<A>_left`` / ``<A>_right``), or a PointRef.  Returns a GluedExactMap on
     the reassigned-metric copy of D (arc case) or a TreeMap / glued map on D
     itself (point case); the build manifest records weights, targets, lap
-    counts and region measures.
+    counts and region measures.  In the arc case every lap count comes from
+    the fold lemma, so nothing is sampled and ``seed`` is not read: phi
+    expands by rho times its bush's measure, and psi expands phi's images
+    by rho over it.
     """
     q, rho = Fraction(q), Fraction(rho)
     if isinstance(A, str):
@@ -563,9 +546,9 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     unit = unit_arc()
     pos = plan.positions
     # per-bush expanding surjections
-    phis, phi_laps = {}, {}
-    for b in asg.bushes:
-        phis[b.index], phi_laps[b.index] = _build_phi_for_bush(asg, b, rho, seed)
+    phi_laps = initial_lap_count(rho)
+    phis = {b.index: build_phi_on_subtree(asg.space, b.subtree, b.root, phi_laps)
+            for b in asg.bushes}
     parts = []
     manifest_parts = []
     for b in asg.bushes:
@@ -594,16 +577,8 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
         nu_laps = _nu_lap_count(total)
         nu = Zigzag(unit, full_subtree(unit), "0", nu_laps, depth_arc, starts[k])
         # psi expands the phi images by rho in units of the bush measure
-        for laps in (phi_laps[k], 2 * phi_laps[k]):
-            psi = Zigzag(asg.space, b.subtree, b.root, laps, unit)
-            w = check_length_expanding(
-                psi, DenseFamily("phi_images", through=phis[k]), rho / b.measure,
-                60, seed,
-            )
-            if w is None:
-                break
-        else:
-            raise BuildError(f"no expanding distance zigzag for bush {k}", witness=w)
+        psi_laps = psi_lap_count(asg.space, b.subtree, b.root, rho, phi_laps)
+        psi = Zigzag(asg.space, b.subtree, b.root, psi_laps, unit)
         parts.append(ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu, g=g))
         manifest_parts.append(
             {
@@ -612,7 +587,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
                 "weight": format_rat(b.measure),
                 "target": plan.targets.get(k),
                 "members": plan.members[k],
-                "phi_laps": phi_laps[k],
+                "phi_laps": phi_laps,
                 "nu_laps": nu_laps,
                 "region_measure": format_rat(h1_measure(region_image)),
             }
@@ -769,34 +744,6 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     )
     return ExactnessCertificate(rows=rows, n_max=n_max, chain_ok=chain_ok,
                                 chains=chains)
-
-
-# ---------------------------------------------------------------------------
-# step-6 style growth outcome, for sampled dichotomy checks
-
-
-def growth_outcome(Fm: GluedExactMap, C: Subtree, rho) -> str:
-    """Classify the image of a bush test set.
-
-    Returns "covers_bush" when the image contains a whole bush,
-    "expands" when its measure grew by at least rho^2 and it stays inside a
-    single bush, and "expands_into_base" for the truncation-only outcome of
-    landing inside the fixed arc with the same measure growth.
-    """
-    rho = Fraction(rho)
-    img = Fm.image(C)
-    for part in Fm.parts:
-        if subtree_contains(img, part.region):
-            return "covers_bush"
-    grew = h1_measure(img) >= rho * rho * h1_measure(C)
-    if not grew:
-        return "no_growth"
-    if subtree_contains(Fm.base, img):
-        return "expands_into_base"
-    for part in Fm.parts:
-        if subtree_contains(part.region, img):
-            return "expands"
-    return "expands_mixed"
 
 
 # ---------------------------------------------------------------------------

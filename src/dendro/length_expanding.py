@@ -19,15 +19,19 @@ the root's farthest distance in its region, and ``tree_map()`` makes it an
 explicit ``TreeMap``.  Every lap count is the least even count at or
 above a need and a floor (``even_lap_count``).  psi is the Zigzag of the
 distance to a; phi is the unit-arc Zigzag onto [0, 2|T|] composed with
-the closed double-cover walk of T (``tree_map.compose``).
-``exact_builder`` builds its bush maps from the same Zigzag on
-``unit_arc()`` and checks them with ``check_length_expanding``.
+the closed double-cover walk of T (``tree_map.compose``).  Both prove their
+own expansion by the fold lemma (:class:`Zigzag`, ``build_phi_on_subtree``):
+a stretch that holds no whole lap is folded at most once.  ``exact_builder``
+builds its bush maps from the same Zigzag on ``unit_arc()`` and takes their
+lap counts from the lemma (``initial_lap_count``, ``psi_lap_count``), so it
+samples nothing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -90,15 +94,10 @@ class DenseFamily:
         raise GeometryError(f"unknown dense family kind {self.kind!r}")
 
 
-def _arc_edge(D: Dendrite) -> int:
+def _interval_family(D: Dendrite, count: int, seed: int) -> list[Subtree]:
     if len(D.edges) != 1:
         raise GeometryError("interval family needs a single-edge arc domain")
-    return 0
-
-
-def _interval_family(D: Dendrite, count: int, seed: int) -> list[Subtree]:
-    e = _arc_edge(D)
-    L = D.edge_length(e)
+    e, L = 0, D.edge_length(0)
     fixed = [
         (Fraction(0), L),
         (Fraction(0), L / 2),
@@ -274,6 +273,14 @@ class Zigzag:
     phi, are the instance on the unit arc, rooted at "0" with reach 1.
     The reach is derived: the region is whole edges, so its farthest point
     from the root, which must be a vertex of the region, is a vertex.
+
+    Fold lemma.  Let C be a connected subset of the region, its distances
+    to the root spread over a range of length s.  If the range holds a whole
+    lap (1/laps of normalized distance), C maps onto the codomain; otherwise
+    the wave folds it at most once, so its image is at least laps *
+    len(codomain) * s / (2 reach) long.  And mu(C) <= m s for m ends of the
+    region besides the root: C is the union of at most m arcs from its
+    point nearest the root, along each of which the distance grows.
     """
 
     domain: Dendrite
@@ -287,9 +294,7 @@ class Zigzag:
     def __post_init__(self):
         if self.root not in self.region.vertices:
             raise GeometryError(f"zigzag root {self.root!r} is not in its region")
-        root = PointRef(vertex=self.root)
-        self.reach = max(dist(self.domain, root, PointRef(vertex=v))
-                         for v in self.region.vertices)
+        self.reach = _reach(self.domain, self.region, self.root)
 
     def _norm(self, x: PointRef) -> Fraction:
         return dist(self.domain, PointRef(vertex=self.root), x) / self.reach
@@ -351,6 +356,24 @@ def initial_lap_count(rho) -> int:
     return even_lap_count(2 * Fraction(rho), 4)
 
 
+def _reach(D: Dendrite, S: Subtree, root: str) -> Fraction:
+    """The farthest distance from ``root`` to a vertex of S."""
+    return max(dist(D, PointRef(vertex=root), PointRef(vertex=v)) for v in S.vertices)
+
+
+def psi_lap_count(T: Dendrite, S: Subtree, root: str, rho, least: int) -> int:
+    """Laps at which the Zigzag of S about ``root`` onto [0, 1] expands by
+    rho / |S| every connected set that it does not map onto [0, 1]: by the
+    fold lemma (:class:`Zigzag`), 2 rho m R / |S| for m ends of S besides
+    the root and reach R, or ``least`` if more, made even.  An arc rooted
+    at an end needs 2 rho, as phi does.
+    """
+    touches = Counter(v for e in S.intervals for v in (T.edges[e].u, T.edges[e].v))
+    ends = sum(1 for v, n in touches.items() if n == 1 and v != root)
+    need = 2 * Fraction(rho) * ends * _reach(T, S, root) / h1_measure(S)
+    return even_lap_count(need, least)
+
+
 @dataclass
 class BuiltPair:
     phi: TreeMap
@@ -381,6 +404,12 @@ def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
 
     The unit-arc wave onto the arc [0, 2|S|], composed with the closed
     double-cover walk from `root`, which runs that arc onto S.
+
+    Fold lemma: an interval J of I that holds a whole lap maps onto S.
+    Otherwise the wave folds J at most once, onto a stretch of the walk at
+    least laps |S| |J| long (see :class:`Zigzag`); the walk runs each edge
+    twice, so mu(phi J) >= laps |S| |J| / 2 >= rho |S| |J| when laps >= 2
+    rho, as ``initial_lap_count(rho)`` guarantees.
     """
     legs = double_cover_walk(T, S, root)
     arc = Dendrite(["0", "1"], [("0", "1", 2 * h1_measure(S))])

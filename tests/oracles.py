@@ -356,3 +356,40 @@ def components(D, S):
         seen |= comp
         out.append(comp)
     return out
+
+
+def grid_intervals(D, den=24):
+    """Every interval of positive length on the one-edge arc D whose ends
+    lie on the 1/den grid of the edge."""
+    from dendro.metric_tree import make_subtree
+
+    L = D.edge_length(0)
+    return [make_subtree(D, {0: (L * Fraction(i, den), L * Fraction(j, den))})
+            for i in range(den) for j in range(i + 1, den + 1)]
+
+
+def expansion_violations(F, sets, ratio, whole):
+    """Dense-scan oracle of the expansion dichotomy, in exact arithmetic:
+    the sets whose image is not ``whole`` and is shorter than ``ratio``
+    times the set itself."""
+    from dendro.metric_tree import h1_measure
+
+    out = []
+    for S in sets:
+        img = F.image(S)
+        if img != whole and h1_measure(img) < ratio * h1_measure(S):
+            out.append(S)
+    return out
+
+
+def bush_ends_and_reach(D, S, root):
+    """(m, R) of a whole-edge subtree S about a root vertex: its ends other
+    than the root, counted from the edges at each vertex, and the largest
+    Dijkstra distance from the root to a vertex of S."""
+    touches = {}
+    for e in S.intervals:
+        for v in (D.edges[e].u, D.edges[e].v):
+            touches[v] = touches.get(v, 0) + 1
+    ends = sum(1 for v, n in touches.items() if n == 1 and v != root)
+    dists = dijkstra_dists(D.to_dict(), root)
+    return ends, max(dists[v] for v in S.vertices)

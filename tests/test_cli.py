@@ -134,14 +134,19 @@ def _swapped_parts_map():
     return dumps_json(d)
 
 
-def _comb8_map_with_psi(field, value):
-    """The comb 8 exactness map file with one field of part 0's psi replaced."""
+def _comb8_map_with(value, *keys):
+    """The comb 8 exactness map file with one field of part 0, reached
+    through ``keys``, set to ``value`` or to ``value(file)`` if callable."""
     from dendro.exact_builder import build_exact
     from dendro.gallery import FamilyDescriptor, generate
     from dendro.serialize import dumps_json
 
     d = build_exact(generate(FamilyDescriptor("comb", {"depth": 8})), "A").to_dict()
-    d["parts"][0]["psi"][field] = value
+    *path, last = keys
+    node = d["parts"][0]
+    for key in path:
+        node = node[key]
+    node[last] = value(d) if callable(value) else value
     return dumps_json(d)
 
 
@@ -154,11 +159,20 @@ def _comb8_map_with_psi(field, value):
     ('{"kind": "glued_exact", "space": [], "base": {}, "parts": []}\n',
      "malformed glued_exact map"),
     (_swapped_parts_map, "the inner map's domain does not match its region"),
-    (lambda: _comb8_map_with_psi("root", ["x"]), "malformed glued_exact map"),
-    (lambda: _comb8_map_with_psi("reach", "7/3"),
+    (lambda: _comb8_map_with(["x"], "psi", "root"), "malformed glued_exact map"),
+    (lambda: _comb8_map_with("7/3", "psi", "reach"),
      "psi reach 7/3 differs from the bush's reach 1/4"),
+    (lambda: _comb8_map_with({"vertices": ["zz"], "intervals": {}}, "psi", "bush"),
+     "part psi.bush differs from the part's bush"),
+    (lambda: _comb8_map_with(lambda d: d["parts"][1]["root"], "root"),
+     "part root differs from psi.root"),
+    (lambda: _comb8_map_with("7", "nu", "codomain_length"),
+     "part nu.codomain_length differs from the length of g's domain"),
+    (lambda: _comb8_map_with("nonsense", "psi", "kind"),
+     "part psi.kind differs from 'bush_zigzag'"),
 ], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
-        "mismatched_part", "psi_root_list", "psi_reach_differs"])
+        "mismatched_part", "psi_root_list", "psi_reach_differs", "psi_bush_differs",
+        "root_differs", "nu_codomain_length_differs", "psi_kind_unknown"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content() if callable(content) else content)
@@ -212,6 +226,28 @@ def test_run_exactness_comb4(tmp_path):
     assert cert["certificate"]["all_bush_pieces_covered"] is True
     assert cert["certificate"]["chain_ok"] is True
     assert cert["manifest"]["q"] == "1/2"
+
+
+def test_run_exactness_y_bush(tmp_path):
+    # a Y-shaped bush is not an arc rooted at an end: psi needs the fold
+    # lemma's 6 laps, not phi's 4, for every bush piece to cover
+    from dendro.metric_tree import PointRef
+    from dendro.serialize import dump_json
+
+    arms = [("c", "y", F(1, 4)), ("y", "y1", F(1, 2)), ("y", "y2", F(1, 3)),
+            ("y", "y3", F(1, 5))]
+    D = Dendrite(["l", "c", "r"] + [v for _, v, _ in arms],
+                 [("l", "c", F(1)), ("c", "r", F(1)), *arms],
+                 marked={"A_left": PointRef(vertex="l"), "A_right": PointRef(vertex="r")})
+    dfile, cert_file = tmp_path / "y.json", tmp_path / "cert.json"
+    dump_json(D.to_dict(), dfile)
+    code = run([
+        "run", "--scenario", "exactness", "--dendrite", str(dfile), "--arc", "A",
+        "--nmax", "64", "--out", str(cert_file),
+    ])
+    assert code == 0
+    cert = load_json(cert_file)
+    assert cert["certificate"]["all_bush_pieces_covered"] is True
 
 
 def test_run_exactness_rejects_cyclic_dendrite(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from dendro.exact_builder import (
     build_exact,
     build_gch_not_eps,
     decompose_bushes,
-    growth_outcome,
     plan_targets,
     verify_exact,
 )
@@ -22,6 +22,7 @@ from dendro.length_expanding import (
     build_phi_on_subtree,
     check_length_expanding,
     initial_lap_count,
+    psi_lap_count,
     reverify,
     unit_arc,
 )
@@ -44,7 +45,14 @@ from dendro.metric_tree import (
 from dendro.odometer import gehman_extend
 from dendro.serialize import dump_json, dumps_json
 from dendro.tree_map import TreeMap
-from oracles import components, plain_apply, plain_image
+from oracles import (
+    bush_ends_and_reach,
+    components,
+    expansion_violations,
+    grid_intervals,
+    plain_apply,
+    plain_image,
+)
 
 F = Fraction
 
@@ -271,34 +279,10 @@ def test_verify_identity_never_covers(comb4_map):
     assert all(r.covered_at is None for r in cert.rows)
 
 
-def test_growth_dichotomy_sampled(comb4_map):
-    # bush test sets either cover a whole bush outright or gain measure by
-    # at least rho^2; at a finite truncation the grown image may also land
-    # inside the fixed base arc
-    rho = F(6, 5)
-    seen = set()
-    for part in comb4_map.parts[:3]:
-        for e, (lo, hi) in part.region.intervals.items():
-            span = hi - lo
-            for i in range(4):
-                a = lo + span * F(i, 4)
-                b = a + span / 8
-                C = make_subtree(comb4_map.domain, {e: (a, b)})
-                out = growth_outcome(comb4_map, C, rho)
-                seen.add(out)
-                assert out in (
-                    "covers_bush",
-                    "expands",
-                    "expands_into_base",
-                    "expands_mixed",
-                ), out
-    assert "covers_bush" in seen or "expands" in seen
-
-
 def test_bush_psi_witness_reverifies(comb4):
-    # build_exact's psi check: phi images must grow by rho in bush units;
-    # one and two laps are too few on a comb4 tooth, and the witness must
-    # be a true violation of the same check
+    # psi must grow phi's images by rho in bush units; one and two laps
+    # are below the fold lemma's 2 rho = 12/5 and too few on a comb4 tooth,
+    # and the sampled checker's witness must re-verify as a true violation
     rho = F(6, 5)
     A = geodesic(comb4, comb4.resolve_marked("A_left"),
                  comb4.resolve_marked("A_right"))
@@ -314,6 +298,96 @@ def test_bush_psi_witness_reverifies(comb4):
         )
         assert w is not None and w.rho == rho / b.measure
         assert reverify(psi, w)
+
+
+def _arc_with_bush(arms):
+    """Arc l-c-r of two unit edges, A marked at its ends, and one bush of
+    ``arms`` (u, v, length) hung at c."""
+    return Dendrite(["l", "c", "r"] + [v for _, v, _ in arms],
+                    [("l", "c", F(1)), ("c", "r", F(1)), *arms],
+                    marked={"A_left": V("l"), "A_right": V("r")})
+
+
+# bushes that are not arcs rooted at an end, and psi's laps on each at rho 6/5
+OFF_ARC_BUSHES = {
+    "two_teeth": ([("c", "t1", F(1, 2)), ("c", "t2", F(1, 3))], 4),
+    "Y": ([("c", "y", F(1, 4)), ("y", "y1", F(1, 2)), ("y", "y2", F(1, 3)),
+           ("y", "y3", F(1, 5))], 6),
+    "broom": ([("c", "a", F(1))] + [("c", f"b{i}", F(1, 20)) for i in (1, 2, 3)], 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OFF_ARC_BUSHES))
+def test_build_exact_bush_off_an_arc(name, tmp_path):
+    # psi takes the fold lemma's count: 2 rho m R / lambda for m ends
+    # besides the root and reach R, rounded up to an even count of at least
+    # phi's laps; every bush piece then covers, and the file round-trips
+    arms, laps = OFF_ARC_BUSHES[name]
+    rho = F(6, 5)
+    Fm = build_exact(_arc_with_bush(arms), "A", rho=rho)
+    (part,) = Fm.parts
+    m, R = bush_ends_and_reach(Fm.domain, part.region, part.root)
+    lemma = max(Fm.manifest["parts"][0]["phi_laps"],
+                math.ceil(2 * rho * m * R / h1_measure(part.region)))
+    assert part.psi.laps == lemma + lemma % 2 == laps
+    assert verify_exact(Fm, 64).all_bush_pieces_covered
+    path = tmp_path / "map.json"
+    dump_json(Fm.to_dict(), path)
+    assert dumps_json(load_map(str(path)).to_dict()) == path.read_text()
+
+
+@pytest.mark.parametrize("family,params", [
+    ("arc", {}), ("star", {}), ("comb", {"depth": 3}), ("riemann", {"qmax": 3}),
+    ("cantor_comb", {"rank": 2}), ("omega_star", {"arms": 3}), ("gehman", {"depth": 2}),
+])
+def test_phi_fold_lemma_dense_scan(family, params):
+    # the fold lemma for phi onto a whole-edge subtree S, here the whole
+    # tree: on every interval J of I with ends on the 1/24 grid, phi(J) is
+    # S or mu(phi J) >= laps |S| |J| / 2, in exact arithmetic
+    assert family in gallery.FAMILIES
+    D = generate(FamilyDescriptor(family, params))
+    S = full_subtree(D)
+    for laps in range(2, 9):
+        phi = build_phi_on_subtree(D, S, sorted(D.vertices)[0], laps)
+        ratio = laps * h1_measure(S) / 2
+        assert expansion_violations(phi, grid_intervals(phi.domain), ratio, S) == [], laps
+
+
+def _lemma_bushes():
+    """(name, assigned space, bush) for the comb 4 bushes and for the
+    bushes that are not arcs rooted at an end."""
+    out = []
+    trees = [("comb4", generate(FamilyDescriptor("comb", {"depth": 4})))]
+    trees += [(name, _arc_with_bush(arms)) for name, (arms, _) in OFF_ARC_BUSHES.items()]
+    for name, D in trees:
+        A = geodesic(D, D.resolve_marked("A_left"), D.resolve_marked("A_right"))
+        asg = assign_metric(decompose_bushes(D, A), F(1, 2))
+        out += [(f"{name}/{b.index}", asg.space, b) for b in asg.bushes]
+    return out
+
+
+def test_psi_fold_lemma_dense_scan():
+    # the fold lemma for psi over the images C of the 1/24-grid intervals
+    # under the bush's phi: psi(C) is [0, 1] or mu(psi C) >= laps mu(C) /
+    # (2 m R), for m ends besides the root and reach R; at psi_lap_count's
+    # laps that is at least rho / lambda.  phi keeps its own bound there
+    rho = F(6, 5)
+    unit = unit_arc()
+    whole = full_subtree(unit)
+    phi_laps = initial_lap_count(rho)
+    for name, space, b in _lemma_bushes():
+        phi = build_phi_on_subtree(space, b.subtree, b.root, phi_laps)
+        grid = grid_intervals(phi.domain)
+        assert expansion_violations(phi, grid, phi_laps * b.measure / 2, b.subtree) == []
+        images = [C for C in (phi.image(J) for J in grid) if not C.is_degenerate()]
+        m, R = bush_ends_and_reach(space, b.subtree, b.root)
+        for laps in range(2, 9):
+            psi = Zigzag(space, b.subtree, b.root, laps, unit)
+            assert expansion_violations(psi, images, laps / (2 * m * R), whole) == [], \
+                (name, laps)
+        laps = psi_lap_count(space, b.subtree, b.root, rho, phi_laps)
+        psi = Zigzag(space, b.subtree, b.root, laps, unit)
+        assert expansion_violations(psi, images, rho / b.measure, whole) == [], name
 
 
 # ---------------------------------------------------------------- build_exact (point)
@@ -381,7 +455,7 @@ def test_omega_star_gch_rejects_finite_order_point(star3):
 
 def test_comb_gch_pieces(comb_gch8_map):
     Fm = comb_gch8_map
-    regions = Fm.invariant_regions()
+    regions = [p.region for p in Fm.parts]
     assert len(regions) >= 3
     for region in regions:
         img = Fm.image(region)
@@ -461,9 +535,10 @@ def test_comb_gch_parts_map_connected_sets(monkeypatch):
 def _memo_cases():
     """(name, builder of a fresh map, probe sets) for the image-memo oracles:
     comb_gch(8) on the 903 probe geodesics, the comb(8) ``build_exact`` map
-    on its certification pieces, and the star3 ``build_pair`` maps, phi on
+    on its certification pieces, the star3 ``build_pair`` maps, phi on
     the intervals of the unit arc with ends in 1/24 Z and psi on the probe
-    geodesics of the star."""
+    geodesics of the star, and the walk surjection phi of each comb(8) bush
+    on the same intervals."""
     comb8 = generate(FamilyDescriptor("comb", {"depth": 8}))
     star3 = generate(FamilyDescriptor(
         "star", {"arm_lengths": (F(1, 2), F(1, 3), F(1, 6))}))
@@ -477,18 +552,24 @@ def _memo_cases():
     def pair():
         return build_pair(star3, V("e1"), rho=F(6, 5), samples=80, seed=3)
 
+    def bush_phi(b):
+        return lambda: build_phi_on_subtree(asg.space, b.subtree, b.root,
+                                            initial_lap_count(F(6, 5)))
+
     exact = comb8_exact()
     built = pair()
     unit = built.phi.domain
+    grid = [make_subtree(unit, {0: (F(i, 24), F(j, 24))})
+            for i in range(25) for j in range(i, 25)]
+    A = geodesic(comb8, comb8.resolve_marked("A_left"), comb8.resolve_marked("A_right"))
+    asg = assign_metric(decompose_bushes(comb8, A), F(1, 2))
     return [
         ("comb_gch8", comb_gch8, list(_probe_geodesics(comb_gch8().domain))),
         ("comb8_exact", comb8_exact,
          [make_subtree(exact.domain, {e: (a, b)}) for e, a, b, _ in exact.pieces()]),
-        ("star3_phi", lambda: pair().phi,
-         [make_subtree(unit, {0: (F(i, 24), F(j, 24))})
-          for i in range(25) for j in range(i, 25)]),
+        ("star3_phi", lambda: pair().phi, grid),
         ("star3_psi", lambda: pair().psi, list(_probe_geodesics(built.space))),
-    ]
+    ] + [(f"comb8_phi{b.index}", bush_phi(b), grid) for b in asg.bushes]
 
 
 def test_image_memo_matches_a_fresh_map(monkeypatch):
@@ -497,7 +578,7 @@ def test_image_memo_matches_a_fresh_map(monkeypatch):
     # whose memos start empty, must compute the same images when asked in
     # the reverse order; and so must a map with every memo bypassed
     cases = _memo_cases()
-    assert [len(sets) for _, _, sets in cases] == [903, 45, 325, 21]
+    assert [len(sets) for _, _, sets in cases] == [903, 45, 325, 21] + [325] * 9
     images = {}
     for name, build, sets in cases:
         Fm = build()
