@@ -16,7 +16,6 @@ only "within horizon N".
 
 from __future__ import annotations
 
-import csv
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -347,29 +346,3 @@ def verdict(
         sens0_pass=sens0_pass,
         generic_chaos_evidence=prox_pass and sens0_pass,
     )
-
-
-def default_delta() -> Fraction:
-    return Fraction(1, 1000)
-
-
-def default_epsilon(D: Dendrite) -> Fraction:
-    return subtree_diam(D, full_subtree(D)) / 2
-
-
-def trajectory_rows(F, S1: Subtree, S2: Subtree, N: int):
-    """(n, diam f^n(S1), dist(f^n(S1), f^n(S2))) rows for CSV export."""
-    rows = []
-    A, B = SetOrbit(F, S1), SetOrbit(F, S2)
-    for n in range(N + 1):
-        rows.append((n, subtree_diam(F.domain, A.at(n)),
-                     subtree_dist(F.domain, A.at(n), B.at(n))))
-    return rows
-
-
-def write_trajectory_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "diam", "distance"])
-        for n, d, r in rows:
-            w.writerow([n, format_rat(d), format_rat(r)])

@@ -305,6 +305,29 @@ def plan_targets(dec: BushDecomposition) -> BlowupPlan:
 # ``from_dict(space, d)``.
 
 
+def _subtree_in(space: Dendrite, d, field: str) -> Subtree:
+    """The subtree a glued file holds under ``field``, read against its space.
+
+    It must name only vertices and edges of the space and already be in the
+    canonical form :func:`make_subtree` gives it there; otherwise the file
+    is refused with a ValueError naming the field.
+    """
+    S = Subtree.from_dict(d)
+    unknown = sorted(S.vertices - set(space.vertices))
+    if unknown:
+        raise ValueError(f"{field} vertex {unknown[0]!r} is not a vertex of the space")
+    for e in sorted(S.intervals):
+        if not 0 <= e < len(space.edges):
+            raise ValueError(f"{field} edge {e} is not an edge of the space")
+    try:
+        canonical = make_subtree(space, S.intervals, S.vertices)
+    except GeometryError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+    if canonical != S:
+        raise ValueError(f"{field} is not a canonical subtree of the space")
+    return S
+
+
 @dataclass
 class ExactBushPart:
     """A bush sent onto its region E_k: zigzag, sawtooth, then g."""
@@ -340,7 +363,7 @@ class ExactBushPart:
 
     @staticmethod
     def from_dict(space, d):
-        bush = Subtree.from_dict(d["bush"])
+        bush = _subtree_in(space, d["bush"], "part bush")
         unit = unit_arc()
         psi = Zigzag(space, bush, d["psi"]["root"], int(d["psi"]["laps"]), unit)
         if parse_rat(d["psi"]["reach"]) != psi.reach:
@@ -392,8 +415,8 @@ class ConjugatePart:
 
     @staticmethod
     def from_dict(space, d):
-        return ConjugatePart.on(space, Subtree.from_dict(d["region"]),
-                                map_from_dict(d["inner"]))
+        region = _subtree_in(space, d["region"], "part region")
+        return ConjugatePart.on(space, region, map_from_dict(d["inner"]))
 
 
 class GluedMap:
@@ -470,7 +493,7 @@ class GluedMap:
     def from_dict(cls, d):
         space = Dendrite.from_dict(d["space"])
         parts = [cls.part_type.from_dict(space, pd) for pd in d["parts"]]
-        return cls(space, Subtree.from_dict(d["base"]), parts,
+        return cls(space, _subtree_in(space, d["base"], "base"), parts,
                    manifest=d.get("manifest"))
 
 

@@ -217,13 +217,11 @@ def _gen_gehman(depth=2) -> Dendrite:
 
 
 def build_counterexample(name: str, **params):
-    """Assembled systems: (space, map-or-symbolic-system).
+    """Assembled systems: (space, map).
 
-    ``omega_star_gch`` / ``comb_gch`` delegate to the exact-map assembler;
-    ``cantor_shift`` is the symbolic per-arm shift; ``odometer_gehman`` is the
-    endpoint-cylinder extension.
+    ``omega_star_gch`` / ``comb_gch`` delegate to the exact-map assembler.
     """
-    from dendro import exact_builder, odometer
+    from dendro import exact_builder
 
     if name == "omega_star_gch":
         arms = int(params.get("arms", 12))
@@ -236,40 +234,4 @@ def build_counterexample(name: str, **params):
         D = generate(FamilyDescriptor("comb", {"depth": depth}))
         F = exact_builder.build_gch_not_eps(D, "A")
         return F.domain, F
-    if name == "cantor_shift":
-        arms = int(params.get("arms", 6))
-        q = Fraction(params.get("q", Fraction(1, 2)))
-        D = generate(FamilyDescriptor("omega_star", {"arms": arms, "q": q}))
-        return D, CantorShiftSystem(arms=arms)
-    if name == "odometer_gehman":
-        depth = int(params.get("depth", 3))
-        return odometer.gehman_extend(depth)
     raise ValueError(f"unknown counterexample {name!r}")
-
-
-class CantorShiftSystem:
-    """One-sided binary shift on per-arm Cantor sets glued at the center.
-
-    Points are (arm, word) with ``word`` a finite 0/1 string standing for the
-    eventually-0 sequence word + 000...; the empty word on any arm is the
-    shared center.  The shift drops the leading symbol and fixes the center.
-    """
-
-    def __init__(self, arms: int):
-        self.arms = int(arms)
-
-    def normalize(self, arm: int, word: str):
-        word = word.rstrip("0")
-        if word == "":
-            return (0, "")
-        return (arm, word)
-
-    def shift(self, point):
-        arm, word = point
-        return self.normalize(arm, word[1:])
-
-    def cylinder_shift_meets(self, u: str, v: str, n: int) -> bool:
-        """Whether the n-th shift image of cylinder [u] meets cylinder [v]."""
-        tail = u[n:] if n < len(u) else ""
-        m = min(len(tail), len(v))
-        return tail[:m] == v[:m]

@@ -16,14 +16,13 @@ queries, so memory stays O(V + distinct pairs queried).
 The complement of a connected set E is read off one list, the ways out of
 E: each interval end of E short of its edge's end, and each edge leaving a
 vertex of E that E does not meet.  Every way out starts one component of D
-minus E, so :func:`components_minus`, :func:`upper_set` and
-:func:`subtree_boundary_contains` all read that list.  One double sweep,
+minus E, so :func:`components_minus` reads that list.  One double sweep,
 :func:`diameter_ends`, gives both the diameter and the ends of an arc.
 
 A connected set is read whole, never sampled: an arc from a point of one
 set to a point of another meets each set in one end segment, so the set
-distance (:func:`subtree_dist`: the bridge between the two sets) and the
-first point (:func:`project`) come from one arc's length outside the sets.
+distance (:func:`subtree_dist`: the bridge between the two sets) comes from
+one arc's length outside the sets.
 """
 
 from __future__ import annotations
@@ -649,16 +648,6 @@ def _outside(legs, *sets) -> Fraction:
     return out
 
 
-def project(D: Dendrite, E: Subtree, x: PointRef) -> PointRef:
-    """First-point map: the point of E nearest to x, where [x, e] enters E."""
-    if E.is_empty():
-        raise GeometryError("projection onto empty subtree")
-    if contains_point(D, E, x):
-        return x
-    legs = geodesic_walk(D, x, first_point(E))
-    return point_on_walk(D, legs, _outside(legs, E))
-
-
 def subtree_dist(D: Dendrite, S1: Subtree, S2: Subtree) -> Fraction:
     """Exact set distance between two closed subtrees (0 iff they meet)."""
     if subtrees_intersect(S1, S2):
@@ -685,7 +674,7 @@ def subtree_diam(D: Dendrite, S: Subtree) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# separation sets
+# complements
 
 
 def _ways_out(D: Dendrite, E: Subtree):
@@ -722,33 +711,6 @@ def _component(D: Dendrite, edge: int, stub, far: str) -> Subtree:
                 stack.append(w)
     # edge order, not flood order: callers walking the intervals see them sorted
     return make_subtree(D, dict(sorted(ivs.items())), verts)
-
-
-def upper_set(D: Dendrite, a: PointRef, x: PointRef) -> Subtree:
-    """All points y with x on the arc [a, y]; the whole tree when a == x.
-
-    That is {x} together with the components of D minus {x} that miss a.
-    """
-    D.check_point(a)
-    X = point_subtree(D, x)
-    parts = [
-        comp for comp in components_minus(D, X).components
-        if a == x or not contains_point(D, comp, a)
-    ]
-    return union_connected(D, [X] + parts)
-
-
-def enclosed(D: Dendrite, a: PointRef, b: PointRef) -> Subtree:
-    """Arc [a, b] together with everything hanging off its interior."""
-    if a == b:
-        return point_subtree(D, a)
-    arc = geodesic(D, a, b)
-    parts = [arc]
-    dec = components_minus(D, arc)
-    for comp, attach in zip(dec.components, dec.boundary_points):
-        if attach != a and attach != b:
-            parts.append(comp)
-    return union_connected(D, parts)
 
 
 @dataclass(frozen=True)
@@ -812,11 +774,6 @@ def ideal_point_order(D: Dendrite, x: PointRef):
         if center is not None and x == center:
             return math.inf
     return point_order(D, x)
-
-
-def subtree_boundary_contains(D: Dendrite, E: Subtree, p: PointRef) -> bool:
-    """True when p lies in the topological boundary of E in D."""
-    return any(c == p for _, c, _, _ in _ways_out(D, E))
 
 
 def ball(D: Dendrite, x: PointRef, radius) -> Subtree:

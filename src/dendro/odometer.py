@@ -182,12 +182,6 @@ def step(p: FiberPoint) -> FiberPoint:
     return FiberPoint(nxt, p.y * factor)
 
 
-def step_inverse(p: FiberPoint) -> FiberPoint:
-    prev = add(p.alpha, -1)
-    factor = Fraction(3 ** ell(p.alpha), 3 ** ell(prev))
-    return FiberPoint(prev, p.y * factor)
-
-
 def fiber_diam_traj(alpha: Address, N: int) -> list[Fraction]:
     """diam of the n-th image of the fiber over alpha, n = 0..N (exact)."""
     out = []
@@ -240,9 +234,10 @@ class EpsScrambledResult:
 def eps_scrambled_max(alpha: Address, epsilon, grid: int = 1000) -> EpsScrambledResult:
     """Largest grid subset of the fiber that is pairwise epsilon-scrambled.
 
-    Pairs must satisfy limsup distance > epsilon exactly; on the grid this is
-    a gap threshold, so a left-to-right greedy sweep attains the maximum.
-    The analytic ceiling floor(1/(3 epsilon)) + 1 is reported alongside.
+    Pairs must satisfy :func:`pair_limsup_distance` > epsilon exactly; on the
+    grid this is a gap threshold, so a left-to-right greedy sweep attains the
+    maximum.  The analytic ceiling floor(1/(3 epsilon)) + 1 is reported
+    alongside.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -250,70 +245,16 @@ def eps_scrambled_max(alpha: Address, epsilon, grid: int = 1000) -> EpsScrambled
     if grid < 10:
         raise AddressError("grid resolution must be at least 10")
     H = fiber_height(alpha)
-    # pairwise condition: |y_i - y_j| * 3^(ell-1) > eps
-    threshold = epsilon * Fraction(3, 3 ** ell(alpha))
     pts = [H * Fraction(i, grid) for i in range(grid + 1)]
     chosen = 0
     last = None
     for y in pts:
-        if last is None or y - last > threshold:
+        if last is None or pair_limsup_distance(alpha, y, last) > epsilon:
             chosen += 1
             last = y
     bound = int(Fraction(1) / (3 * epsilon)) + 1
     return EpsScrambledResult(size=chosen, analytic_bound=bound,
                               epsilon=epsilon, grid=grid)
-
-
-# ---------------------------------------------------------------------------
-# the invariant Cantor restriction
-
-
-def ternary_digits(y: Fraction):
-    """(preperiod, period) digit lists of the ternary expansion of y in [0,1].
-
-    Terminating rationals get the expansion with period (0,).
-    """
-    if not (0 <= y <= 1):
-        raise AddressError("expansion defined on [0,1]")
-    seen = {}
-    digits = []
-    rem = y
-    while True:
-        key = rem
-        if key in seen:
-            start = seen[key]
-            return digits[:start], digits[start:]
-        seen[key] = len(digits)
-        rem *= 3
-        d = min(int(rem), 2)  # rem == 3 only for y == 1, expanded as 0.222...
-        digits.append(d)
-        rem -= d
-
-
-def in_cantor_set(y: Fraction) -> bool:
-    """Exact membership of a rational in the middle-thirds Cantor set."""
-    if not (0 <= y <= 1):
-        return False
-    pre, per = ternary_digits(y)
-    if all(d != 1 for d in pre + per):
-        return True
-    # terminating expansions ending in 1 have a twin ending in 0222...
-    if per == [0] and pre and pre[-1] == 1:
-        twin = pre[:-1] + [0]
-        return all(d != 1 for d in twin)
-    return False
-
-
-def in_cantor_restriction(p: FiberPoint) -> bool:
-    """True iff the vertical coordinate lies in the invariant Cantor section.
-
-    The fiber over alpha meets the Cantor set scaled into [0, 3^-ell]; the
-    vertical coordinate rescaled by 3^ell must avoid ternary digit 1.
-    """
-    H = fiber_height(p.alpha)
-    if not (0 <= p.y <= H):
-        return False
-    return in_cantor_set(p.y * 3 ** ell(p.alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,6 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
-    contains_point,
-    dist,
-    enclosed,
     geodesic,
     geodesic_walk,
     merge_walks,
@@ -283,14 +280,6 @@ def compose(G, F) -> TreeMap:
     return TreeMap(F.domain, G.codomain, vertex_images, edge_breaks)
 
 
-def iterate_apply(F, x: PointRef, n: int) -> PointRef:
-    if n > 1:
-        require_selfmap(F, "point")
-    for _ in range(n):
-        x = F.apply(x)
-    return x
-
-
 def require_selfmap(F, kind: str):
     """Raise unless F's codomain is its domain: `kind` orbits iterate F."""
     if F.codomain is not F.domain and F.codomain != F.domain:
@@ -332,43 +321,6 @@ class SetOrbit:
             return sets[n]
         m = self.preperiod
         return sets[m + (n - m) % self.period]
-
-
-# ---------------------------------------------------------------------------
-# point relation trichotomy
-
-
-FIXED = "fixed"
-EVADES = "evades"
-ADMIRES = "admires"
-JUMPS_OVER = "jumps_over"
-
-
-def classify_relation(F, a: PointRef, x: PointRef) -> str:
-    """Exactly one of fixed / evades / admires / jumps_over, for a != x."""
-    if a == x:
-        raise GeometryError("relation base point must differ from x")
-    require_selfmap(F, "point")
-    D = F.domain
-    fx = F.apply(x)
-    if fx == x:
-        return FIXED
-    # evades: f(x) strictly beyond x as seen from a, i.e. x on [a, f(x)]
-    if dist(D, a, fx) == dist(D, a, x) + dist(D, x, fx):
-        return EVADES
-    # jumps over: a strictly between x and f(x)
-    if (
-        fx != a
-        and dist(D, x, fx) == dist(D, x, a) + dist(D, a, fx)
-    ):
-        label = JUMPS_OVER
-    else:
-        label = ADMIRES
-    if label == ADMIRES:
-        reg = enclosed(D, a, x)
-        if not contains_point(D, reg, fx):  # pragma: no cover - consistency
-            raise GeometryError("trichotomy inconsistency")
-    return label
 
 
 # ---------------------------------------------------------------------------
@@ -463,20 +415,3 @@ def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:
         L_sets=L_ordered,
         cyclic_ok=cyclic_ok,
     )
-
-
-def m_min(F, E: Subtree, horizon: int) -> Optional[int]:
-    """Least l >= 1 with f^n(E) meeting f^(n+l)(E) for some n <= horizon.
-
-    Returns None when inconclusive at the horizon.  Once the orbit is
-    periodic, the pairs (n, n + l) with n past one period repeat earlier
-    ones, so the scan over n stops there.
-    """
-    orbit = SetOrbit(F, E)
-    for l in range(1, horizon + 1):
-        for n in range(0, horizon + 1):
-            if subtrees_intersect(orbit.at(n), orbit.at(n + l)):
-                return l
-            if orbit.period is not None and n >= orbit.preperiod + orbit.period - 1:
-                break
-    return None

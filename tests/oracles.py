@@ -55,18 +55,6 @@ def grid_points(D, E, steps=8):
     return out
 
 
-def brute_nearest(D, E, x, steps=24):
-    """Grid minimizer of dist(x, .) over E; confirms projection targets."""
-    from dendro.metric_tree import dist
-
-    best, best_d = None, None
-    for p in grid_points(D, E, steps):
-        d = dist(D, x, p)
-        if best_d is None or d < best_d:
-            best, best_d = p, d
-    return best, best_d
-
-
 def tent_interval_image(lo, hi):
     """Exact image of [lo, hi] under the slope-2 tent fixing 0."""
     half = Fraction(1, 2)

@@ -5,12 +5,9 @@ import pytest
 
 from dendro.chaos import (
     SetFamily,
-    default_delta,
-    default_epsilon,
     ly_sample,
     prox_record,
     sens_record,
-    trajectory_rows,
     verdict,
 )
 from dendro.metric_tree import (
@@ -89,7 +86,7 @@ def test_sens_monotone_in_horizon(tent, unit_arc):
 
 def test_ly_sample_identity_counts_nothing(unit_arc):
     idm = identity_map(unit_arc)
-    rep = ly_sample(idm, 50, 20, default_delta(), F(1, 2), seed=4)
+    rep = ly_sample(idm, 50, 20, F(1, 1000), F(1, 2), seed=4)
     assert rep.scrambling_evidence == 0
 
 
@@ -257,41 +254,6 @@ def test_records_accept_set_orbits(flip, sym_arc, tent):
     point = SetOrbit(flip, make_subtree(sym_arc, {0: (F(1, 2), F(1, 2))}))
     with pytest.raises(GeometryError):
         prox_record(flip, point, B, 3)
-
-
-def test_default_epsilon(unit_arc):
-    assert default_epsilon(unit_arc) == F(1, 2)
-
-
-# ---------------------------------------------------------------- trajectories
-
-
-def test_trajectory_rows(tent, unit_arc):
-    S1 = interval(unit_arc, 0, F(1, 4))
-    S2 = interval(unit_arc, F(3, 4), 1)
-    rows = trajectory_rows(tent, S1, S2, 4)
-    assert len(rows) == 5
-    assert rows[0][1] == F(1, 4)
-    assert rows[0][2] == F(1, 2)
-    # diam column non-decreasing for tent on these sets until saturation
-    assert rows[-1][1] == 1
-
-
-def test_write_trajectory_csv(tmp_path, tent, unit_arc):
-    import csv
-
-    from dendro.chaos import write_trajectory_csv
-
-    S1 = interval(unit_arc, 0, F(1, 4))
-    S2 = interval(unit_arc, F(3, 4), 1)
-    rows = trajectory_rows(tent, S1, S2, 6)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, rows)
-    with open(path) as fh:
-        data = list(csv.reader(fh))
-    assert data[0] == ["n", "diam", "distance"]
-    assert len(data) == 8
-    assert data[1][1] == "1/4" and data[1][2] == "1/2"
 
 
 def test_constant_map_fails_sens0(unit_arc):

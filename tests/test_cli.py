@@ -150,6 +150,22 @@ def _comb8_map_with(value, *keys):
     return dumps_json(d)
 
 
+def _glued_map_with(name, edit):
+    """The depth-3 ``comb`` exactness map (``comb_gch`` for ``"comb_gch"``)
+    as a file, after ``edit`` has changed its dict in place."""
+    from dendro.exact_builder import build_exact
+    from dendro.gallery import FamilyDescriptor, build_counterexample, generate
+    from dendro.serialize import dumps_json
+
+    if name == "comb_gch":
+        Fm = build_counterexample("comb_gch", depth=3)[1]
+    else:
+        Fm = build_exact(generate(FamilyDescriptor("comb", {"depth": 3})), "A")
+    d = Fm.to_dict()
+    edit(d)
+    return dumps_json(d)
+
+
 @pytest.mark.parametrize("content,message", [
     ("[1, 2]\n", "JSON object"),
     ('{"kind": "spiral"}\n', "unknown map kind 'spiral'"),
@@ -170,9 +186,18 @@ def _comb8_map_with(value, *keys):
      "part nu.codomain_length differs from the length of g's domain"),
     (lambda: _comb8_map_with("nonsense", "psi", "kind"),
      "part psi.kind differs from 'bush_zigzag'"),
+    (lambda: _glued_map_with("comb", lambda d: d["base"]["vertices"].append("zz")),
+     "base vertex 'zz' is not a vertex of the space"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["base"]["intervals"].update({"99": ["0", "1/2"]})),
+     "base edge 99 is not an edge of the space"),
+    (lambda: _glued_map_with(
+        "comb_gch", lambda d: d["parts"][0]["region"]["vertices"].append("zz")),
+     "part region vertex 'zz' is not a vertex of the space"),
 ], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
         "mismatched_part", "psi_root_list", "psi_reach_differs", "psi_bush_differs",
-        "root_differs", "nu_codomain_length_differs", "psi_kind_unknown"])
+        "root_differs", "nu_codomain_length_differs", "psi_kind_unknown",
+        "base_vertex_unknown", "base_edge_unknown", "region_vertex_unknown"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content() if callable(content) else content)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from dendro.gallery import (
-    CantorShiftSystem,
     FamilyDescriptor,
     build_counterexample,
     classify,
+    gehman_tree,
     generate,
 )
 from dendro.metric_tree import (
@@ -14,6 +14,7 @@ from dendro.metric_tree import (
     dist,
     geodesic,
 )
+from dendro.odometer import gehman_extend
 from oracles import farey_count
 
 F = Fraction
@@ -133,37 +134,14 @@ def test_free_subarc_in_generated_arcs(comb3):
 # ---------------------------------------------------------------- counterexamples
 
 
-def test_cantor_shift_fixes_center():
-    sys = CantorShiftSystem(arms=4)
-    center = sys.normalize(2, "")
-    assert sys.shift(center) == center
-    assert sys.shift(sys.normalize(1, "10")) == sys.normalize(1, "0")
-
-
-def test_cantor_shift_arm_invariance():
-    sys = CantorShiftSystem(arms=3)
-    p = sys.normalize(2, "101")
-    for _ in range(2):
-        p = sys.shift(p)
-        if p[1]:
-            assert p[0] == 2  # stays on its arm until hitting the center
-
-
-def test_cantor_shift_cylinder_mixing():
-    sys = CantorShiftSystem(arms=2)
-    # past the cylinder depth, every image cylinder meets every target
-    for u in ("0", "1", "01", "10", "110"):
-        for v in ("0", "1", "01", "10"):
-            for n in range(len(u), len(u) + 4):
-                assert sys.cylinder_shift_meets(u, v, n)
-
-
 def test_build_counterexample_unknown():
     with pytest.raises(ValueError):
         build_counterexample("nope")
 
 
 def test_odometer_gehman_counterexample():
-    D, Fm = build_counterexample("odometer_gehman", depth=2)
+    # the odometer extension lives on the gallery's Gehman tree
+    D, Fm = gehman_extend(2)
+    assert D == gehman_tree(2)
     assert len(D.vertices) == 7
     assert Fm.apply(V("g")) == V("g")

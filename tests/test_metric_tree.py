@@ -16,7 +16,6 @@ from dendro.metric_tree import (
     components_minus,
     contains_point,
     dist,
-    enclosed,
     full_subtree,
     geodesic,
     h1_measure,
@@ -26,21 +25,17 @@ from dendro.metric_tree import (
     make_subtree,
     point_order,
     point_subtree,
-    project,
     refine_at,
     span_subtree,
-    subtree_boundary_contains,
     subtree_diam,
     subtree_dist,
     subtree_points,
     subtrees_intersect,
     union_connected,
     union_subtrees,
-    upper_set,
 )
 from dendro.odometer import gehman_extend
 from oracles import (
-    brute_nearest,
     dijkstra_dist,
     dijkstra_dists,
     grid_points,
@@ -204,106 +199,6 @@ def _point_on_arc(D, x, y, frac):
     return point_along(D, x, y, dist(D, x, y) * frac)
 
 
-# ---------------------------------------------------------------- projection
-
-
-def test_project_tip_onto_other_arm(star3):
-    E = geodesic(star3, V("c"), V("e2"))
-    p = project(star3, E, V("e1"))
-    assert p == V("c")
-    q, qd = brute_nearest(star3, E, V("e1"))
-    assert q == V("c") and qd == dist(star3, V("e1"), p)
-
-
-def test_project_inside_is_identity(star3):
-    E = geodesic(star3, V("c"), V("e2"))
-    x = star3.point(1, F(1, 5))
-    assert project(star3, E, x) == x
-
-
-def test_project_between_arms(star3):
-    E = geodesic(star3, V("e2"), V("e3"))
-    assert project(star3, E, V("e1")) == V("c")
-
-
-def test_projection_is_unique_minimizer(comb3):
-    rng = random.Random(3)
-    for _ in range(20):
-        e = rng.randrange(len(comb3.edges))
-        x = comb3.point(e, comb3.edge_length(e) * F(rng.randint(0, 6), 6))
-        E = geodesic(comb3, V("b@-1"), V("t@1/3"))
-        p = project(comb3, E, x)
-        dp = dist(comb3, x, p)
-        for q in grid_points(comb3, E, steps=6):
-            dq = dist(comb3, x, q)
-            assert dq >= dp
-            if dq == dp:
-                assert q == p
-
-
-def test_project_first_point_property(comb3):
-    # project(x, E) lies on [x, e] for every e in E
-    E = geodesic(comb3, V("b@0"), V("b@1"))
-    x = V("t@1/2")
-    p = project(comb3, E, x)
-    for e in grid_points(comb3, E, steps=5):
-        arc = geodesic(comb3, x, e)
-        assert contains_point(comb3, arc, p)
-
-
-# ---------------------------------------------------------------- upper_set / enclosed
-
-
-def _membership_upper(D, a, x, y):
-    # y in D^a(x) iff x lies on [a, y]
-    return dist(D, a, y) == dist(D, a, x) + dist(D, x, y)
-
-
-def test_upper_set_star3(star3):
-    S = upper_set(star3, V("e1"), V("c"))
-    # {c} plus arms 2 and 3
-    assert contains_point(star3, S, V("e2"))
-    assert contains_point(star3, S, V("e3"))
-    assert contains_point(star3, S, V("c"))
-    assert not contains_point(star3, S, star3.point(0, F(1, 4)))
-    for y in grid_points(star3, full_subtree(star3), steps=6):
-        assert contains_point(star3, S, y) == _membership_upper(
-            star3, V("e1"), V("c"), y
-        )
-
-
-def test_upper_set_a_equals_x(star3):
-    assert is_full(star3, upper_set(star3, V("c"), V("c")))
-
-
-def test_upper_set_endpoint(star3):
-    S = upper_set(star3, V("c"), V("e1"))
-    assert S == point_subtree(star3, V("e1"))
-
-
-def test_enclosed_examples(star3):
-    assert enclosed(star3, V("c"), V("e1")) == geodesic(star3, V("c"), V("e1"))
-    assert is_full(star3, enclosed(star3, V("e1"), V("e2")))
-    assert enclosed(star3, V("c"), V("c")) == point_subtree(star3, V("c"))
-
-
-def test_upper_enclosed_partition(comb3):
-    a, b = V("b@-1"), V("t@1/2")
-    Sa = upper_set(comb3, b, a)
-    Sb = upper_set(comb3, a, b)
-    mid = enclosed(comb3, a, b)
-    for y in grid_points(comb3, full_subtree(comb3), steps=5):
-        count = (
-            contains_point(comb3, Sa, y)
-            + contains_point(comb3, Sb, y)
-            + contains_point(comb3, mid, y)
-        )
-        if y in (a, b):
-            assert count == 2
-        else:
-            assert count == 1
-
-
 # ---------------------------------------------------------------- complements
 
 
@@ -321,7 +216,7 @@ def test_components_minus_base_arc(comb3):
     names = {b.vertex for b in dec.boundary_points}
     assert names == {"b@1", "b@1/2", "b@1/3", "b@0"}
     for comp, b in zip(dec.components, dec.boundary_points):
-        assert subtree_boundary_contains(comb3, base, b)
+        assert contains_point(comb3, base, b)
         assert contains_point(comb3, comp, b)
 
 
@@ -372,18 +267,6 @@ def _test_subtrees(D, seed):
     return out
 
 
-def _in_boundary(D, E, p, eps=F(1, 10**9)):
-    """p in E with a point of D outside E at distance eps from it."""
-    if not contains_point(D, E, p):
-        return False
-    if p.is_vertex:
-        probes = [D.point(ei, eps if e.u == p.vertex else e.length - eps)
-                  for ei, e in enumerate(D.edges) if p.vertex in (e.u, e.v)]
-    else:
-        probes = [D.point(p.edge, p.offset - eps), D.point(p.edge, p.offset + eps)]
-    return any(not contains_point(D, E, q) for q in probes)
-
-
 @pytest.mark.parametrize("name", list(SEPARATION_TREES))
 def test_components_minus_by_definition(name):
     D = _separation_tree(name)
@@ -404,8 +287,34 @@ def test_components_minus_by_definition(name):
         assert len(set(owner.values())) == len(dec.components)
 
 
+def _membership_upper(D, a, x, y):
+    # y in D^a(x) iff x lies on [a, y]
+    return dist(D, a, y) == dist(D, a, x) + dist(D, x, y)
+
+
+def _upper_set(D, a, x):
+    """D^a(x): {x} with the components of D minus {x} that miss a."""
+    X = point_subtree(D, x)
+    parts = [comp for comp in components_minus(D, X).components
+             if a == x or not contains_point(D, comp, a)]
+    return union_connected(D, [X] + parts)
+
+
+def _in_boundary(D, E, p, eps=F(1, 10**9)):
+    """p in E with a point of D outside E at distance eps from it."""
+    if not contains_point(D, E, p):
+        return False
+    if p.is_vertex:
+        probes = [D.point(ei, eps if e.u == p.vertex else e.length - eps)
+                  for ei, e in enumerate(D.edges) if p.vertex in (e.u, e.v)]
+    else:
+        probes = [D.point(p.edge, p.offset - eps), D.point(p.edge, p.offset + eps)]
+    return any(not contains_point(D, E, q) for q in probes)
+
+
 @pytest.mark.parametrize("name", list(SEPARATION_TREES))
 def test_upper_set_and_boundary_oracle(name):
+    # the upper sets and the boundary of E, both read off components_minus
     D = _separation_tree(name)
     rng = random.Random(len(name))
     pts = grid_points(D, full_subtree(D), steps=2)
@@ -415,12 +324,47 @@ def test_upper_set_and_boundary_oracle(name):
     pairs += [(rng.choice(pts), rng.choice(pts)) for _ in range(4)]
     pairs += [(mids[0], mids[0])]
     for a, x in pairs:
-        S = upper_set(D, a, x)
+        S = _upper_set(D, a, x)
         for y in grid:
             assert contains_point(D, S, y) == _membership_upper(D, a, x, y)
     for E in _test_subtrees(D, seed=len(name)) + [full_subtree(D)]:
+        boundary = set(components_minus(D, E).boundary_points)
         for p in grid:
-            assert subtree_boundary_contains(D, E, p) == _in_boundary(D, E, p)
+            assert (p in boundary) == _in_boundary(D, E, p)
+
+
+def test_upper_set_star3(star3):
+    S = _upper_set(star3, V("e1"), V("c"))
+    # {c} plus arms 2 and 3
+    assert contains_point(star3, S, V("e2"))
+    assert contains_point(star3, S, V("e3"))
+    assert contains_point(star3, S, V("c"))
+    assert not contains_point(star3, S, star3.point(0, F(1, 4)))
+    for y in grid_points(star3, full_subtree(star3), steps=6):
+        assert contains_point(star3, S, y) == _membership_upper(
+            star3, V("e1"), V("c"), y
+        )
+
+
+def test_upper_set_a_equals_x(star3):
+    assert is_full(star3, _upper_set(star3, V("c"), V("c")))
+
+
+def test_upper_set_endpoint(star3):
+    S = _upper_set(star3, V("c"), V("e1"))
+    assert S == point_subtree(star3, V("e1"))
+
+
+def test_upper_set_interior_point(star3):
+    x = star3.point(0, F(1, 4))  # middle of arm 1
+    S = _upper_set(star3, V("c"), x)
+    # the far side: outer half of arm 1 including the tip
+    assert contains_point(star3, S, V("e1"))
+    assert contains_point(star3, S, x)
+    assert not contains_point(star3, S, V("c"))
+    assert h1_measure(S) == F(1, 4)
+    for y in grid_points(star3, full_subtree(star3), steps=8):
+        assert contains_point(star3, S, y) == _membership_upper(star3, V("c"), x, y)
 
 
 # ---------------------------------------------------------------- orders, measure
@@ -587,27 +531,3 @@ def test_dendrite_roundtrip(comb3):
     back = Dendrite.from_dict(d)
     assert back == comb3
     assert back.to_dict() == d
-
-
-def test_upper_set_interior_point(star3):
-    x = star3.point(0, F(1, 4))  # middle of arm 1
-    S = upper_set(star3, V("c"), x)
-    # the far side: outer half of arm 1 including the tip
-    assert contains_point(star3, S, V("e1"))
-    assert contains_point(star3, S, x)
-    assert not contains_point(star3, S, V("c"))
-    assert h1_measure(S) == F(1, 4)
-    for y in grid_points(star3, full_subtree(star3), steps=8):
-        assert contains_point(star3, S, y) == _membership_upper(star3, V("c"), x, y)
-
-
-def test_enclosed_interior_endpoints(star3):
-    a = star3.point(0, F(1, 8))
-    b = star3.point(1, F(1, 6))
-    reg = enclosed(star3, a, b)
-    # the arc plus arm 3 hanging off the center
-    assert contains_point(star3, reg, V("e3"))
-    assert contains_point(star3, reg, V("c"))
-    assert not contains_point(star3, reg, V("e1"))
-    # arc [a,b] through c (1/8 + 1/6) plus the whole third arm (1/6)
-    assert h1_measure(reg) == F(1, 8) + F(1, 6) + F(1, 6)

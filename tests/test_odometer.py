@@ -14,12 +14,9 @@ from dendro.odometer import (
     fiber_diam_traj,
     fiber_height,
     gehman_extend,
-    in_cantor_restriction,
-    in_cantor_set,
     pair_limsup_distance,
     rect_pattern,
     step,
-    step_inverse,
 )
 from oracles import odometer_add, odometer_embed
 
@@ -146,14 +143,20 @@ def test_step_examples():
     assert q.alpha.literal() == "021^inf" and q.y == F(1, 9)
 
 
+def _step_back(p):
+    """The skew map's inverse: shift the base by -1, rescale the fiber."""
+    prev = add(p.alpha, -1)
+    return FiberPoint(prev, p.y * fiber_height(prev) / fiber_height(p.alpha))
+
+
 def test_step_bijection():
     rng = random.Random(5)
     for _ in range(1000):
         alpha = add(ONES, rng.randint(0, 3**6))
         y = fiber_height(alpha) * F(rng.randint(0, 64), 64)
         p = FiberPoint(alpha, y)
-        assert step_inverse(step(p)) == p
-        assert step(step_inverse(p)) == p
+        assert _step_back(step(p)) == p
+        assert step(_step_back(p)) == p
 
 
 def test_step_stays_in_fiber():
@@ -284,43 +287,6 @@ def test_cross_fiber_gap_identity():
             assert gap >= F(1, 5 ** (v + 1))
 
 
-# ---------------------------------------------------------------- Cantor section
-
-
-def test_in_cantor_examples():
-    assert in_cantor_restriction(FiberPoint(ONES, F(2, 3)))
-    p2 = step(FiberPoint(ONES, F(2, 3)))
-    assert p2.y == F(2, 9)
-    assert in_cantor_restriction(p2)
-    assert not in_cantor_restriction(FiberPoint(ONES, F(1, 2)))
-    assert in_cantor_restriction(FiberPoint(Address.parse("21^inf"), F(0)))
-
-
-def test_cantor_membership_edge_cases():
-    assert in_cantor_set(F(0)) and in_cantor_set(F(1))
-    assert in_cantor_set(F(1, 3))  # 0.0222... twin expansion
-    assert in_cantor_set(F(1, 4))  # 0.020202...
-    assert not in_cantor_set(F(1, 2))
-    assert not in_cantor_set(F(4, 9))  # 0.11
-
-
-def test_cantor_invariance_under_step():
-    rng = random.Random(7)
-    count = 0
-    for _ in range(1000):
-        alpha = add(ONES, rng.randint(0, 3**5))
-        # pick a ternary-rational inside the scaled Cantor set
-        digs = [rng.choice([0, 2]) for _ in range(6)]
-        y = sum(F(d, 3 ** (i + 1)) for i, d in enumerate(digs))
-        p = FiberPoint(alpha, y * fiber_height(alpha))
-        if not in_cantor_restriction(p):
-            continue
-        count += 1
-        assert in_cantor_restriction(step(p))
-        assert in_cantor_restriction(step_inverse(p))
-    assert count > 900
-
-
 # ---------------------------------------------------------------- rectangle pattern
 
 
@@ -371,7 +337,6 @@ def test_gehman_leaf_action_bijection():
 
 def test_gehman_interior_reaches_fixed_point():
     from dendro.metric_tree import PointRef
-    from dendro.tree_map import iterate_apply
 
     D, Fmap = gehman_extend(2)
     root = PointRef(vertex="g")
@@ -379,11 +344,11 @@ def test_gehman_interior_reaches_fixed_point():
     for v in D.vertices:
         if D.degree(v) == 1 and v != "g":
             continue
-        assert iterate_apply(Fmap, PointRef(vertex=v), 2) == root
+        assert Fmap.apply(Fmap.apply(PointRef(vertex=v))) == root
     # midpoints of every edge also land on the root within depth steps
     for e in range(len(D.edges)):
         mid = D.point(e, D.edge_length(e) / 2)
-        assert iterate_apply(Fmap, mid, 2) == root
+        assert Fmap.apply(Fmap.apply(mid)) == root
 
 
 def test_gehman_leaf_labels_are_orbit_prefixes():

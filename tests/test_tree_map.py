@@ -13,17 +13,10 @@ from dendro.metric_tree import (
     union_subtrees,
 )
 from dendro.tree_map import (
-    ADMIRES,
-    EVADES,
-    FIXED,
-    JUMPS_OVER,
     SetOrbit,
     TreeMap,
-    classify_relation,
     compose,
     identity_map,
-    iterate_apply,
-    m_min,
     orbit_decomposition,
 )
 from oracles import first_repeat, plain_orbit, tent_iterate_interval
@@ -148,66 +141,6 @@ def _random_interval(rng, D):
     return make_subtree(D, {e: (a, b)})
 
 
-# ---------------------------------------------------------------- trichotomy
-
-
-def test_classify_tent_relations(tent, unit_arc):
-    a = V("0")
-    assert classify_relation(tent, a, unit_arc.point(0, F(1, 2))) == EVADES
-    assert classify_relation(tent, a, unit_arc.point(0, F(3, 4))) == ADMIRES
-    assert classify_relation(tent, a, unit_arc.point(0, F(2, 3))) == FIXED
-
-
-def test_classify_jumps_over(flip, sym_arc):
-    # x = 1/2 maps to -1/2; the origin separates them
-    a = sym_arc.marked["origin"]
-    x = sym_arc.point(1, F(1, 2))
-    assert classify_relation(flip, a, x) == JUMPS_OVER
-
-
-def test_classify_requires_distinct_points(tent):
-    with pytest.raises(GeometryError):
-        classify_relation(tent, V("0"), V("0"))
-
-
-def _onto_arc(star3, unit_arc):
-    """A valid map from the star onto the unit arc: no point orbits."""
-    images = {v: V("0" if v == "c" else "1") for v in star3.vertices}
-    return TreeMap(star3, unit_arc, images)
-
-
-def test_classify_rejects_a_map_onto_another_tree(star3, unit_arc):
-    with pytest.raises(GeometryError, match="point orbits need a selfmap"):
-        classify_relation(_onto_arc(star3, unit_arc), V("e2"), V("c"))
-
-
-def test_iterate_apply_rejects_a_map_onto_another_tree(star3, unit_arc):
-    onto = _onto_arc(star3, unit_arc)
-    assert iterate_apply(onto, V("c"), 1) == V("0")  # one step needs no selfmap
-    with pytest.raises(GeometryError, match="point orbits need a selfmap"):
-        iterate_apply(onto, V("c"), 3)
-
-
-def test_trichotomy_totality_endpoint_base(tent, unit_arc):
-    # endpoint base: jumps_over never occurs
-    for num in range(1, 16):
-        x = unit_arc.point(0, F(num, 16))
-        label = classify_relation(tent, V("0"), x)
-        assert label in (FIXED, EVADES, ADMIRES)
-
-
-def test_trichotomy_totality_random(flip, sym_arc):
-    rng = random.Random(2)
-    a = sym_arc.point(1, F(1, 4))
-    for _ in range(30):
-        e = rng.randrange(2)
-        x = sym_arc.point(e, F(rng.randint(1, 7), 8))
-        if x == a:
-            continue
-        label = classify_relation(flip, a, x)
-        assert label in (FIXED, EVADES, ADMIRES, JUMPS_OVER)
-
-
 # ---------------------------------------------------------------- orbit decomposition
 
 
@@ -280,12 +213,6 @@ def test_set_orbit_cycles(tent, flip, contraction, unit_arc, sym_arc):
             assert orbit.at(10**6) == plain[cycle[0] + (10**6 - cycle[0]) % cycle[1]]
 
 
-def test_m_min(tent, flip, unit_arc, sym_arc):
-    assert m_min(tent, interval(unit_arc, 0, F(1, 4)), 10) == 1
-    assert m_min(flip, make_subtree(sym_arc, {1: (F(1, 2), F(1))}), 10) == 2
-    assert m_min(identity_map(unit_arc), interval(unit_arc, 0, F(1, 2)), 4) == 1
-
-
 def test_decomposition_laws_random():
     rng = random.Random(9)
     checked = 0
@@ -317,18 +244,3 @@ def test_treemap_roundtrip(tent):
     assert back.apply(back.domain.point(0, F(1, 3))) == tent.apply(
         tent.domain.point(0, F(1, 3))
     )
-
-
-def test_m_min_inconclusive(sym_arc):
-    # drifting map: images never meet within the horizon
-    Fm = TreeMap(
-        sym_arc,
-        sym_arc,
-        vertex_images={
-            "-1": V("-1"),
-            "0": sym_arc.point(0, F(1, 2)),
-            "1": V("0"),
-        },
-    )
-    E = make_subtree(sym_arc, {1: (F(3, 4), F(7, 8))})
-    assert m_min(Fm, E, 2) is None
