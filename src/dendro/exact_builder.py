@@ -78,6 +78,7 @@ from dendro.metric_tree import (
     point_along,
     point_subtree,
     refine_at,
+    span_subtree,
     subtree_contains,
     subtree_points,
     union_connected,
@@ -308,9 +309,10 @@ def plan_targets(dec: BushDecomposition) -> BlowupPlan:
 def _subtree_in(space: Dendrite, d, field: str) -> Subtree:
     """The subtree a glued file holds under ``field``, read against its space.
 
-    It must name only vertices and edges of the space and already be in the
-    canonical form :func:`make_subtree` gives it there; otherwise the file
-    is refused with a ValueError naming the field.
+    It must name only vertices and edges of the space, already be in the
+    canonical form :func:`make_subtree` gives it there, and be connected:
+    the span of its :func:`subtree_points` is the set itself.  Otherwise the
+    file is refused with a ValueError naming the field.
     """
     S = Subtree.from_dict(d)
     unknown = sorted(S.vertices - set(space.vertices))
@@ -325,6 +327,10 @@ def _subtree_in(space: Dendrite, d, field: str) -> Subtree:
         raise ValueError(f"{field}: {exc}") from None
     if canonical != S:
         raise ValueError(f"{field} is not a canonical subtree of the space")
+    if S.is_empty():
+        raise ValueError(f"{field} is empty")
+    if span_subtree(space, subtree_points(space, S)) != S:
+        raise ValueError(f"{field} is not connected")
     return S
 
 
@@ -369,7 +375,11 @@ class ExactBushPart:
         if parse_rat(d["psi"]["reach"]) != psi.reach:
             raise ValueError(f"psi reach {d['psi']['reach']} differs from the "
                              f"bush's reach {format_rat(psi.reach)}")
-        g = TreeMap.from_dict(d["g"])
+        # g maps into the glued space itself: the file's copy must equal it
+        g_codomain = Dendrite.from_dict(d["g"]["codomain"])
+        if g_codomain != space or g_codomain.descriptor != space.descriptor:
+            raise ValueError("part g.codomain differs from the glued space")
+        g = TreeMap.from_dict(d["g"], codomain=space)
         nu = Zigzag(unit, full_subtree(unit), "0", int(d["nu"]["laps"]),
                     g.domain, parse_rat(d["nu"]["start"]))
         # the kinds are fixed, and a fact written twice agrees with its copy

@@ -41,7 +41,6 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
-    dist,
     full_subtree,
     h1_measure,
     is_full,
@@ -290,14 +289,26 @@ class Zigzag:
     codomain: Dendrite
     start: Fraction = F0
     reach: Fraction = field(init=False)  # max distance from the root in the region
+    _rdist: dict = field(init=False, repr=False)  # region vertex -> root distance
 
     def __post_init__(self):
         if self.root not in self.region.vertices:
             raise GeometryError(f"zigzag root {self.root!r} is not in its region")
-        self.reach = _reach(self.domain, self.region, self.root)
+        for e, (a, b) in self.region.intervals.items():
+            if a != 0 or b != self.domain.edge_length(e):
+                raise GeometryError("a zigzag region must be whole edges")
+        self._rdist = _root_dists(self.domain, self.region, self.root)
+        self.reach = max(self._rdist.values())
 
     def _norm(self, x: PointRef) -> Fraction:
-        return dist(self.domain, PointRef(vertex=self.root), x) / self.reach
+        """dist(root, x) / reach, read off the root-distance table: a point
+        of a region edge is reached through the edge's nearer end."""
+        rd = self._rdist
+        if x.is_vertex:
+            return rd[x.vertex] / self.reach
+        ed = self.domain.edges[x.edge]
+        du, dv = rd[ed.u], rd[ed.v]
+        return (du + x.offset if du < dv else dv + ed.length - x.offset) / self.reach
 
     def apply(self, x: PointRef) -> PointRef:
         total = self.codomain.edge_length(0)
@@ -356,9 +367,9 @@ def initial_lap_count(rho) -> int:
     return even_lap_count(2 * Fraction(rho), 4)
 
 
-def _reach(D: Dendrite, S: Subtree, root: str) -> Fraction:
-    """The farthest distance from ``root`` to a vertex of S."""
-    return max(dist(D, PointRef(vertex=root), PointRef(vertex=v)) for v in S.vertices)
+def _root_dists(D: Dendrite, S: Subtree, root: str) -> dict:
+    """The distance from ``root`` to each vertex of S."""
+    return {v: D.vdist(root, v) for v in S.vertices}
 
 
 def psi_lap_count(T: Dendrite, S: Subtree, root: str, rho, least: int) -> int:
@@ -370,7 +381,8 @@ def psi_lap_count(T: Dendrite, S: Subtree, root: str, rho, least: int) -> int:
     """
     touches = Counter(v for e in S.intervals for v in (T.edges[e].u, T.edges[e].v))
     ends = sum(1 for v, n in touches.items() if n == 1 and v != root)
-    need = 2 * Fraction(rho) * ends * _reach(T, S, root) / h1_measure(S)
+    reach = max(_root_dists(T, S, root).values())
+    need = 2 * Fraction(rho) * ends * reach / h1_measure(S)
     return even_lap_count(need, least)
 
 

@@ -291,9 +291,10 @@ class Subtree:
     contained in the set; ``vertices`` lists the contained tree vertices.
     Canonical invariants: interval ends at offset 0 / full length imply the
     endpoint vertex is listed, and a degenerate interval occurs only as a
-    lone interior point.  :func:`make_subtree` enforces them on raw data;
-    :func:`merge_walks` (so :func:`geodesic`) and :func:`union_subtrees`
-    build sets that already satisfy them and construct the value directly.
+    lone interior point.  :func:`make_subtree` enforces them on raw data
+    at file and user boundaries; :func:`merge_walks` (so :func:`geodesic`),
+    :func:`union_subtrees` and :func:`intersect_subtrees` build sets that
+    already satisfy them and construct the value directly.
     """
 
     vertices: frozenset
@@ -501,6 +502,24 @@ def point_on_walk(D: Dendrite, legs, s: Fraction) -> PointRef:
     raise GeometryError("distance exceeds geodesic length")
 
 
+def split_walk(legs, s: Fraction):
+    """A walk's legs cut at distance s along it: (the legs before, after).
+
+    A leg that holds the cut splits in two there; neither part holds an
+    empty leg.  An s at or past the walk's length leaves the whole walk
+    before the cut.
+    """
+    for k, (e, a, b) in enumerate(legs):
+        leg = abs(b - a)
+        if s < leg:
+            if s == 0:
+                return legs[:k], legs[k:]
+            c = a + s if b > a else a - s
+            return (*legs[:k], (e, a, c)), ((e, c, b), *legs[k + 1:])
+        s -= leg
+    return legs, ()
+
+
 def point_along(D: Dendrite, x: PointRef, y: PointRef, s: Fraction) -> PointRef:
     """The point of [x, y] at distance s from x (0 <= s <= dist)."""
     s = _rat(s)
@@ -554,15 +573,23 @@ def subtree_contains(big: Subtree, small: Subtree) -> bool:
 
 
 def intersect_subtrees(D: Dendrite, S1: Subtree, S2: Subtree) -> Subtree:
-    """Exact intersection (connected by hereditary unicoherence)."""
+    """Exact intersection (connected by hereditary unicoherence).
+
+    Two canonical sets give a canonical intersection, built directly: an
+    overlap's end at 0 / full length ends an interval of both sets, so both
+    list its vertex.  A one-point overlap at 0 / full length would need a
+    degenerate interval there in one of the sets, which canonical form
+    rules out, so a one-point overlap is interior, and being connected the
+    intersection is then that lone point.
+    """
     ivs = {}
     for e, (a, b) in S1.intervals.items():
         iv = S2.intervals.get(e)
-        if iv:
+        if iv is not None:
             lo, hi = max(a, iv[0]), min(b, iv[1])
             if lo <= hi:
                 ivs[e] = (lo, hi)
-    return make_subtree(D, ivs, S1.vertices & S2.vertices)
+    return Subtree(vertices=S1.vertices & S2.vertices, intervals=ivs)
 
 
 def union_subtrees(D: Dendrite, parts: Sequence[Subtree]) -> list[Subtree]:

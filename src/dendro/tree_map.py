@@ -24,10 +24,13 @@ length) is walked on first use and kept per map next to the controls,
 under the same never-stale contract, so the cache holds O(pieces walked)
 for the map's life.  ``apply`` takes the point at the scaled distance
 along the cached legs; a point on a control time is that control's image,
-read without a walk.  The image of an interval chains the cached walks of
-its full pieces with fresh walks over the two partial end pieces, and
-merges them per edge into one set (:func:`merge_walks`); ``compose`` reads
-the same cached walks.
+read without a walk.  The image of an interval reads the same cached
+walks: those of its full pieces whole, and those of its two end pieces cut
+at the scaled distance of its ends (:func:`split_walk`), the left one's
+tail and the right one's head, or the stretch between the two cuts when
+the interval lies inside one piece.  It merges them per edge into one set
+(:func:`merge_walks`), so it never walks a geodesic afresh; ``compose``
+reads the same cached walks.
 """
 
 from __future__ import annotations
@@ -43,11 +46,11 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
-    geodesic,
     geodesic_walk,
     merge_walks,
     point_on_walk,
     point_subtree,
+    split_walk,
     subtree_contains,
     subtrees_intersect,
     union_connected,
@@ -126,6 +129,21 @@ class TreeMap:
             lengths[k] = sum((abs(b - a) for _, a, b in legs), F0)
         return legs, lengths[k]
 
+    def _piece_at(self, e: int, k: int, t: Fraction):
+        """(legs, s): the walk of piece k of edge e, and the distance along
+        it at which the map sends time t of the piece."""
+        _, times, _, _ = self._edge_controls(e)
+        legs, d = self._piece_walk(e, k)
+        t0 = times[k]
+        return legs, d * (t - t0) / (times[k + 1] - t0)
+
+    def _piece_point(self, e: int, k: int, t: Fraction) -> PointRef:
+        """The image of time t of piece k of edge e."""
+        legs, s = self._piece_at(e, k, t)
+        if not legs:  # a constant piece
+            return self._edge_controls(e)[0][k][1]
+        return point_on_walk(self.codomain, legs, s)
+
     # -- evaluation
 
     def apply(self, x: PointRef) -> PointRef:
@@ -137,12 +155,7 @@ class TreeMap:
         k = bisect_left(times, t)
         if times[k] == t:
             return ctrl[k][1]
-        k -= 1  # t lies strictly inside piece k
-        legs, d = self._piece_walk(x.edge, k)
-        if d == 0:
-            return ctrl[k][1]
-        t0 = times[k]
-        return point_on_walk(self.codomain, legs, d * (t - t0) / (times[k + 1] - t0))
+        return self._piece_point(x.edge, k - 1, t)  # t lies inside piece k - 1
 
     def image(self, S: Subtree) -> Subtree:
         return _memo_image(self._image_memo, self._image, S)
@@ -159,22 +172,31 @@ class TreeMap:
         return comps[0]
 
     def _interval_image(self, e: int, a: Fraction, b: Fraction) -> Subtree:
-        """Image of [a, b] on edge e: the chained walks through its controls."""
-        D = self.codomain
+        """Image of [a, b] on edge e: the cached walks of the pieces it
+        meets, the end pieces cut at a and b."""
+        if not 0 <= a <= b <= self.domain.edge_length(e):
+            raise GeometryError(f"interval [{a}, {b}] outside edge {e}")
         ctrl, times, _, _ = self._edge_controls(e)
-        pa = self.apply(self.domain.point(e, a))
-        pb = self.apply(self.domain.point(e, b))
         i = bisect_left(times, a)  # controls i .. j - 1 lie in [a, b]
         j = bisect_right(times, b, i)
-        if i == j:  # inside one piece
-            return geodesic(D, pa, pb)
-        walks = []
-        if a < times[i]:
-            walks.append(geodesic_walk(D, pa, ctrl[i][1]))
-        walks.extend(self._piece_walk(e, k)[0] for k in range(i, j - 1))
-        if times[j - 1] < b:
-            walks.append(geodesic_walk(D, ctrl[j - 1][1], pb))
-        return merge_walks(D, walks, pa)
+        if i == j:  # inside piece i - 1
+            if a == b:
+                return point_subtree(self.codomain, self._piece_point(e, i - 1, a))
+            legs, sb = self._piece_at(e, i - 1, b)
+            _, sa = self._piece_at(e, i - 1, a)
+            walks = [split_walk(split_walk(legs, sb)[0], sa)[1]]
+            start = ctrl[i - 1][1]  # the image when the piece is constant
+        else:
+            walks = []
+            if a < times[i]:
+                legs, sa = self._piece_at(e, i - 1, a)
+                walks.append(split_walk(legs, sa)[1])
+            walks.extend(self._piece_walk(e, k)[0] for k in range(i, j - 1))
+            if times[j - 1] < b:
+                legs, sb = self._piece_at(e, j - 1, b)
+                walks.append(split_walk(legs, sb)[0])
+            start = ctrl[i][1]  # the image when every piece met is constant
+        return merge_walks(self.codomain, walks, start)
 
     def pieces(self):
         """Domain partition on which the map is geodesic-linear."""
@@ -202,10 +224,13 @@ class TreeMap:
         }
 
     @staticmethod
-    def from_dict(d: Mapping) -> "TreeMap":
+    def from_dict(d: Mapping, codomain: Optional[Dendrite] = None) -> "TreeMap":
+        """The map ``d`` describes; ``codomain``, when given, stands in for
+        the tree ``d`` holds under that key, which it must equal."""
         return TreeMap(
             domain=Dendrite.from_dict(d["domain"]),
-            codomain=Dendrite.from_dict(d["codomain"]),
+            codomain=(Dendrite.from_dict(d["codomain"]) if codomain is None
+                      else codomain),
             vertex_images={
                 v: PointRef.from_dict(p) for v, p in d["vertex_images"].items()
             },

@@ -194,10 +194,17 @@ def _glued_map_with(name, edit):
     (lambda: _glued_map_with(
         "comb_gch", lambda d: d["parts"][0]["region"]["vertices"].append("zz")),
      "part region vertex 'zz' is not a vertex of the space"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["parts"][0]["g"]["codomain"]["edges"][0].update(len="7")),
+     "part g.codomain differs from the glued space"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["base"]["intervals"].update({"5": ["1/64", "1/48"]})),
+     "base is not connected"),
 ], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
         "mismatched_part", "psi_root_list", "psi_reach_differs", "psi_bush_differs",
         "root_differs", "nu_codomain_length_differs", "psi_kind_unknown",
-        "base_vertex_unknown", "base_edge_unknown", "region_vertex_unknown"])
+        "base_vertex_unknown", "base_edge_unknown", "region_vertex_unknown",
+        "g_codomain_differs", "base_not_connected"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content() if callable(content) else content)

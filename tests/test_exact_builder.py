@@ -716,6 +716,8 @@ def test_map_file_roundtrip(fixture, kind, request, tmp_path):
     assert type(back) is type(Fm)
     assert dumps_json(back.to_dict()) == path.read_text()
     D = back.domain
+    if kind == "glued_exact":  # each part's g maps into the loaded space itself
+        assert all(part.g.codomain is D for part in back.parts)
     for e in range(len(D.edges)):
         L = D.edge_length(e)
         S = make_subtree(D, {e: (L / 4, 3 * L / 4)})

@@ -150,6 +150,43 @@ def test_zigzag_root_outside_region_fails(star3):
         Zigzag(star3, arm, outside, 4, unit_arc())
 
 
+def test_zigzag_region_of_partial_edges_fails(star3):
+    half_arm = make_subtree(star3, {0: (F(0), star3.edge_length(0) / 2)})
+    with pytest.raises(GeometryError, match="whole edges"):
+        Zigzag(star3, half_arm, "c", 4, unit_arc())
+
+
+@pytest.mark.parametrize("family,params,base", [
+    ("comb", {"depth": 4}, "A"),
+    ("riemann", {"qmax": 4}, "A"),
+    ("star", {}, "center"),
+])
+def test_zigzag_norm_reads_root_distances(family, params, base):
+    # on every bush, at every vertex and at every end of a linearity piece
+    # (vertices and fold points inside edges), the table gives dist / reach
+    from dendro.exact_builder import decompose_bushes
+    from dendro.metric_tree import geodesic
+
+    D = generate(FamilyDescriptor(family, params))
+    if base == "A":
+        A = geodesic(D, D.resolve_marked("A_left"), D.resolve_marked("A_right"))
+    else:
+        A = D.resolve_marked(base)
+    dec = decompose_bushes(D, A)
+    assert dec.bushes
+    # and the whole tree from its last vertex, so some edges run to the root
+    regions = [(b.subtree, b.root) for b in dec.bushes]
+    regions.append((full_subtree(dec.space), dec.space.vertices[-1]))
+    for region, root in regions:
+        for laps in (2, 6):
+            z = Zigzag(dec.space, region, root, laps, unit_arc())
+            points = [V(v) for v in region.vertices]
+            points += [dec.space.point(e, t) for e, lo, hi in z.pieces()
+                       for t in (lo, hi)]
+            for x in points:
+                assert z._norm(x) == dist(dec.space, V(root), x) / z.reach
+
+
 # ---------------------------------------------------------------- build_pair
 
 

@@ -419,6 +419,48 @@ def test_intersection_of_arms(star3):
     assert cap == point_subtree(star3, V("c"))
 
 
+def _raw_intersection(D, S1, S2):
+    """The per-edge overlaps and shared vertices, put in canonical form by
+    make_subtree."""
+    ivs = {}
+    for e, (a, b) in S1.intervals.items():
+        iv = S2.intervals.get(e)
+        if iv is not None and max(a, iv[0]) <= min(b, iv[1]):
+            ivs[e] = (max(a, iv[0]), min(b, iv[1]))
+    return make_subtree(D, ivs, S1.vertices & S2.vertices)
+
+
+_grid_point = st.tuples(st.integers(min_value=0, max_value=9),
+                        st.fractions(min_value=0, max_value=1, max_denominator=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(p1=st.lists(_grid_point, min_size=1, max_size=3),
+       p2=st.lists(_grid_point, min_size=1, max_size=3))
+def test_intersect_subtrees_is_canonical_raw_intersection(comb3, star3, p1, p2):
+    # coarse grids make the spans often touch at a vertex or one interior point
+    for D in (comb3, star3):
+        S1, S2 = (span_subtree(D, [D.point(e % len(D.edges),
+                                           D.edge_length(e % len(D.edges)) * t)
+                                   for e, t in pts])
+                  for pts in (p1, p2))
+        assert intersect_subtrees(D, S1, S2) == _raw_intersection(D, S1, S2)
+
+
+def test_intersect_subtrees_touching_sets(star3):
+    half = F(1, 4)  # the middle of arm 0, of length 1/2
+    inner = make_subtree(star3, {0: (F(0), half)})
+    outer = make_subtree(star3, {0: (half, F(1, 2))})
+    other = geodesic(star3, V("c"), V("e2"))
+    for S1, S2, want in (
+        (inner, outer, point_subtree(star3, star3.point(0, half))),
+        (inner, other, point_subtree(star3, V("c"))),
+        (outer, other, make_subtree(star3)),
+    ):
+        got = intersect_subtrees(star3, S1, S2)
+        assert got == want == _raw_intersection(star3, S1, S2)
+
+
 def test_helly_property(comb3):
     rng = random.Random(11)
     pts = grid_points(comb3, full_subtree(comb3), steps=4)

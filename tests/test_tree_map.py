@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendro.metric_tree import (
     Dendrite,
     GeometryError,
     PointRef,
+    Subtree,
     full_subtree,
     geodesic,
     make_subtree,
@@ -19,7 +22,7 @@ from dendro.tree_map import (
     identity_map,
     orbit_decomposition,
 )
-from oracles import first_repeat, plain_orbit, tent_iterate_interval
+from oracles import first_repeat, plain_image, plain_orbit, tent_iterate_interval
 
 F = Fraction
 
@@ -139,6 +142,57 @@ def _random_interval(rng, D):
     a = L * F(rng.randint(0, 3), 8)
     b = a + (L - a) * F(rng.randint(1, 4), 4)
     return make_subtree(D, {e: (a, b)})
+
+
+# ---------------------------------------------------------------- interval images
+
+
+def _edge_times(F, e):
+    """Times on edge e that put interval ends on its controls, inside its
+    pieces and at its ends."""
+    times = [t for t, _ in F.controls(e)]
+    inside = [t0 + (t1 - t0) * k / 5 for t0, t1 in zip(times, times[1:])
+              for k in (1, 3)]
+    return sorted(set(times + inside))
+
+
+def _check_interval_images(F, e, times):
+    # plain_image: the geodesics through the images of a, of the controls
+    # strictly inside and of b, each end found without the cached legs
+    for i, a in enumerate(times):
+        for b in times[i:]:
+            S = make_subtree(F.domain, {e: (a, b)})
+            assert F.image(S) == plain_image(F, S), (e, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_interval_image_matches_apply_and_geodesic(seed):
+    # random small maps, on every pair of ends drawn from the controls, the
+    # piece interiors and the edge ends, degenerate intervals included
+    rng = random.Random(seed)
+    D = _random_tree(rng, edges=rng.randint(1, 4))
+    Fm = _random_map(rng, D)
+    for e in range(len(D.edges)):
+        _check_interval_images(Fm, e, _edge_times(Fm, e))
+
+
+def test_interval_image_of_composed_phi_matches_apply_and_geodesic(star3):
+    # phi of build_pair is the wave composed with the walk: many pieces, and
+    # legs that run both ways along an edge
+    from dendro.length_expanding import build_pair
+
+    phi = build_pair(star3, V("c"), F(6, 5)).phi
+    times = _edge_times(phi, 0)
+    _check_interval_images(phi, 0, times[:12] + times[len(times) // 2:][:8])
+
+
+@pytest.mark.parametrize("a,b", [(F(-1, 8), F(1, 4)), (F(1, 4), F(9, 8)),
+                                 (F(3, 4), F(1, 4))])
+def test_interval_outside_its_edge_raises(tent, a, b):
+    S = Subtree(vertices=frozenset(), intervals={0: (a, b)})
+    with pytest.raises(GeometryError, match="outside edge 0"):
+        tent.image(S)
 
 
 # ---------------------------------------------------------------- orbit decomposition
