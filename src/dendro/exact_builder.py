@@ -63,6 +63,7 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
+    _walk,
     components_minus,
     contains_point,
     diameter_ends,
@@ -283,8 +284,8 @@ def plan_targets(dec: BushDecomposition) -> BlowupPlan:
     (position, index), the order of their blocks in the blown-up interval.
     """
     ends = diameter_ends(dec.space, dec.base)
-    pos = {b.index: dist(dec.space, ends[0], PointRef(vertex=b.root))
-           for b in dec.bushes}
+    near = _walk(dec.space, ends[0])
+    pos = {b.index: near[b.root] for b in dec.bushes}
     targets, members, spans = {}, {}, {}
     for k in pos:
         if k == 1:
@@ -809,8 +810,8 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
     anchor0 = space0.marked.get("origin")
     if anchor0 is None:
         raise GeometryError("arc form needs a marked 'origin' anchor on the base")
-    dists = {b.root: dist(space0, anchor0, PointRef(vertex=b.root))
-             for b in dec0.bushes}
+    near = _walk(space0, anchor0)
+    dists = {b.root: near[b.root] for b in dec0.bushes}
     radius0 = max(dists.values())
 
     def shell_of(d: Fraction) -> int:

@@ -41,6 +41,7 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
+    _walk,
     full_subtree,
     h1_measure,
     is_full,
@@ -297,7 +298,7 @@ class Zigzag:
         for e, (a, b) in self.region.intervals.items():
             if a != 0 or b != self.domain.edge_length(e):
                 raise GeometryError("a zigzag region must be whole edges")
-        self._rdist = _root_dists(self.domain, self.region, self.root)
+        self._rdist = _walk(self.domain, PointRef(vertex=self.root), self.region)
         self.reach = max(self._rdist.values())
 
     def _norm(self, x: PointRef) -> Fraction:
@@ -367,11 +368,6 @@ def initial_lap_count(rho) -> int:
     return even_lap_count(2 * Fraction(rho), 4)
 
 
-def _root_dists(D: Dendrite, S: Subtree, root: str) -> dict:
-    """The distance from ``root`` to each vertex of S."""
-    return {v: D.vdist(root, v) for v in S.vertices}
-
-
 def psi_lap_count(T: Dendrite, S: Subtree, root: str, rho, least: int) -> int:
     """Laps at which the Zigzag of S about ``root`` onto [0, 1] expands by
     rho / |S| every connected set that it does not map onto [0, 1]: by the
@@ -381,7 +377,7 @@ def psi_lap_count(T: Dendrite, S: Subtree, root: str, rho, least: int) -> int:
     """
     touches = Counter(v for e in S.intervals for v in (T.edges[e].u, T.edges[e].v))
     ends = sum(1 for v, n in touches.items() if n == 1 and v != root)
-    reach = max(_root_dists(T, S, root).values())
+    reach = max(_walk(T, PointRef(vertex=root), S).values())
     need = 2 * Fraction(rho) * ends * reach / h1_measure(S)
     return even_lap_count(need, least)
 

@@ -11,13 +11,24 @@ Vertex distances and vertex paths come from one rooted index per tree: the
 parent edge, depth and distance from ``vertices[0]`` of every vertex, built
 in one traversal on the first query.  A query climbs both ends to their
 lowest common ancestor, and a per-pair memo answers repeated distance
-queries, so memory stays O(V + distinct pairs queried).
+queries, so memory stays O(V + distinct pairs queried).  Where one source
+meets many targets, one walk out from the source (:func:`_walk`) gives its
+distance to every vertex instead, at one addition per edge: :func:`ball`
+and the builders' bush-root positions read the whole tree's table, and a
+zigzag's root table the table of its region.
 
 The complement of a connected set E is read off one list, the ways out of
 E: each interval end of E short of its edge's end, and each edge leaving a
 vertex of E that E does not meet.  Every way out starts one component of D
 minus E, so :func:`components_minus` reads that list.  One double sweep,
 :func:`diameter_ends`, gives both the diameter and the ends of an arc.
+Each sweep is one walk from its source that stays inside the set: the set
+is connected, so a path inside it is the geodesic, and the sweep costs
+O(|S|) whatever the size of the tree.
+
+Two memos live on the tree: the vertex-pair distances and the diameter of
+each set :func:`subtree_diam` has measured, keyed by :meth:`Subtree.key`,
+so a set that many orbits reach is measured once.
 
 A connected set is read whole, never sampled: an arc from a point of one
 set to a point of another meets each set in one end segment, so the set
@@ -109,6 +120,8 @@ class Dendrite:
         # rooted index, built on the first query; vdist memo, both orders
         self._rooted: Optional[tuple[dict, dict, dict]] = None
         self._vdist_memo: dict[tuple[str, str], Fraction] = {}
+        # subtree_diam memo, keyed by Subtree.key()
+        self._diam_memo: dict[tuple, Fraction] = {}
         self._validate()
 
     # -- construction / validation
@@ -682,22 +695,78 @@ def subtree_dist(D: Dendrite, S1: Subtree, S2: Subtree) -> Fraction:
     return _outside(geodesic_walk(D, first_point(S1), first_point(S2)), S1, S2)
 
 
+def _walk(D: Dendrite, x: PointRef, S: Optional[Subtree] = None) -> dict:
+    """The distance from x to every vertex of D, or of S when given (x in S).
+
+    One walk out from x over the adjacency lists, one addition per edge
+    walked.  Inside a connected S the walk only steps between vertices of S,
+    so it reaches every vertex of S along the geodesic.
+    """
+    inside = None if S is None else S.vertices
+    near = {v: c for v, c in _exits(D, x) if inside is None or v in inside}
+    stack = list(near)
+    adj, edges = D._adj, D.edges
+    while stack:
+        v = stack.pop()
+        dv = near[v]
+        for ei, w in adj[v]:
+            if w not in near and (inside is None or w in inside):
+                near[w] = dv + edges[ei].length
+                stack.append(w)
+    return near
+
+
+def _sweep(D: Dendrite, S: Subtree, pts, x: PointRef):
+    """(the first of ``pts`` farthest from x, its distance); x and every
+    point of ``pts`` lie in the connected set S.
+
+    A point inside an edge is an interval end of S: on x's edge it is
+    reached along the edge, on another edge from its one end in S.
+    """
+    near = _walk(D, x, S)
+    best, far = None, None
+    for p in pts:
+        if p.is_vertex:
+            d = near[p.vertex]
+        elif not x.is_vertex and x.edge == p.edge:
+            d = abs(x.offset - p.offset)
+        else:
+            e = D.edges[p.edge]
+            d = (near[e.u] + p.offset if e.u in near
+                 else near[e.v] + e.length - p.offset)
+        if far is None or d > far:
+            best, far = p, d
+    return best, far
+
+
+def _double_sweep(D: Dendrite, S: Subtree):
+    """(p1, p2, diam S) for :func:`diameter_ends` and :func:`subtree_diam`."""
+    if S.is_empty():
+        raise GeometryError("diameter of the empty set")
+    pts = subtree_points(D, S)
+    p1, _ = _sweep(D, S, pts, pts[0])
+    p2, diam = _sweep(D, S, pts, p1)
+    return p1, p2, diam
+
+
 def diameter_ends(D: Dendrite, S: Subtree) -> tuple[PointRef, PointRef]:
     """Two points of S at distance diam S (one point twice when S is one).
 
     A double sweep over the interval ends and vertices of S: the candidate
     farthest from the first one ends a longest arc, and the candidate
-    farthest from that ends it on the other side.
+    farthest from that ends it on the other side.  Each sweep keeps the
+    first candidate at the largest distance.
     """
-    pts = subtree_points(D, S)
-    p1 = max(pts, key=lambda p: dist(D, pts[0], p))
-    p2 = max(pts, key=lambda p: dist(D, p1, p))
-    return p1, p2
+    return _double_sweep(D, S)[:2]
 
 
 def subtree_diam(D: Dendrite, S: Subtree) -> Fraction:
-    """Diameter: the distance between the two :func:`diameter_ends`."""
-    return dist(D, *diameter_ends(D, S))
+    """Diameter: the second sweep's distance, measured once per set and tree."""
+    key = S.key()
+    d = D._diam_memo.get(key)
+    if d is None:
+        d = D._diam_memo[key] = _double_sweep(D, S)[2]
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +882,7 @@ def ball(D: Dendrite, x: PointRef, radius) -> Subtree:
     if radius < 0:
         raise GeometryError("negative radius")
     D.check_point(x)
-    near = {v: dist(D, x, PointRef(vertex=v)) for v in D.vertices}
+    near = _walk(D, x)
     ivs = {}
     for ei, e in enumerate(D.edges):
         if not x.is_vertex and x.edge == ei:

@@ -135,6 +135,37 @@ def span_by_geodesics(D, points):
     return union_connected(D, parts)
 
 
+def plain_diameter_ends(D, S):
+    """The double sweep with one ``dist`` call per candidate: the first
+    interval end or vertex of S farthest from the first one, then the first
+    farthest from that."""
+    from dendro.metric_tree import dist, subtree_points
+
+    pts = subtree_points(D, S)
+    p1 = max(pts, key=lambda p: dist(D, pts[0], p))
+    p2 = max(pts, key=lambda p: dist(D, p1, p))
+    return p1, p2
+
+
+def plain_ball(D, x, radius):
+    """The closed ball by edge clipping, with one ``dist`` call per vertex."""
+    from dendro.metric_tree import PointRef, dist, make_subtree
+
+    near = {v: dist(D, x, PointRef(vertex=v)) for v in D.vertices}
+    ivs = {}
+    for ei, e in enumerate(D.edges):
+        if not x.is_vertex and x.edge == ei:
+            ivs[ei] = (max(Fraction(0), x.offset - radius),
+                       min(e.length, x.offset + radius))
+            continue
+        du, dv = near[e.u], near[e.v]
+        left = radius - min(du, dv)
+        if left > 0:
+            ivs[ei] = ((Fraction(0), min(e.length, left)) if du < dv
+                       else (max(Fraction(0), e.length - left), e.length))
+    return make_subtree(D, ivs, {v for v, d in near.items() if d <= radius})
+
+
 def plain_orbit(F, S, N):
     """[S, f(S), ..., f^N(S)] with every image computed: no cycle detection."""
     out = [S]

@@ -12,9 +12,11 @@ from dendro.metric_tree import (
     Dendrite,
     GeometryError,
     PointRef,
+    _walk,
     ball,
     components_minus,
     contains_point,
+    diameter_ends,
     dist,
     full_subtree,
     geodesic,
@@ -39,6 +41,8 @@ from oracles import (
     dijkstra_dist,
     dijkstra_dists,
     grid_points,
+    plain_ball,
+    plain_diameter_ends,
     span_by_geodesics,
 )
 
@@ -74,12 +78,15 @@ def _leaf_first_comb():
     return Dendrite(verts, D.edges, marked=D.marked)
 
 
-@pytest.mark.parametrize(
+every_family = pytest.mark.parametrize(
     "make",
     [lambda f=f: generate(FamilyDescriptor(f, {})) for f in FAMILIES]
     + [lambda: gehman_tree(6), _leaf_first_comb],
     ids=list(FAMILIES) + ["gehman_tree6", "comb_leaf_root"],
 )
+
+
+@every_family
 def test_vdist_and_vertex_path_match_dijkstra(make):
     D = make()
     raw = D.to_dict()
@@ -97,6 +104,20 @@ def test_vdist_and_vertex_path_match_dijkstra(make):
             assert cur == w
             assert sum((D.edge_length(ei) for ei in path), F(0)) == expected[w]
             assert path == D.vertex_path(w, u)[::-1]
+
+
+@every_family
+def test_walk_matches_dijkstra_and_dist(make):
+    # one walk's table: Dijkstra's distances from a vertex source, and
+    # dist's from a source inside an edge
+    D = make()
+    raw = D.to_dict()
+    for u in D.vertices:
+        assert _walk(D, V(u)) == dijkstra_dists(raw, u)
+    for ei, e in enumerate(D.edges):
+        for t in (e.length / 3, e.length / 2):
+            x = D.point(ei, t)
+            assert _walk(D, x) == {v: dist(D, x, V(v)) for v in D.vertices}
 
 
 def test_vdist_memory_stays_linear_on_gehman_tree():
@@ -489,6 +510,71 @@ def test_subtree_dist_and_diam(star3):
     assert subtree_diam(star3, s1) == F(1, 4)
 
 
+def _edge_point(D, e, t):
+    """The point at fraction t of edge e (taken modulo the edge count)."""
+    e %= len(D.edges)
+    return D.point(e, D.edge_length(e) * t)
+
+
+_fraction = st.fractions(min_value=0, max_value=1, max_denominator=8)
+_set_spec = st.one_of(
+    st.tuples(st.just("span"), st.lists(_grid_point, min_size=1, max_size=4)),
+    st.tuples(st.just("ball"), _grid_point,
+              st.fractions(min_value=0, max_value=3, max_denominator=12)),
+    st.tuples(st.just("interval"), st.integers(min_value=0, max_value=99),
+              _fraction, _fraction),
+)
+
+
+def _drawn_set(D, spec):
+    """A span of grid points, a ball, or one edge's interval (a lone point
+    when its ends agree)."""
+    kind, *args = spec
+    if kind == "span":
+        return span_subtree(D, [_edge_point(D, *p) for p in args[0]])
+    if kind == "ball":
+        return ball(D, _edge_point(D, *args[0]), args[1])
+    e, a, b = args
+    e %= len(D.edges)
+    L = D.edge_length(e)
+    return make_subtree(D, {e: (L * a, L * b)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(list(SEPARATION_TREES)),
+       specs=st.lists(_set_spec, min_size=1, max_size=6))
+def test_sweeps_match_plain_double_sweep(name, specs):
+    D = _separation_tree(name)
+    for S in [full_subtree(D)] + [_drawn_set(D, spec) for spec in specs]:
+        ends = plain_diameter_ends(D, S)
+        assert diameter_ends(D, S) == ends, S
+        assert subtree_diam(D, S) == dist(D, *ends), S
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(list(SEPARATION_TREES)),
+       specs=st.lists(_set_spec, min_size=1, max_size=6))
+def test_memoized_diameter_equals_fresh_tree(name, specs):
+    # one tree measures every set, twice, so a set may read an earlier
+    # set's memo entry; a fresh copy of the tree measures each set anew.
+    # The fixed sets share their vertices pairwise (none, or the first
+    # vertex alone) but not their diameters.
+    D = _separation_tree(name)
+    L = D.edge_length(0)
+    r = min(e.length for e in D.edges)
+    fixed = [make_subtree(D, {0: (L / 8, L / 4)}), make_subtree(D, {0: (L / 8, L / 2)}),
+             ball(D, V(D.vertices[0]), r / 3), ball(D, V(D.vertices[0]), r / 2)]
+    for S in fixed + [_drawn_set(D, spec) for spec in specs]:
+        fresh = Dendrite.from_dict(D.to_dict())
+        assert subtree_diam(D, S) == subtree_diam(D, S) == subtree_diam(fresh, S), S
+
+
+def test_diameter_of_the_empty_set_is_a_geometry_error(star3):
+    for measure in (diameter_ends, subtree_diam):
+        with pytest.raises(GeometryError, match="empty set"):
+            measure(star3, make_subtree(star3))
+
+
 @pytest.mark.parametrize("name", list(SEPARATION_TREES))
 def test_span_and_subtree_dist_oracles(name):
     # random spans of one to four grid points, among them a lone vertex and
@@ -542,6 +628,15 @@ def test_ball_is_exact_distance_sublevel(star3):
                     for t in (a, b):
                         if 0 < t < D.edge_length(e):
                             assert dist(D, x, D.point(e, t)) == r
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(list(SEPARATION_TREES)), centre=_grid_point,
+       radius=st.fractions(min_value=0, max_value=3, max_denominator=12))
+def test_ball_equals_per_vertex_dist_ball(name, centre, radius):
+    D = _separation_tree(name)
+    x = _edge_point(D, *centre)
+    assert ball(D, x, radius) == plain_ball(D, x, radius)
 
 
 def test_ball_around_edge_point(comb3):
