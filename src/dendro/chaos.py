@@ -27,7 +27,7 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
-    ball,
+    _balls,
     dist,
     full_subtree,
     make_subtree,
@@ -88,12 +88,11 @@ class SetFamily:
 
     def _balls(self, D: Dendrite):
         diam = subtree_diam(D, full_subtree(D))
+        radii = [diam / 2 * Fraction(1, 2**j) for j in range(self.radii_levels)]
         out = []
         seen = set()
         for c in self._centers(D):
-            for j in range(self.radii_levels):
-                r = diam / 2 * Fraction(1, 2**j)
-                B = ball(D, c, r)
+            for B in _balls(D, c, radii):
                 key = B.key()
                 if key not in seen:
                     seen.add(key)

@@ -63,6 +63,7 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
+    _double_sweep,
     _walk,
     components_minus,
     contains_point,
@@ -198,8 +199,8 @@ def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
             return decompose_bushes(D, first_point(A))
         if is_full(D, A):
             raise GeometryError("base equals the whole space")
-        ends = diameter_ends(D, A)
-        if dist(D, *ends) != h1_measure(A):
+        *ends, diam = _double_sweep(D, A)
+        if diam != h1_measure(A):
             raise GeometryError("base must be an arc")
         space, base = _refine_arc(D, ends, [
             D.point(e, t) for e, iv in A.intervals.items() for t in iv])

@@ -14,8 +14,9 @@ lowest common ancestor, and a per-pair memo answers repeated distance
 queries, so memory stays O(V + distinct pairs queried).  Where one source
 meets many targets, one walk out from the source (:func:`_walk`) gives its
 distance to every vertex instead, at one addition per edge: :func:`ball`
-and the builders' bush-root positions read the whole tree's table, and a
-zigzag's root table the table of its region.
+(every radius about one centre from one table), and the builders' bush-root
+positions read the whole tree's table, and a zigzag's root table the table
+of its region.
 
 The complement of a connected set E is read off one list, the ways out of
 E: each interval end of E short of its edge's end, and each edge leaving a
@@ -878,22 +879,31 @@ def ball(D: Dendrite, x: PointRef, radius) -> Subtree:
     The edge holding x is clipped around x; any other edge is reached from
     its end nearer to x, so it keeps the part within radius of that end.
     """
-    radius = _rat(radius)
-    if radius < 0:
+    return _balls(D, x, [radius])[0]
+
+
+def _balls(D: Dendrite, x: PointRef, radii) -> list[Subtree]:
+    """The closed balls around x of each radius, clipped from one walk."""
+    radii = [_rat(r) for r in radii]
+    if any(r < 0 for r in radii):
         raise GeometryError("negative radius")
     D.check_point(x)
     near = _walk(D, x)
-    ivs = {}
-    for ei, e in enumerate(D.edges):
-        if not x.is_vertex and x.edge == ei:
-            ivs[ei] = (max(F0, x.offset - radius), min(e.length, x.offset + radius))
-            continue
-        du, dv = near[e.u], near[e.v]
-        left = radius - min(du, dv)
-        if left > 0:
-            ivs[ei] = ((F0, min(e.length, left)) if du < dv
-                       else (max(F0, e.length - left), e.length))
-    return make_subtree(D, ivs, {v for v, d in near.items() if d <= radius})
+    out = []
+    for radius in radii:
+        ivs = {}
+        for ei, e in enumerate(D.edges):
+            if not x.is_vertex and x.edge == ei:
+                ivs[ei] = (max(F0, x.offset - radius),
+                           min(e.length, x.offset + radius))
+                continue
+            du, dv = near[e.u], near[e.v]
+            left = radius - min(du, dv)
+            if left > 0:
+                ivs[ei] = ((F0, min(e.length, left)) if du < dv
+                           else (max(F0, e.length - left), e.length))
+        out.append(make_subtree(D, ivs, {v for v, d in near.items() if d <= radius}))
+    return out
 
 
 def refine_at(D: Dendrite, points: Iterable[PointRef]):

@@ -4,11 +4,17 @@ The base space is the set of digit sequences over {0,1,2} with addition mod 3
 carrying from position 0 upward.  Only addresses with finitely many digits
 different from 1 are represented; these are exactly the addresses whose
 vertical fiber is nondegenerate, and they form a single orbit of the +1 map.
+So each address is 1^inf + n for exactly one integer n, and its digits minus
+1 are the balanced-ternary digits of n (each -1, 0 or 1).  An ``Address``
+stores that n: alpha + k is the address at n + k, and every digit is read
+off n.
 
 An address alpha embeds horizontally at x = sum 2*alpha_i / 5^(i+1); its
 fiber is the vertical segment of height 3^(-ell(alpha)) where ell counts the
-non-1 digits.  The skew map sends (x_alpha, y) to (x_{alpha+1}, y rescaled
-linearly onto the new fiber), a homeomorphism.
+non-1 digits.  ``embed_x`` and ``ell`` read n's digits four at a time, from
+one table over the remainders of n modulo 3^4 taken in [-40, 40].  The skew
+map sends (x_alpha, y) to (x_{alpha+1}, y rescaled linearly onto the new
+fiber), a homeomorphism.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from dendro.metric_tree import PointRef
 from dendro.serialize import format_rat
 from dendro.tree_map import TreeMap
@@ -26,42 +31,42 @@ class AddressError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Address:
-    """3-adic address with finitely many digits different from 1.
+    """3-adic address 1^inf + n with finitely many digits different from 1.
 
-    ``digits`` maps position -> digit for the non-1 digits only (canonical).
+    Built from ``digits``: the sorted tuple of (position, digit) for the
+    non-1 digits only (canonical), which stays readable as a property.
     """
 
-    digits: tuple = ()  # sorted tuple of (position, digit) with digit != 1
+    _n: int
 
-    def __post_init__(self):
+    def __init__(self, digits: tuple = ()):
         seen = set()
-        for pos, d in self.digits:
+        n = 0
+        for pos, d in digits:
             if d not in (0, 2):
                 raise AddressError("stored digits must be 0 or 2")
             if pos < 0 or pos in seen:
                 raise AddressError("bad digit positions")
             seen.add(pos)
-        if tuple(sorted(self.digits)) != self.digits:
+            n += (d - 1) * 3**pos
+        if tuple(sorted(digits)) != digits:
             raise AddressError("digits must be sorted by position")
+        object.__setattr__(self, "_n", n)
 
-    @classmethod
-    def _trusted(cls, digits: tuple) -> "Address":
-        """Address from digits that are already canonical; skips validation."""
-        alpha = object.__new__(cls)
-        object.__setattr__(alpha, "digits", digits)
-        return alpha
+    @property
+    def digits(self) -> tuple:
+        return tuple((p, d) for p, d in enumerate(_digits(self._n)) if d != 1)
 
     def digit(self, pos: int) -> int:
-        for p, d in self.digits:
-            if p == pos:
-                return d
-        return 1
+        # adding 1 + 3 + ... + 3^pos lifts digits 0..pos of n from {-1, 0, 1}
+        # to {0, 1, 2}, so digit pos is then the plain ternary digit
+        return (self._n + (3 ** (pos + 1) - 1) // 2) // 3**pos % 3
 
     @staticmethod
     def ones() -> "Address":
-        return Address(())
+        return _at(0)
 
     @staticmethod
     def from_digit_map(m: dict) -> "Address":
@@ -87,73 +92,72 @@ class Address:
         return Address.from_digit_map(m)
 
     def literal(self) -> str:
-        if not self.digits:
-            return "1^inf"
-        top = max(p for p, _ in self.digits)
-        body = "".join(str(self.digit(i)) for i in range(top + 1))
-        return body + "1^inf"
+        return "".join(map(str, _digits(self._n))) + "1^inf"
 
     def __str__(self):
         return self.literal()
 
+    def __repr__(self):
+        return f"Address(digits={self.digits!r})"
+
+
+def _at(n: int) -> Address:
+    """The address 1^inf + n."""
+    alpha = object.__new__(Address)
+    object.__setattr__(alpha, "_n", n)
+    return alpha
+
+
+def _digits(n: int):
+    """The digits of 1^inf + n from position 0 through the last non-1 one."""
+    while n:
+        n, d = divmod(n + 1, 3)
+        yield d
+
+
+def _chunk(m: int) -> tuple[int, int]:
+    """For the digits d_0..d_3 of 1^inf + m - 40: the Horner value
+    sum (d_j - 1)*5^(3-j) and the count of d_j != 1."""
+    r, value, count = m - 40, 0, 0
+    for _ in range(4):
+        r, d = divmod(r + 1, 3)
+        value = 5 * value + d - 1
+        count += d != 1
+    return value, count
+
+
+# n = 81*q + m - 40 with 0 <= m < 81: digits 0..3 of 1^inf + n are those of
+# 1^inf + m - 40, and digit 4 + i is digit i of 1^inf + q
+_CHUNKS = tuple(_chunk(m) for m in range(81))
+
 
 def ell(alpha: Address) -> int:
     """Count of digits different from 1 (drives the fiber height)."""
-    return len(alpha.digits)
-
-
-@cache
-def _zero_head(k: int) -> tuple:
-    """Canonical digits of the prefix 0^k, which a carry through k 2s leaves."""
-    return tuple((i, 0) for i in range(k))
+    n, count = alpha._n, 0
+    while n:
+        n, m = divmod(n + 40, 81)
+        count += _CHUNKS[m][1]
+    return count
 
 
 def add(alpha: Address, n: int) -> Address:
     """alpha + n under 3-adic addition with carry upward; n may be negative."""
-    if n == 0:
-        return alpha
-    if n == 1:
-        # the carry runs through the leading 2s (each becomes 0) and stops at
-        # the first other digit: a 0 becomes 1 (dropped), a 1 becomes 2
-        digits = alpha.digits
-        k = 0
-        for pos, d in digits:
-            if pos != k or d != 2:
-                break
-            k += 1
-        head = _zero_head(k)
-        if k < len(digits) and digits[k] == (k, 0):
-            return Address._trusted(head + digits[k + 1:])
-        return Address._trusted(head + ((k, 2),) + digits[k:])
-    # one signed carry: it ends because only finitely many digits differ
-    # from 1, and past them a carry of c becomes floor((1 + c) / 3)
-    out = dict(alpha.digits)
-    pos, carry = 0, n
-    while carry:
-        s = out.get(pos, 1) + carry
-        digit, carry = s % 3, s // 3
-        if digit == 1:
-            out.pop(pos, None)
-        else:
-            out[pos] = digit
-        pos += 1
-    return Address._trusted(tuple(sorted(out.items())))
+    return _at(alpha._n + n)
 
 
 def embed_x(alpha: Address) -> Fraction:
     """Horizontal coordinate sum 2*digit_i / 5^(i+1), in closed form.
 
-    The all-ones tail sums to 1/2 and each stored digit d at position i moves
-    it by 2*(d-1)/5^(i+1).  Over the common denominator 2*5^(top+1), top the
-    highest stored position, the numerator is 5^(top+1) + 4*num with
-    num = sum (d-1)*5^(top-i), accumulated by Horner's rule.
+    The all-ones tail sums to 1/2 and each digit d at position i moves it by
+    2*(d-1)/5^(i+1).  Over the common denominator 2*5^K, K four times the
+    chunk count, the numerator is 5^K + 4*num with num = sum (d-1)*5^(K-1-i),
+    accumulated by Horner's rule one chunk of four digits at a time.
     """
-    num = 0
-    top = 0
-    for pos, d in alpha.digits:
-        num = num * 5 ** (pos - top) + d - 1
-        top = pos
-    scale = 5 ** (top + 1)
+    n, num, scale = alpha._n, 0, 1
+    while n:
+        n, m = divmod(n + 40, 81)
+        num = 625 * num + _CHUNKS[m][0]
+        scale *= 625
     return Fraction(scale + 4 * num, 2 * scale)
 
 
@@ -184,28 +188,23 @@ def step(p: FiberPoint) -> FiberPoint:
 
 def fiber_diam_traj(alpha: Address, N: int) -> list[Fraction]:
     """diam of the n-th image of the fiber over alpha, n = 0..N (exact)."""
-    out = []
-    cur = alpha
-    for _ in range(N + 1):
-        out.append(fiber_height(cur))
-        cur = add(cur, 1)
-    return out
+    return [fiber_height(add(alpha, n)) for n in range(N + 1)]
 
 
 def write_traj_csv(path, alpha: Address, N: int) -> int:
     """CSV rows (n, ell, diam); returns the number of data rows."""
     if N < 0:
         raise ValueError(f"step count must be >= 0, got {N}")
-    cur = alpha
-    rows = 0
+    diam = {}  # ell -> the text of 3^-ell, formatted once per digit count
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "ell", "diam"])
         for n in range(N + 1):
-            w.writerow([n, ell(cur), format_rat(fiber_height(cur))])
-            rows += 1
-            cur = add(cur, 1)
-    return rows
+            k = ell(add(alpha, n))
+            if k not in diam:
+                diam[k] = format_rat(Fraction(1, 3**k))
+            w.writerow([n, k, diam[k]])
+    return N + 1
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +330,9 @@ def gehman_extend(depth: int):
     leaves.sort()
     n_leaves = len(leaves)
     labels = {}
-    cur = Address.ones()
-    for j, leaf in enumerate(leaves):
-        prefix = "".join(str(cur.digit(i)) for i in range(depth))
-        labels[leaf] = prefix
-        cur = add(cur, 1)
+    for j, leaf in enumerate(leaves):  # leaf j carries 1^inf + j
+        alpha = add(Address.ones(), j)
+        labels[leaf] = "".join(str(alpha.digit(i)) for i in range(depth))
     parent_of = {}
     for e in D.edges:
         parent_of[e.v] = e.u  # construction emits parent -> child edges
@@ -355,7 +352,7 @@ def gehman_extend(depth: int):
         {
             "family": "gehman",
             "params": {"depth": depth},
-            "leaf_cylinders": {leaf: labels[leaf] for leaf in leaves},
+            "leaf_cylinders": labels,
         }
     )
     return D, Fmap

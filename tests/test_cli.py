@@ -488,3 +488,30 @@ def test_glued_output_bytes():
     digests = {name: hashlib.sha256(dumps_json(d).encode()).hexdigest()
                for name, d in payloads.items()}
     assert digests == GLUED_SHA256
+
+
+ODOMETER_SHA256 = {
+    "diam_ones": "e9e555ba4813f7e3e01d6618fc7e78839dba91c17466710a6786c35fd7b4932b",
+    "diam_0202021": "eb3914d0b971c96cd823693994544b99c6d6c42d80a04fbe311a831a8c846d0b",
+    "diam_2221": "ca939e1802315b41099c73cbf5c51d15c1eab73c5125ca1463d45db41a51053c",
+    "pattern4": "8944e80b82835a6bdfde6b745611d1caa09184ae48b473f5b1f9b60d70b0cb81",
+}
+
+
+def test_odometer_output_bytes(tmp_path):
+    # the odometer's emitted bytes: the README diam window from 1^inf, the
+    # same 3^7 steps from a high start and from one whose first +1 carries,
+    # and the depth 4 rectangle stages
+    import hashlib
+
+    out = {name: tmp_path / f"{name}.csv" for name in ODOMETER_SHA256}
+    for name, alpha in (("diam_ones", "1^inf"), ("diam_0202021", "0202021^inf"),
+                        ("diam_2221", "2221^inf")):
+        assert run([
+            "run", "--scenario", "odometer-diam", "--alpha", alpha,
+            "--steps", "2187", "--out", str(out[name]),
+        ]) == 0
+    assert run(["export-pattern", "--depth", "4", "-o", str(out["pattern4"])]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in out.items()}
+    assert digests == ODOMETER_SHA256

@@ -12,6 +12,7 @@ from dendro.metric_tree import (
     Dendrite,
     GeometryError,
     PointRef,
+    _balls,
     _walk,
     ball,
     components_minus,
@@ -630,13 +631,19 @@ def test_ball_is_exact_distance_sublevel(star3):
                             assert dist(D, x, D.point(e, t)) == r
 
 
+_radius = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
 @settings(max_examples=80, deadline=None)
 @given(name=st.sampled_from(list(SEPARATION_TREES)), centre=_grid_point,
-       radius=st.fractions(min_value=0, max_value=3, max_denominator=12))
-def test_ball_equals_per_vertex_dist_ball(name, centre, radius):
+       radius=_radius, more=st.lists(_radius, max_size=3))
+def test_ball_equals_per_vertex_dist_ball(name, centre, radius, more):
     D = _separation_tree(name)
     x = _edge_point(D, *centre)
     assert ball(D, x, radius) == plain_ball(D, x, radius)
+    # the balls family clips every radius about one centre from one walk
+    radii = [radius, *more]
+    assert _balls(D, x, radii) == [plain_ball(D, x, r) for r in radii]
 
 
 def test_ball_around_edge_point(comb3):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dendro.odometer import (
     Address,
+    AddressError,
     FiberPoint,
     add,
     ell,
@@ -92,8 +94,8 @@ def test_embed_injective_on_random_addresses():
 
 
 def test_embed_and_add_match_digit_oracles():
-    # embed_x sums over one denominator and add takes a carry-prefix path for
-    # n = 1 with an unvalidated constructor; both must equal the digit-by-digit
+    # embed_x sums over one denominator and add builds its result from an
+    # integer with no validation; both must equal the digit-by-digit
     # references, and every result must pass the validating constructor
     rng = random.Random(20)
     for _ in range(2000):
@@ -131,6 +133,61 @@ def test_embed_and_add_match_digit_oracles():
         alpha = add(alpha, 1)
         assert alpha == prev
     assert alpha == start
+
+
+SPAN = 3**20
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=-SPAN, max_value=SPAN),
+    m=st.integers(min_value=-SPAN, max_value=SPAN),
+    k=st.integers(min_value=-SPAN, max_value=SPAN),
+)
+# the chunk edges: embed_x and ell read four digits at a time, as remainders
+# modulo 3^4 in [-40, 40]
+@example(n=40, m=1, k=-1)
+@example(n=-40, m=-1, k=1)
+@example(n=41, m=-81, k=81)
+@example(n=-41, m=81, k=-81)
+@example(n=3280, m=1, k=3**8)
+@example(n=-3280, m=-1, k=-(3**8))
+@example(n=3281, m=-3281, k=3280)
+@example(n=-3281, m=3281, k=-3280)
+def test_integer_addresses_match_digit_oracles(n, m, k):
+    digs = odometer_add({}, n)
+    alpha = add(ONES, n)
+    assert alpha.digits == tuple(sorted(digs.items()))
+    assert embed_x(alpha) == odometer_embed(digs)
+    assert ell(alpha) == len(digs)
+    top = max(digs, default=0) + 2
+    assert [alpha.digit(p) for p in range(top)] == [
+        digs.get(p, 1) for p in range(top)]
+    assert Address.parse(alpha.literal()) == alpha
+    assert Address(alpha.digits) == alpha
+    assert hash(Address(alpha.digits)) == hash(alpha)
+    assert add(add(alpha, m), k) == add(alpha, m + k)
+
+
+def test_address_repr_and_equality():
+    alpha = Address.parse("0211^inf")
+    assert repr(alpha) == "Address(digits=((0, 0), (1, 2)))"
+    assert str(alpha) == "021^inf"
+    assert alpha == Address(((0, 0), (1, 2))) != ONES
+    assert repr(ONES) == "Address(digits=())" and str(ONES) == "1^inf"
+
+
+@pytest.mark.parametrize("digits, message", [
+    (((1, 0), (0, 2)), "digits must be sorted by position"),
+    ([(0, 2)], "digits must be sorted by position"),
+    (((1, 0), (1, 2)), "bad digit positions"),
+    (((-1, 0),), "bad digit positions"),
+    (((0, 1),), "stored digits must be 0 or 2"),
+    (((0, 3),), "stored digits must be 0 or 2"),
+])
+def test_address_rejects_noncanonical_digits(digits, message):
+    with pytest.raises(AddressError, match=message):
+        Address(digits)
 
 
 # ---------------------------------------------------------------- skew map
