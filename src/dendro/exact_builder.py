@@ -3,33 +3,26 @@
 The arc construction: test that the base A is an arc (its measure equals
 its diameter), cut the tree once at A's ends inside edges, split it into A
 plus finitely many bushes hanging off it, reassign the metric so bush k
-carries total measure (1-q) q^k (the base gets (1-q)); the result is again
-a :class:`BushDecomposition`, and each bush k is sent onto the region E_k
-spanned by the arc from its root to a nearer, larger-bush root together with
-all smaller bushes rooted between them (E_1 is the whole tree).  Each bush
-map factors as: normalized-distance zigzag onto [0,1], a constant-slope
-sawtooth onto a blown-up interval in which every involved root is widened
-into a block of that bush's measure, then a block-wise surjection g whose
-blocks replay expanding walk surjections onto the bushes and whose gaps ride
-along the base arc.  Points of A stay fixed; every bush root stays fixed.
-The plan lays out each region once: its members in base order and its span
-of base.  g is read off the blocks: its ends are the base points at the
-span's ends, and its breakpoints are the members' controls shifted into
-their blocks.  Both waves are one ``length_expanding.Zigzag``, psi on a
-bush and nu on the unit arc; the walk surjections are that wave composed
-with a walk.
-Every lap count comes from the fold lemma of ``length_expanding``, so the
-builder samples nothing: phi gets ``initial_lap_count(rho)`` laps and
-expands by rho times its bush's measure; psi gets ``psi_lap_count`` laps
-and expands phi's images by rho over that measure.
-A :class:`PieceChart` runs one way; a conjugated part holds its chart and
-the chart's inverse.
+carries total measure (1-q) q^k (the base gets (1-q)), and send each bush k
+onto the region E_k spanned by the arc from its root to a nearer,
+larger-bush root together with all smaller bushes rooted between them (E_1
+is the whole tree).  Each bush map factors as: a normalized-distance zigzag
+psi onto [0,1], a constant-slope sawtooth nu onto a blown-up interval J_k in
+which every member root is widened into a block of its bush's measure, then
+a block-wise surjection g whose blocks replay expanding walk surjections phi
+onto the bushes and whose gaps ride along the base arc.  Points of A stay
+fixed; every bush root stays fixed.  Both waves are one
+``length_expanding.Zigzag``, and every lap count comes from its fold lemma,
+so the builder samples nothing.  A :class:`PieceChart` runs one way; a
+conjugated part holds its chart and the chart's inverse.
 
-An ideal version of this map is exact; at a finite truncation the base arc
-has interior, so only bush pieces can cover, and the verifier certifies
-coverage per piece together with the strictly decreasing target chain,
-which it reads from the manifest's part targets, so a map loaded from its
-file certifies the same as the map that was built.
+Build and load share one layout (:func:`_glue_exact`): the bushes, each
+region's target, members and blocks, the lap counts, both waves and the
+manifest follow from the space, the base, q and rho.  Only g is built, or
+read from a file.  An ideal version of this map is exact; at a finite
+truncation the base arc has interior, so only bush pieces can cover, and
+:func:`verify_exact` certifies coverage per piece together with the target
+chain, whose targets a loaded map derives as the builder does.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
 and so interoperate with the chaos and orbit machinery.  A glued map images
@@ -48,7 +41,6 @@ from fractions import Fraction
 from typing import Optional
 
 from dendro.length_expanding import (
-    BuildError,
     Zigzag,
     build_pair,
     build_phi_on_subtree,
@@ -80,9 +72,7 @@ from dendro.metric_tree import (
     point_along,
     point_subtree,
     refine_at,
-    span_subtree,
     subtree_contains,
-    subtree_points,
     union_connected,
     union_subtrees,
 )
@@ -304,17 +294,16 @@ def plan_targets(dec: BushDecomposition) -> BlowupPlan:
 # glued maps: the identity on a base, one part map on each region off it
 #
 # A part has a ``region`` (a subtree of the glued space), ``apply`` and
-# ``image`` there, certification ``pieces`` (edge, lo, hi), ``to_dict`` and
-# ``from_dict(space, d)``.
+# ``image`` there, certification ``pieces`` (edge, lo, hi) and ``to_dict``.
 
 
 def _subtree_in(space: Dendrite, d, field: str) -> Subtree:
     """The subtree a glued file holds under ``field``, read against its space.
 
-    It must name only vertices and edges of the space, already be in the
-    canonical form :func:`make_subtree` gives it there, and be connected:
-    the span of its :func:`subtree_points` is the set itself.  Otherwise the
-    file is refused with a ValueError naming the field.
+    It must name only vertices and edges of the space, be nonempty and be
+    connected; otherwise the file is refused with a ValueError naming the
+    field.  The set returned is canonical, so a file that spells it
+    otherwise does not write back, and the loader's check refuses it.
     """
     S = Subtree.from_dict(d)
     unknown = sorted(S.vertices - set(space.vertices))
@@ -324,14 +313,15 @@ def _subtree_in(space: Dendrite, d, field: str) -> Subtree:
         if not 0 <= e < len(space.edges):
             raise ValueError(f"{field} edge {e} is not an edge of the space")
     try:
-        canonical = make_subtree(space, S.intervals, S.vertices)
+        S = make_subtree(space, S.intervals, S.vertices)
     except GeometryError as exc:
         raise ValueError(f"{field}: {exc}") from None
-    if canonical != S:
-        raise ValueError(f"{field} is not a canonical subtree of the space")
     if S.is_empty():
         raise ValueError(f"{field} is empty")
-    if span_subtree(space, subtree_points(space, S)) != S:
+    # S is connected when its vertices and intervals, an interval linked to
+    # each end of its edge that it reaches, form a tree: one link fewer
+    links = sum((a == 0) + (b == space.edge_length(e)) for e, (a, b) in S.intervals.items())
+    if links != len(S.vertices) + len(S.intervals) - 1:
         raise ValueError(f"{field} is not connected")
     return S
 
@@ -369,34 +359,6 @@ class ExactBushPart:
             "g": self.g.to_dict(),
         }
 
-    @staticmethod
-    def from_dict(space, d):
-        bush = _subtree_in(space, d["bush"], "part bush")
-        unit = unit_arc()
-        psi = Zigzag(space, bush, d["psi"]["root"], int(d["psi"]["laps"]), unit)
-        if parse_rat(d["psi"]["reach"]) != psi.reach:
-            raise ValueError(f"psi reach {d['psi']['reach']} differs from the "
-                             f"bush's reach {format_rat(psi.reach)}")
-        # g maps into the glued space itself: the file's copy must equal it
-        g_codomain = Dendrite.from_dict(d["g"]["codomain"])
-        if g_codomain != space or g_codomain.descriptor != space.descriptor:
-            raise ValueError("part g.codomain differs from the glued space")
-        g = TreeMap.from_dict(d["g"], codomain=space)
-        nu = Zigzag(unit, full_subtree(unit), "0", int(d["nu"]["laps"]),
-                    g.domain, parse_rat(d["nu"]["start"]))
-        # the kinds are fixed, and a fact written twice agrees with its copy
-        for field, got, other, want in (
-            ("psi.kind", d["psi"]["kind"], "'bush_zigzag'", "bush_zigzag"),
-            ("nu.kind", d["nu"]["kind"], "'sawtooth_arc'", "sawtooth_arc"),
-            ("psi.bush", Subtree.from_dict(d["psi"]["bush"]), "the part's bush", bush),
-            ("root", d["root"], "psi.root", psi.root),
-            ("nu.codomain_length", parse_rat(d["nu"]["codomain_length"]),
-             "the length of g's domain", g.domain.edge_length(0)),
-        ):
-            if got != want:
-                raise ValueError(f"part {field} differs from {other}")
-        return ExactBushPart(region=bush, root=psi.root, psi=psi, nu=nu, g=g)
-
 
 @dataclass
 class ConjugatePart:
@@ -425,11 +387,6 @@ class ConjugatePart:
     def to_dict(self):
         return {"region": self.region.to_dict(), "inner": self.inner.to_dict()}
 
-    @staticmethod
-    def from_dict(space, d):
-        region = _subtree_in(space, d["region"], "part region")
-        return ConjugatePart.on(space, region, map_from_dict(d["inner"]))
-
 
 class GluedMap:
     """The identity on the base, each part's map on its region off the base.
@@ -439,7 +396,7 @@ class GluedMap:
     part's image of its overlap with the region.  Two subtrees meet in a
     connected set, so each overlap goes to its part whole, in one call, and
     an overlap inside the base is skipped.
-    Subclasses set the file ``kind`` and the ``part_type`` that loads parts.
+    Subclasses set the file ``kind``.
 
     Like :class:`TreeMap`, the map memoizes its set images by
     :meth:`Subtree.key`, and it keeps one more memo per part for the part
@@ -503,8 +460,16 @@ class GluedMap:
 
     @classmethod
     def from_dict(cls, d):
+        """A file of conjugate parts.  An inner map is read unchecked, as the
+        glued file's check covers it, and must be a selfmap of its copy."""
         space = Dendrite.from_dict(d["space"])
-        parts = [cls.part_type.from_dict(space, pd) for pd in d["parts"]]
+        parts = []
+        for pd in d["parts"]:
+            inner = _map_type(pd["inner"]).from_dict(pd["inner"])
+            if inner.codomain != inner.domain:
+                raise ValueError("a glued part's inner map is not a selfmap")
+            parts.append(ConjugatePart.on(
+                space, _subtree_in(space, pd["region"], "part region"), inner))
         return cls(space, _subtree_in(space, d["base"], "base"), parts,
                    manifest=d.get("manifest"))
 
@@ -513,15 +478,35 @@ class GluedExactMap(GluedMap):
     """Identity on the base arc, expanding bush-to-region maps elsewhere."""
 
     kind = "glued_exact"
-    part_type = ExactBushPart
     image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
+
+    @classmethod
+    def from_dict(cls, d):
+        """The map a file describes, read as its inputs: its space, base,
+        manifest q and rho, and each part's g; :func:`_glue_exact` lays out
+        the rest as the builder does, and the file must agree with it."""
+        space = Dendrite.from_dict(d["space"])
+        dec = decompose_bushes(space, _subtree_in(space, d["base"], "base"))
+        if dec.base_kind != "arc":
+            raise ValueError("a glued_exact base must be an arc")
+        if len(d["parts"]) != len(dec.bushes):
+            raise ValueError(f"the file has {len(d['parts'])} parts, but its base "
+                             f"has {len(dec.bushes)} bushes")
+
+        def read_g(plan, b, arc, starts):
+            g = TreeMap.from_dict(d["parts"][b.index - 1]["g"], codomain=dec.space)
+            if g.domain != arc:
+                raise ValueError(f"part {b.index - 1} g.domain is not its blown-up interval")
+            return g
+
+        return _glue_exact(dec, parse_rat(d["manifest"]["q"]),
+                           parse_rat(d["manifest"]["rho"]), read_g)
 
 
 class GluedPointMap(GluedMap):
     """Identity at the shared fixed point, conjugated exact maps per bush."""
 
     kind = "glued_point"
-    part_type = ConjugatePart
     image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
 
 
@@ -529,7 +514,6 @@ class GluedPieceMap(GluedMap):
     """Nested invariant pieces glued along a common fixed arc."""
 
     kind = "glued_pieces"
-    part_type = ConjugatePart
     image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
 
 
@@ -538,22 +522,76 @@ MAP_KINDS = {
 }
 
 
-def map_from_dict(d):
-    """The map a map file describes, by its ``kind`` (default piecewise)."""
+def _map_type(d):
+    """The map class of a map file's ``kind`` (default piecewise)."""
     if not isinstance(d, dict):
         raise ValueError("a map file must hold a JSON object")
     kind = d.get("kind", "piecewise")
     if not isinstance(kind, str) or kind not in MAP_KINDS:
         raise ValueError(f"unknown map kind {kind!r}")
-    return from_dict_checked(MAP_KINDS[kind].from_dict, d, f"{kind} map")
+    return MAP_KINDS[kind]
+
+
+def map_from_dict(d):
+    """The map a map file describes, refused unless it writes the file back."""
+    cls = _map_type(d)
+    return from_dict_checked(cls.from_dict, d, f"{cls.kind} map")
 
 
 # ---------------------------------------------------------------------------
 # builders
 
 
-def _arc_dendrite(length: Fraction, name: str) -> Dendrite:
-    return Dendrite([f"{name}:0", f"{name}:1"], [(f"{name}:0", f"{name}:1", length)])
+def _glue_exact(dec: BushDecomposition, q, rho, g_for) -> "GluedExactMap":
+    """The glued_exact map on an arc decomposition whose bush k carries
+    measure (1-q) q^k, with each part's g from ``g_for(plan, bush, J_k,
+    starts)``.  Build and load both lay out everything else here.
+
+    A region's blocks lie along J_k, g's domain: one per member in base
+    order, each as long as its bush, which ``starts`` places, and between
+    them the base between the roots, so J_k is as long as the region's
+    measure.  Every lap count comes from the fold lemma: phi's from rho,
+    psi's from rho and its bush, nu's from the length of J_k.
+    """
+    plan = plan_targets(dec)
+    pos = plan.positions
+    unit = unit_arc()
+    phi_laps = initial_lap_count(rho)
+    parts, entries = [], []
+    for b in dec.bushes:
+        k = b.index
+        lo, hi = plan.spans[k]
+        starts, acc, prev = {}, F0, lo
+        for h in plan.members[k]:
+            starts[h] = acc + pos[h] - prev
+            acc, prev = starts[h] + dec.bushes[h - 1].measure, pos[h]
+        total = acc + hi - prev
+        arc = Dendrite([f"J{k}:0", f"J{k}:1"], [(f"J{k}:0", f"J{k}:1", total)])
+        # the sawtooth starts in the block of bush k itself
+        nu_laps = _nu_lap_count(total)
+        nu = Zigzag(unit, full_subtree(unit), "0", nu_laps, arc, starts[k])
+        # psi expands the phi images by rho in units of the bush measure
+        psi_laps = psi_lap_count(dec.space, b.subtree, b.root, rho, phi_laps)
+        psi = Zigzag(dec.space, b.subtree, b.root, psi_laps, unit)
+        part = ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu,
+                             g=g_for(plan, b, arc, starts))
+        # the part meets the base, where the map is the identity, at its root
+        if part.apply(PointRef(vertex=b.root)) != PointRef(vertex=b.root):
+            raise ValueError(f"part {k - 1} does not fix its root {b.root!r}")
+        parts.append(part)
+        entries.append({
+            "bush": k, "root": b.root, "weight": format_rat(b.measure),
+            "target": plan.targets.get(k), "members": plan.members[k],
+            "phi_laps": phi_laps, "nu_laps": nu_laps, "region_measure": format_rat(total),
+        })
+    manifest = {
+        "q": format_rat(q),
+        "rho": format_rat(rho),
+        "base_measure": format_rat(h1_measure(dec.base)),
+        "deficit": format_rat(q ** (len(dec.bushes) + 1)),
+        "parts": entries,
+    }
+    return GluedExactMap(dec.space, dec.base, parts, manifest=manifest)
 
 
 def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int = 0):
@@ -577,82 +615,28 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     if dec.base_kind == "point":
         return _build_exact_point(dec, rho, seed)
     asg = assign_metric(dec, q)
-    plan = plan_targets(asg)
-    unit = unit_arc()
-    pos = plan.positions
     # per-bush expanding surjections
     phi_laps = initial_lap_count(rho)
     phis = {b.index: build_phi_on_subtree(asg.space, b.subtree, b.root, phi_laps)
             for b in asg.bushes}
-    parts = []
-    manifest_parts = []
-    for b in asg.bushes:
-        k = b.index
-        lo, hi = plan.spans[k]
-        # blocks along the blown-up interval, one per member in base order,
-        # each as long as its bush; the gaps are the base between the roots
-        starts, acc, prev = {}, F0, lo
-        for h in plan.members[k]:
-            starts[h] = acc + pos[h] - prev
-            acc, prev = starts[h] + asg.bushes[h - 1].measure, pos[h]
-        total = acc + hi - prev
-        depth_arc = _arc_dendrite(total, f"J{k}")
+
+    def replay(plan, b, arc, starts):
         # g: blocks replay the bush surjections, gaps ride the base arc.  Its
         # ends are the span's base points (a block at an end starts or ends
         # at its root, which is that point), and the roots' positions differ,
         # so the shifted controls never share a time
-        v0, v1 = (point_along(asg.space, *plan.ends, s) for s in (lo, hi))
+        v0, v1 = (point_along(asg.space, *plan.ends, s) for s in plan.spans[b.index])
         controls = [(start + t * asg.bushes[h - 1].measure, p)
                     for h, start in starts.items() for t, p in phis[h].controls(0)]
-        inner = tuple((t, p) for t, p in controls if F0 < t < total)
-        g = TreeMap(depth_arc, asg.space,
-                    {depth_arc.edges[0].u: v0, depth_arc.edges[0].v: v1}, {0: inner})
-        region_image = g.image(full_subtree(depth_arc))
-        # the sawtooth starts in the block of bush k itself
-        nu_laps = _nu_lap_count(total)
-        nu = Zigzag(unit, full_subtree(unit), "0", nu_laps, depth_arc, starts[k])
-        # psi expands the phi images by rho in units of the bush measure
-        psi_laps = psi_lap_count(asg.space, b.subtree, b.root, rho, phi_laps)
-        psi = Zigzag(asg.space, b.subtree, b.root, psi_laps, unit)
-        parts.append(ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu, g=g))
-        manifest_parts.append(
-            {
-                "bush": k,
-                "root": b.root,
-                "weight": format_rat(b.measure),
-                "target": plan.targets.get(k),
-                "members": plan.members[k],
-                "phi_laps": phi_laps,
-                "nu_laps": nu_laps,
-                "region_measure": format_rat(h1_measure(region_image)),
-            }
-        )
-    manifest = {
-        "q": format_rat(q),
-        "rho": format_rat(rho),
-        "base_measure": format_rat(h1_measure(asg.base)),
-        "deficit": format_rat(q ** (len(asg.bushes) + 1)),
-        "parts": manifest_parts,
-    }
-    glued = GluedExactMap(asg.space, asg.base, parts, manifest=manifest)
-    _validate_fixed_points(glued)
-    return glued
+        inner = tuple((t, p) for t, p in controls if F0 < t < arc.edge_length(0))
+        return TreeMap(arc, asg.space, {arc.edges[0].u: v0, arc.edges[0].v: v1}, {0: inner})
+
+    return _glue_exact(asg, q, rho, replay)
 
 
 def _nu_lap_count(total: Fraction) -> int:
     """Even stretch count: non-covering subintervals expand by at least 2."""
     return even_lap_count(4 / total, 2)
-
-
-def _validate_fixed_points(glued: GluedExactMap):
-    D = glued.domain
-    for part in glued.parts:
-        root = PointRef(vertex=part.root)
-        if glued.apply(root) != root:
-            raise BuildError(f"root {part.root} not fixed")
-    for p in subtree_points(D, glued.base):
-        if glued.apply(p) != p:
-            raise BuildError("base point moved")
 
 
 def _build_exact_point(dec: BushDecomposition, rho, seed):
@@ -745,7 +729,8 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     there); they are reported with ``covered_at = None`` and excluded from
     the pass criterion.  The target chain k -> l_k -> ..., read from the
     ``target`` of each part of the map's manifest, must be strictly
-    decreasing down to 1 within as many steps as there are parts.
+    decreasing down to 1 within as many steps as there are parts; a map
+    loaded from a file holds the targets its loader derived, not the file's.
     """
     if n_max < 1:
         raise GeometryError("n_max must be >= 1")

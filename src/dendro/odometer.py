@@ -45,9 +45,9 @@ class Address:
         seen = set()
         n = 0
         for pos, d in digits:
-            if d not in (0, 2):
+            if type(d) is not int or d not in (0, 2):  # not a bool or a float
                 raise AddressError("stored digits must be 0 or 2")
-            if pos < 0 or pos in seen:
+            if type(pos) is not int or pos < 0 or pos in seen:
                 raise AddressError("bad digit positions")
             seen.add(pos)
             n += (d - 1) * 3**pos

@@ -1,7 +1,8 @@
 """Rational and JSON helpers shared by the descriptor file formats.
 
 Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so files
-round-trip exactly.
+round-trip exactly, and a file loads only if the loaded object writes it
+back (:func:`from_dict_checked`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from fractions import Fraction
 
 
 def format_rat(x: Fraction) -> str:
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
@@ -49,15 +51,72 @@ def load_json(path):
 
 
 def from_dict_checked(from_dict, d, what: str):
-    """``from_dict(d)``, with a malformed ``d`` reported as ValueError.
+    """``from_dict(d)``, refused with a one-line ValueError unless the loaded
+    object writes ``d`` back (:func:`_mismatch`): so no field that a loader
+    derives or never reads can say otherwise.
 
     A missing field or a value of the wrong shape surfaces inside a loader
     as KeyError, TypeError, AttributeError or IndexError; file readers call
     this so that every malformed file fails the same documented way.
     """
     try:
-        return from_dict(d)
+        obj = from_dict(d)
     except KeyError as exc:
         raise ValueError(f"malformed {what}: missing field {exc}") from None
     except (TypeError, AttributeError, IndexError) as exc:
         raise ValueError(f"malformed {what}: {exc}") from None
+    wrote = obj.to_dict()
+    if not (wrote == d and _same_types(wrote, d)):
+        where = _mismatch(wrote, d, "")
+        if where:
+            raise ValueError(f"malformed {what}: {where}")
+    return obj
+
+
+def _same_types(wrote, read) -> bool:
+    """Whether values that ``==`` calls equal agree in type throughout:
+    ``==`` lets ``true`` and ``1.0`` pass for ``1``."""
+    if type(wrote) is dict is type(read):
+        return all(map(_same_types, wrote.values(), map(read.__getitem__, wrote)))
+    if type(wrote) is list is type(read):
+        return all(map(_same_types, wrote, read))
+    return type(wrote) is type(read)
+
+
+def _mismatch(wrote, read, path: str):
+    """The first place, at ``path`` or under it, where a file's ``read``
+    differs from ``wrote``, what the loaded object writes back, or None.
+
+    Keys, list lengths and leaves must be equal, a leaf with its JSON type
+    or a rational in any spelling :func:`parse_rat` accepts.  A key the file
+    omits matches only where the loader has a default: an empty object or
+    array, or a map kind of ``piecewise``.
+    """
+    if type(wrote) is dict is type(read):
+        for key in sorted(wrote.keys() | read.keys(), key=str):
+            at = f"{path}.{key}".lstrip(".")
+            if key not in wrote:
+                return f"unknown field {at}"
+            if key not in read:
+                if wrote[key] not in ({}, []) and (key, wrote[key]) != ("kind", "piecewise"):
+                    return f"missing field {at}"
+            elif where := _mismatch(wrote[key], read[key], at):
+                return where
+        return None
+    if type(wrote) is list is type(read) and len(wrote) == len(read):
+        return next(filter(None, (_mismatch(w, r, f"{path}[{i}]")
+                                  for i, (w, r) in enumerate(zip(wrote, read)))), None)
+    if type(wrote) is type(read) and wrote == read:
+        return None
+    try:
+        if type(wrote) is str and type(read) in (str, int) and parse_rat(read) == parse_rat(wrote):
+            return None
+    except ValueError:
+        pass
+    return f"{path or 'the file'} reads {_show(read)} but loads as {_show(wrote)}"
+
+
+def _show(value) -> str:
+    if isinstance(value, list):
+        return f"an array of {len(value)}"
+    return "an object" if isinstance(value, dict) else json.dumps(value)

@@ -5,6 +5,7 @@ shortest-path / flood-fill code, deliberately sharing no logic with the
 package implementations it checks.
 """
 
+import re
 from fractions import Fraction
 from heapq import heappop, heappush
 
@@ -412,3 +413,32 @@ def bush_ends_and_reach(D, S, root):
     ends = sum(1 for v, n in touches.items() if n == 1 and v != root)
     dists = dijkstra_dists(D.to_dict(), root)
     return ends, max(dists[v] for v in S.vertices)
+
+
+def file_matches(wrote, read):
+    """Whether a file's JSON ``read`` matches ``wrote``, what the object
+    loaded from it writes back: the same keys and list lengths, leaves equal
+    with one JSON type or rationals ("p/q" or an integer) of one value where
+    ``wrote`` holds a string, and a key the file omits only where ``wrote``
+    holds an empty object or array, or a map kind "piecewise"."""
+    if isinstance(wrote, dict):
+        return isinstance(read, dict) and set(read) <= set(wrote) and all(
+            file_matches(w, read[k]) if k in read
+            else w in ({}, []) or (k, w) == ("kind", "piecewise")
+            for k, w in wrote.items())
+    if isinstance(wrote, list):
+        return (isinstance(read, list) and len(read) == len(wrote)
+                and all(file_matches(w, r) for w, r in zip(wrote, read)))
+    if type(read) is type(wrote) and read == wrote:
+        return True
+    return type(wrote) is str and None is not _plain_rat(wrote) == _plain_rat(read)
+
+
+def _plain_rat(x):
+    """The value of an integer or of a "p/q" or "n" string, else None."""
+    if type(x) is int:
+        return Fraction(x)
+    m = re.fullmatch(r"\s*(-?\d+)(?:/(\d+))?\s*", x) if type(x) is str else None
+    if m is None or m.group(2) is not None and int(m.group(2)) == 0:
+        return None
+    return Fraction(int(m.group(1)), int(m.group(2) or 1))

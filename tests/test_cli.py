@@ -116,11 +116,10 @@ def test_run_gch_verdict_inconclusive_for_identity(tmp_path):
     assert code == 2
 
 
-def _swapped_parts_map():
-    """A point-based glued map file whose two parts carry each other's map."""
+def _point_map_dict():
+    """The dict of a point-based glued map with two branched bushes."""
     from dendro.exact_builder import build_exact
     from dendro.metric_tree import PointRef
-    from dendro.serialize import dumps_json
 
     D = Dendrite(
         ["c", "m1", "x1", "y1", "m2", "x2", "y2"],
@@ -129,8 +128,27 @@ def _swapped_parts_map():
     )
     d = build_exact(D, PointRef(vertex="c")).to_dict()
     assert d["kind"] == "glued_point" and len(d["parts"]) == 2
+    return d
+
+
+def _swapped_parts_map():
+    """A point-based glued map file whose two parts carry each other's map."""
+    from dendro.serialize import dumps_json
+
+    d = _point_map_dict()
     p0, p1 = d["parts"]
     p0["inner"], p1["inner"] = p1["inner"], p0["inner"]
+    return dumps_json(d)
+
+
+def _point_map_with_inner_domain_lengths(length):
+    """A point-based glued map file whose first inner map's domain edges all
+    have the given length, its codomain keeping the lengths it had."""
+    from dendro.serialize import dumps_json
+
+    d = _point_map_dict()
+    for edge in d["parts"][0]["inner"]["domain"]["edges"]:
+        edge["len"] = length
     return dumps_json(d)
 
 
@@ -166,6 +184,16 @@ def _glued_map_with(name, edit):
     return dumps_json(d)
 
 
+def _every_target_one(d):
+    for entry in d["manifest"]["parts"]:
+        entry["target"] = 1
+
+
+def _last_part_dropped(d):
+    d["parts"].pop()
+    d["manifest"]["parts"].pop()
+
+
 @pytest.mark.parametrize("content,message", [
     ("[1, 2]\n", "JSON object"),
     ('{"kind": "spiral"}\n', "unknown map kind 'spiral'"),
@@ -177,15 +205,15 @@ def _glued_map_with(name, edit):
     (_swapped_parts_map, "the inner map's domain does not match its region"),
     (lambda: _comb8_map_with(["x"], "psi", "root"), "malformed glued_exact map"),
     (lambda: _comb8_map_with("7/3", "psi", "reach"),
-     "psi reach 7/3 differs from the bush's reach 1/4"),
+     'parts[0].psi.reach reads "7/3" but loads as "1/4"'),
     (lambda: _comb8_map_with({"vertices": ["zz"], "intervals": {}}, "psi", "bush"),
-     "part psi.bush differs from the part's bush"),
+     "missing field parts[0].psi.bush.intervals.9"),
     (lambda: _comb8_map_with(lambda d: d["parts"][1]["root"], "root"),
-     "part root differs from psi.root"),
+     'parts[0].root reads "b@1" but loads as "b@0"'),
     (lambda: _comb8_map_with("7", "nu", "codomain_length"),
-     "part nu.codomain_length differs from the length of g's domain"),
+     'parts[0].nu.codomain_length reads "7" but loads as "1023/1024"'),
     (lambda: _comb8_map_with("nonsense", "psi", "kind"),
-     "part psi.kind differs from 'bush_zigzag'"),
+     'parts[0].psi.kind reads "nonsense" but loads as "bush_zigzag"'),
     (lambda: _glued_map_with("comb", lambda d: d["base"]["vertices"].append("zz")),
      "base vertex 'zz' is not a vertex of the space"),
     (lambda: _glued_map_with(
@@ -196,15 +224,45 @@ def _glued_map_with(name, edit):
      "part region vertex 'zz' is not a vertex of the space"),
     (lambda: _glued_map_with(
         "comb", lambda d: d["parts"][0]["g"]["codomain"]["edges"][0].update(len="7")),
-     "part g.codomain differs from the glued space"),
+     'parts[0].g.codomain.edges[0].len reads "7" but loads as "1/4"'),
     (lambda: _glued_map_with(
         "comb", lambda d: d["base"]["intervals"].update({"5": ["1/64", "1/48"]})),
      "base is not connected"),
+    # the manifest and the lap counts are laid out at load, as at build
+    (lambda: _glued_map_with("comb", _every_target_one),
+     "manifest.parts[0].target reads 1 but loads as null"),
+    (lambda: _glued_map_with("comb", lambda d: d["parts"][0]["psi"].update(laps=2)),
+     "parts[0].psi.laps reads 2 but loads as 4"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["manifest"]["parts"][0].update(phi_laps=6)),
+     "manifest.parts[0].phi_laps reads 6 but loads as 4"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["manifest"]["parts"][0].update(nu_laps=2)),
+     "manifest.parts[0].nu_laps reads 2 but loads as 6"),
+    (lambda: _glued_map_with("comb", lambda d: d["parts"][1]["nu"].update(start="1/9")),
+     'parts[1].nu.start reads "1/9" but loads as'),
+    (lambda: _glued_map_with("comb", _last_part_dropped),
+     "the file has 3 parts, but its base has 4 bushes"),
+    (lambda: _glued_map_with("comb", lambda d: d["parts"][0]["g"].update(kind="xyz")),
+     'parts[0].g.kind reads "xyz" but loads as "piecewise"'),
+    (lambda: _glued_map_with("comb", lambda d: d.update(extra=1)),
+     "malformed glued_exact map: unknown field extra"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["parts"][1]["g"]["domain"]["edges"][0].update(len="7")),
+     "part 1 g.domain is not its blown-up interval"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["parts"][1]["g"]["vertex_images"].update({"J2:0": {"vertex": "t@0"}})),
+     "part 1 does not fix its root 'b@1'"),
+    (lambda: _point_map_with_inner_domain_lengths("7"),
+     "a glued part's inner map is not a selfmap"),
 ], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
         "mismatched_part", "psi_root_list", "psi_reach_differs", "psi_bush_differs",
         "root_differs", "nu_codomain_length_differs", "psi_kind_unknown",
         "base_vertex_unknown", "base_edge_unknown", "region_vertex_unknown",
-        "g_codomain_differs", "base_not_connected"])
+        "g_codomain_differs", "base_not_connected", "every_target_one", "psi_laps_2",
+        "phi_laps_differs", "nu_laps_differs", "nu_start_differs", "last_part_dropped",
+        "g_kind_unknown", "unknown_key", "g_domain_length_differs", "g_moves_root",
+        "inner_map_not_a_selfmap"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content() if callable(content) else content)

@@ -1,8 +1,11 @@
+import copy
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dendro import exact_builder, gallery, length_expanding, metric_tree, tree_map
 from dendro.cli import load_map
@@ -222,11 +225,50 @@ def test_first_bush_covers_everything(comb4_map):
     assert img == full_subtree(comb4_map.domain)
 
 
-def test_region_images_match_manifest(comb4_map):
+def test_region_images_match_manifest(comb4_map, comb_gch8_map):
+    # the manifest is laid out from the plan, a region's measure as its span
+    # of base plus its members' measures; each part's image of its bush has
+    # that measure, and the bushes are those of the map's own space and base
     from dendro.serialize import parse_rat
 
-    for part, entry in zip(comb4_map.parts, comb4_map.manifest["parts"]):
-        assert h1_measure(part.image(part.region)) == parse_rat(entry["region_measure"])
+    maps = [("comb4", comb4_map),
+            ("comb8", build_exact(generate(FamilyDescriptor("comb", {"depth": 8})), "A")),
+            ("riemann4", build_exact(generate(FamilyDescriptor("riemann", {"qmax": 4})), "A"))]
+    maps += [(f"comb_gch8/{i}", part.inner) for i, part in enumerate(comb_gch8_map.parts)]
+    for name, Fm in maps:
+        assert Fm.kind == "glued_exact", name
+        bushes = decompose_bushes(Fm.domain, Fm.base).bushes
+        assert [b.subtree for b in bushes] == [part.region for part in Fm.parts], name
+        assert [b.root for b in bushes] == [part.root for part in Fm.parts], name
+        for part, entry in zip(Fm.parts, Fm.manifest["parts"]):
+            measure = h1_measure(part.image(part.region))
+            assert measure == parse_rat(entry["region_measure"]), (name, entry["bush"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_file_subtree_connected_iff_one_flood_fill_component(data):
+    # _subtree_in counts links between a set's vertices and intervals; a set
+    # is kept iff it is nonempty and one component by flood fill, which for
+    # a canonical set is also when it spans itself
+    D = generate(FamilyDescriptor("comb", {"depth": 3}))
+    ends = [F(0), F(1, 3), F(1, 2), F(1)]
+    ivs = {}
+    for e in data.draw(st.sets(st.integers(0, len(D.edges) - 1), max_size=4)):
+        a, b = sorted(data.draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+        ivs[e] = (a * D.edge_length(e), b * D.edge_length(e))
+    verts = data.draw(st.sets(st.sampled_from(D.vertices), max_size=3))
+    try:
+        S = make_subtree(D, ivs, verts)
+    except GeometryError:
+        return
+    keep = not S.is_empty() and len(components(D, S)) == 1
+    assert keep == (not S.is_empty() and metric_tree.span_subtree(D, subtree_points(D, S)) == S)
+    if keep:
+        assert exact_builder._subtree_in(D, S.to_dict(), "set") == S
+    else:
+        with pytest.raises(ValueError, match="set is (empty|not connected)"):
+            exact_builder._subtree_in(D, S.to_dict(), "set")
 
 
 def test_verify_exact_comb4(comb4_map):
@@ -241,14 +283,19 @@ def test_verify_exact_comb4(comb4_map):
 @pytest.mark.parametrize("targets", [{2: 3, 3: 2}, {2: 7}],
                          ids=["cycle", "no_such_bush"])
 def test_verify_exact_rejects_bad_manifest_chain(comb4_map, targets):
-    # the chain is read from the manifest, so a file may carry any targets;
-    # a cycle or a target that names no bush fails the chain, in bounded time
-    d = comb4_map.to_dict()
+    # verify_exact reads the chain from the manifest; a map built in memory
+    # with a cycle or a target that names no bush fails the chain, in
+    # bounded time.  A file cannot carry such targets: the loader derives them
+    d = copy.deepcopy(comb4_map.to_dict())  # to_dict shares the live manifest
     for entry in d["manifest"]["parts"]:
         entry["target"] = targets.get(entry["bush"], entry["target"])
-    cert = verify_exact(exact_builder.map_from_dict(d), 1)
+    Fm = exact_builder.GluedExactMap(comb4_map.domain, comb4_map.base, comb4_map.parts,
+                                     manifest=d["manifest"])
+    cert = verify_exact(Fm, 1)
     assert not cert.chain_ok
     assert all(len(chain) <= len(d["parts"]) + 1 for chain in cert.chains.values())
+    with pytest.raises(ValueError, match=r"manifest\.parts\[1\]\.target reads"):
+        exact_builder.map_from_dict(d)
 
 
 def test_build_exact_one_bush():

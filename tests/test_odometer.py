@@ -190,6 +190,18 @@ def test_address_rejects_noncanonical_digits(digits, message):
         Address(digits)
 
 
+@pytest.mark.parametrize("digits, message", [
+    (((0.5, 0),), "bad digit positions"),
+    (((0, 2.0),), "stored digits must be 0 or 2"),
+    (((True, 0),), "bad digit positions"),
+    (((0, False),), "stored digits must be 0 or 2"),
+], ids=["float_position", "float_digit", "bool_position", "bool_digit"])
+def test_address_rejects_non_int_digits(digits, message):
+    # a float or bool would reach embed_x as a non-integer n and raise there
+    with pytest.raises(AddressError, match=message):
+        Address(digits)
+
+
 # ---------------------------------------------------------------- skew map
 
 

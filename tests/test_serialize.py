@@ -1,8 +1,16 @@
+import contextlib
+import io
+import json
+import tempfile
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dendro.serialize import dumps_json, format_rat, parse_rat
+from dendro.serialize import dumps_json, format_rat, from_dict_checked, load_json, parse_rat
+from oracles import file_matches
 
 F = Fraction
 
@@ -45,3 +53,115 @@ def test_dumps_json_is_canonical():
     a = dumps_json({"b": 1, "a": [F is None, 2]})
     b = dumps_json({"a": [False, 2], "b": 1})
     assert a == b
+
+
+# ---------------------------------------------------------------- the file rule
+
+
+@lru_cache(maxsize=None)
+def _valid_files():
+    """One valid file of each map kind and one dendrite file, as JSON text."""
+    from dendro.cli import main
+    from dendro.exact_builder import build_exact
+    from dendro.gallery import FamilyDescriptor, build_counterexample, generate
+    from dendro.metric_tree import Dendrite, PointRef
+
+    branched = Dendrite(
+        ["c", "m1", "x1", "y1", "m2", "x2", "y2"],
+        [("c", "m1", F(1, 4)), ("m1", "x1", F(1, 8)), ("m1", "y1", F(1, 8)),
+         ("c", "m2", F(1, 4)), ("m2", "x2", F(1, 8)), ("m2", "y2", F(1, 8))],
+    )
+    maps = [
+        build_exact(generate(FamilyDescriptor("star", {})), PointRef(vertex="c")),
+        build_exact(generate(FamilyDescriptor("comb", {"depth": 3})), "A"),
+        build_exact(branched, PointRef(vertex="c")),
+        build_counterexample("comb_gch", depth=3)[1],
+    ]
+    files = {Fm.kind: dumps_json(Fm.to_dict()) for Fm in maps}
+    assert sorted(files) == ["glued_exact", "glued_pieces", "glued_point", "piecewise"]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "comb", "--depth", "3", "-o", f"{tmp}/comb3.json"]) == 0
+        with open(f"{tmp}/comb3.json") as fh:
+            files["dendrite"] = fh.read()
+    return files
+
+
+@lru_cache(maxsize=None)
+def _leaf_paths(name):
+    """The key path of every leaf of a valid file."""
+    def walk(x, path):
+        if isinstance(x, (dict, list)):
+            items = x.items() if isinstance(x, dict) else enumerate(x)
+            return [p for k, v in items for p in walk(v, path + (k,))]
+        return [path]
+    return walk(json.loads(_valid_files()[name]), ())
+
+
+MUTATIONS = {"delete": None, "null": None, "wrap": None, "true": True,
+             "zero_denominator": "1/0", "seven": 7, "two_fourths": "2/4"}
+
+
+def _mutant(name, path, how):
+    d = json.loads(_valid_files()[name])
+    *up, last = path
+    node = d
+    for key in up:
+        node = node[key]
+    if how == "delete":
+        del node[last]
+    elif how == "wrap":
+        node[last] = [node[last]]
+    else:
+        node[last] = MUTATIONS[how]
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_mutated_file_is_refused_or_writes_itself_back(data):
+    # one leaf of a valid file changed: either the CLI refuses the file with
+    # one stderr line and exit 1, or the file loads into an object that
+    # writes it back under the file rule
+    from dendro.cli import load_map, main
+    from dendro.metric_tree import Dendrite
+
+    name = data.draw(st.sampled_from(sorted(_valid_files())))
+    path = data.draw(st.sampled_from(_leaf_paths(name)))
+    d = _mutant(name, path, data.draw(st.sampled_from(sorted(MUTATIONS))))
+    with tempfile.TemporaryDirectory() as tmp:
+        fname, out = f"{tmp}/mutant.json", f"{tmp}/out.json"
+        with open(fname, "w") as fh:
+            json.dump(d, fh)
+        try:
+            if name == "dendrite":
+                obj = from_dict_checked(Dendrite.from_dict, load_json(fname), "dendrite")
+            else:
+                obj = load_map(fname)
+        except ValueError:
+            args = (["--dendrite", fname, "--scenario", "exactness", "--arc", "A"]
+                    if name == "dendrite" else ["--map", fname, "--scenario", "gch-verdict"])
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(["run", *args, "--out", out])
+            assert code == 1, (name, path)
+            assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+            return
+    assert file_matches(obj.to_dict(), d), (name, path)
+
+
+def test_file_rule_spellings_and_defaults():
+    from dendro.exact_builder import map_from_dict
+
+    d = json.loads(_valid_files()["piecewise"])
+    d["domain"]["edges"][0]["len"] = "2/4"  # the same rational, spelled otherwise
+    del d["kind"], d["domain"]["marked"]  # keys with a default
+    assert file_matches(map_from_dict(d).to_dict(), d)
+    for key, value in (("vertex_images", True), ("kind", "glued_exact")):
+        bad = json.loads(_valid_files()["piecewise"])
+        bad[key] = value
+        with pytest.raises(ValueError):
+            map_from_dict(bad)
+    bad = json.loads(_valid_files()["glued_exact"])
+    bad["parts"][0]["psi"]["laps"] = 4.0  # == 4, but a float
+    with pytest.raises(ValueError, match=r"parts\[0\]\.psi\.laps reads 4\.0 but loads as 4"):
+        map_from_dict(bad)
