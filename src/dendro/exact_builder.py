@@ -76,7 +76,7 @@ from dendro.metric_tree import (
     union_connected,
     union_subtrees,
 )
-from dendro.serialize import format_rat, from_dict_checked, parse_rat
+from dendro.serialize import format_rat, from_dict_checked, json_copy, parse_rat
 from dendro.tree_map import TreeMap, _memo_image, compose
 
 F0 = Fraction(0)
@@ -455,7 +455,7 @@ class GluedMap:
             "space": self.domain.to_dict(),
             "base": self.base.to_dict(),
             "parts": [part.to_dict() for part in self.parts],
-            "manifest": self.manifest,
+            "manifest": json_copy(self.manifest),
         }
 
     @classmethod
@@ -707,7 +707,7 @@ class ExactnessCertificate:
         return {
             "n_max": self.n_max,
             "chain_ok": self.chain_ok,
-            "chains": {str(k): v for k, v in sorted(self.chains.items())},
+            "chains": {str(k): list(v) for k, v in sorted(self.chains.items())},
             "rows": [
                 {
                     "edge": r.edge,

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from dendro.serialize import format_rat, parse_rat
+from dendro.serialize import format_rat, json_copy, parse_rat
 
 F0 = Fraction(0)
 
@@ -278,7 +278,7 @@ class Dendrite:
             "marked": {k: p.to_dict() for k, p in sorted(self.marked.items())},
         }
         if self.descriptor is not None:
-            d["descriptor"] = self.descriptor
+            d["descriptor"] = json_copy(self.descriptor)
         return d
 
     @staticmethod

@@ -3,6 +3,11 @@
 Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so files
 round-trip exactly, and a file loads only if the loaded object writes it
 back (:func:`from_dict_checked`).
+
+A file is byte for byte ``json.dumps(obj, sort_keys=True, indent=1)`` plus a
+newline, written in one pass by :func:`dumps_json`.  Only ``str``, ``int``,
+``bool``, ``None``, lists (or tuples) and dicts with ``str`` keys are
+written; any other value, a float included, raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -36,13 +41,70 @@ def parse_rat(s) -> Fraction:
 
 
 def dump_json(obj, path) -> None:
+    """Write :func:`dumps_json` of ``obj``; an object it refuses leaves
+    ``path`` as it was."""
+    text = dumps_json(obj)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, without the
+    stdlib's generator stack: its C encoder serves only ``indent=None``."""
+    out = []
+    _encode(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, pad: str, put) -> None:
+    """Put the text of ``value``, which stands after line break and indent
+    ``pad``.  Types are matched exactly: a subclass is refused."""
+    kind = type(value)
+    if kind is str:
+        put(_quote(value))
+    elif kind is dict:
+        if not value:
+            put("{}")
+            return
+        inner = pad + " "
+        sep = "{" + inner
+        for key in sorted(value):
+            put(sep + _quote(key) + ": ")  # _quote refuses a key that is not a str
+            _encode(value[key], inner, put)
+            sep = "," + inner
+        put(pad + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            put("[]")
+            return
+        inner = pad + " "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            _encode(item, inner, put)
+            sep = "," + inner
+        put(pad + "]")
+    elif kind is int:
+        put(int.__repr__(value))
+    elif kind is bool or value is None:
+        put("null" if value is None else "true" if value else "false")
+    else:
+        raise TypeError(f"cannot write a {kind.__name__}: files hold only "
+                        "str, int, bool, None, lists and dicts")
+
+
+def json_copy(value):
+    """A fresh copy of the dicts and lists of a JSON tree; leaves are shared,
+    being immutable."""
+    if type(value) is dict:
+        return {key: json_copy(item) for key, item in value.items()}
+    if type(value) is list:
+        return list(map(json_copy, value))
+    return value
 
 
 def load_json(path):

@@ -1,4 +1,3 @@
-import copy
 import math
 import random
 from fractions import Fraction
@@ -286,7 +285,7 @@ def test_verify_exact_rejects_bad_manifest_chain(comb4_map, targets):
     # verify_exact reads the chain from the manifest; a map built in memory
     # with a cycle or a target that names no bush fails the chain, in
     # bounded time.  A file cannot carry such targets: the loader derives them
-    d = copy.deepcopy(comb4_map.to_dict())  # to_dict shares the live manifest
+    d = comb4_map.to_dict()
     for entry in d["manifest"]["parts"]:
         entry["target"] = targets.get(entry["bush"], entry["target"])
     Fm = exact_builder.GluedExactMap(comb4_map.domain, comb4_map.base, comb4_map.parts,

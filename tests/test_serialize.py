@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import tempfile
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendro.serialize import dumps_json, format_rat, from_dict_checked, load_json, parse_rat
+from dendro.serialize import (dump_json, dumps_json, format_rat, from_dict_checked, load_json,
+                              parse_rat)
 from oracles import file_matches
 
 F = Fraction
@@ -55,13 +57,47 @@ def test_dumps_json_is_canonical():
     assert a == b
 
 
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9", "\u2028", "\U0001f600"])
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**300, 2**300)
+           | _TEXT)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_dumps_json_is_the_stdlib_text(value):
+    assert dumps_json(value) == json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("value", [0.5, F(1, 2), {"1/2"}, {1: "a"}, {"a": [1, 2.0]}])
+def test_dumps_json_refuses_what_no_file_holds(value):
+    with pytest.raises(TypeError):
+        dumps_json(value)
+
+
+def test_a_refused_object_writes_no_file(tmp_path):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    dump_json({"a": [1, "1/2"]}, old)
+    before = old.read_bytes()
+    for path in (new, old):
+        with pytest.raises(TypeError):
+            dump_json({"a": [1, F(1, 2)]}, path)
+    assert not new.exists()
+    assert old.read_bytes() == before == dumps_json({"a": [1, "1/2"]}).encode()
+
+
 # ---------------------------------------------------------------- the file rule
 
 
 @lru_cache(maxsize=None)
-def _valid_files():
-    """One valid file of each map kind and one dendrite file, as JSON text."""
-    from dendro.cli import main
+def _maps():
+    """One built map of each kind, in the order piecewise, glued_exact,
+    glued_point, glued_pieces."""
     from dendro.exact_builder import build_exact
     from dendro.gallery import FamilyDescriptor, build_counterexample, generate
     from dendro.metric_tree import Dendrite, PointRef
@@ -71,19 +107,49 @@ def _valid_files():
         [("c", "m1", F(1, 4)), ("m1", "x1", F(1, 8)), ("m1", "y1", F(1, 8)),
          ("c", "m2", F(1, 4)), ("m2", "x2", F(1, 8)), ("m2", "y2", F(1, 8))],
     )
-    maps = [
+    return (
         build_exact(generate(FamilyDescriptor("star", {})), PointRef(vertex="c")),
         build_exact(generate(FamilyDescriptor("comb", {"depth": 3})), "A"),
         build_exact(branched, PointRef(vertex="c")),
         build_counterexample("comb_gch", depth=3)[1],
-    ]
-    files = {Fm.kind: dumps_json(Fm.to_dict()) for Fm in maps}
+    )
+
+
+@lru_cache(maxsize=None)
+def _valid_files():
+    """One valid file of each map kind and one dendrite file, as JSON text."""
+    from dendro.cli import main
+
+    files = {Fm.kind: dumps_json(Fm.to_dict()) for Fm in _maps()}
     assert sorted(files) == ["glued_exact", "glued_pieces", "glued_point", "piecewise"]
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         assert main(["gen", "comb", "--depth", "3", "-o", f"{tmp}/comb3.json"]) == 0
         with open(f"{tmp}/comb3.json") as fh:
             files["dendrite"] = fh.read()
     return files
+
+
+def test_to_dict_hands_out_no_live_state():
+    # every dict and list of a to_dict() result edited: the object's next
+    # to_dict() is what it wrote before
+    from dendro.exact_builder import verify_exact
+
+    def edit(x):
+        for item in list(x.values() if isinstance(x, dict) else x):
+            if isinstance(item, (dict, list)):
+                edit(item)
+        if isinstance(x, dict):
+            x["edited"] = True
+        else:
+            x.append("edited")
+
+    cert = verify_exact(_maps()[1], 4)
+    objs = [*_maps(), _maps()[0].domain, cert]
+    assert objs[-2].descriptor and cert.chains
+    for obj in objs:
+        before = copy.deepcopy(obj.to_dict())
+        edit(obj.to_dict())
+        assert obj.to_dict() == before, type(obj).__name__
 
 
 @lru_cache(maxsize=None)
