@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Build the base-fixing expanding map on a comb and certify piece coverage.
 
-Shows the assigned weights, the target chain of every bush, and the least
-iterate at which each certification piece covers the whole space.
+Shows the assigned weights, the target chain of every bush, the least
+iterate at which each certification piece covers the whole space, and
+whether those times were read off the piece graph (the map is Markov on its
+certification pieces) or imaged step by step up to the horizon.
 """
 
 import argparse
 from fractions import Fraction
 
-from dendro.exact_builder import build_exact, verify_exact
+from dendro.exact_builder import build_exact, markov_graph, verify_exact
 from dendro.gallery import FamilyDescriptor, generate
 from dendro.serialize import parse_rat
 
@@ -37,6 +39,10 @@ def main():
         f"bush pieces: {len(bush_rows)}, all covered: "
         f"{cert.all_bush_pieces_covered}, max cover time: {cert.max_cover_time}"
     )
+    if markov_graph(Fm) is None:
+        print("cover times imaged step by step up to the horizon")
+    else:
+        print(f"cover times read off the Markov graph of all {len(cert.rows)} pieces")
 
 
 if __name__ == "__main__":

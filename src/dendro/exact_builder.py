@@ -22,15 +22,19 @@ manifest follow from the space, the base, q and rho.  Only g is built, or
 read from a file.  An ideal version of this map is exact; at a finite
 truncation the base arc has interior, so only bush pieces can cover, and
 :func:`verify_exact` certifies coverage per piece together with the target
-chain, whose targets a loaded map derives as the builder does.
+chain, whose targets a loaded map derives as the builder does.  When the map
+is Markov on its certification pieces (:func:`markov_graph`: they tile every
+edge and each piece's image is a union of whole pieces), each piece is
+imaged once and the cover times are read off the piece graph; otherwise the
+piece orbits are imaged step by step up to the horizon.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
 and so interoperate with the chaos and orbit machinery.  A glued map images
 a set's overlap with each region whole, in one part call, and skips an
 overlap inside the base, where it is the identity.  Glued maps, like
 ``TreeMap``, memoize their set images by ``Subtree.key()``, and also each
-part's images, one entry per distinct set for the life of the map, so the
-merging piece orbits of ``verify_exact`` image their shared tail once.
+part's images, one entry per distinct set for the life of the map, so
+merging piece orbits image their shared tail once.
 """
 
 from __future__ import annotations
@@ -570,9 +574,10 @@ def _glue_exact(dec: BushDecomposition, q, rho, g_for) -> "GluedExactMap":
         # the sawtooth starts in the block of bush k itself
         nu_laps = _nu_lap_count(total)
         nu = Zigzag(unit, full_subtree(unit), "0", nu_laps, arc, starts[k])
-        # psi expands the phi images by rho in units of the bush measure
-        psi_laps = psi_lap_count(dec.space, b.subtree, b.root, rho, phi_laps)
-        psi = Zigzag(dec.space, b.subtree, b.root, psi_laps, unit)
+        # psi expands the phi images by rho in units of the bush measure:
+        # from phi's laps it rises to the lemma's count for its own reach
+        psi = Zigzag(dec.space, b.subtree, b.root, phi_laps, unit)
+        psi.laps = psi_lap_count(psi, rho, phi_laps)
         part = ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu,
                              g=g_for(plan, b, arc, starts))
         # the part meets the base, where the map is the identity, at its root
@@ -722,8 +727,90 @@ class ExactnessCertificate:
         }
 
 
+def markov_graph(F):
+    """Each certification piece's successors, or None if F is not Markov.
+
+    Entry i of the list is an int mask with bit j set when piece j of
+    ``F.pieces()`` lies in F(piece i).  The graph exists when the pieces
+    tile every edge (contiguous from 0 to its length, each nondegenerate)
+    and each piece's image, computed once, is nondegenerate with every
+    interval starting and ending at piece cuts, so a union of whole pieces.
+    As f(P u Q) = f(P) u f(Q), the image of a union of pieces is then
+    exactly the union of their successors.
+    """
+    return _markov_graph(F, F.pieces())
+
+
+def _markov_graph(F, pieces):
+    D = F.domain
+    on_edge: dict[int, list] = {}
+    for i, (e, a, b, *_) in enumerate(pieces):
+        on_edge.setdefault(e, []).append((a, b, i))
+    if F.codomain != D or sorted(on_edge) != list(range(len(D.edges))):
+        return None
+    # cut t of edge e -> mask of the pieces of e that end at or before t,
+    # keyed by t.as_integer_ratio(), which hashes faster than a Fraction
+    upto: dict[int, dict] = {}
+    for e, row in on_edge.items():
+        row.sort()
+        mask, end, cuts = 0, F0, {(0, 1): 0}
+        for a, b, i in row:
+            if a != end or b <= a:
+                return None
+            mask |= 1 << i
+            cuts[b.as_integer_ratio()], end = mask, b
+        if end != D.edge_length(e):
+            return None
+        upto[e] = cuts
+    succ = []
+    for e, a, b, *_ in pieces:
+        img = F.image(make_subtree(D, {e: (a, b)}))
+        if img.is_degenerate():
+            return None
+        mask = 0
+        for e2, (a2, b2) in img.intervals.items():
+            cuts = upto[e2]
+            lo, hi = cuts.get(a2.as_integer_ratio()), cuts.get(b2.as_integer_ratio())
+            if lo is None or hi is None:
+                return None
+            mask |= hi ^ lo
+        succ.append(mask)
+    return succ
+
+
+def _graph_cover_time(succ, i: int, n_max: int, image_of: dict) -> Optional[int]:
+    """Least n <= n_max whose mask of f^n(piece i) holds every piece; None
+    past n_max or once a mask repeats, after which it never does.
+    ``image_of`` memoizes mask -> image mask across pieces."""
+    full = (1 << len(succ)) - 1
+    cur = 1 << i
+    seen = {cur}
+    for n in range(1, n_max + 1):
+        nxt = image_of.get(cur)
+        if nxt is None:
+            nxt, rest = 0, cur
+            while rest:
+                low = rest & -rest
+                nxt |= succ[low.bit_length() - 1]
+                rest ^= low
+            image_of[cur] = nxt
+        if nxt == full:
+            return n
+        if nxt in seen:
+            return None
+        seen.add(nxt)
+        cur = nxt
+    return None
+
+
 def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     """Least full-cover time per certification piece, plus chain validation.
+
+    When :func:`markov_graph` exists, each piece is imaged once and its
+    cover time is read off the piece graph: the mask of f^n(piece) is the
+    union of its successors' masks, and with tiling pieces "every piece"
+    is "the whole space".  Otherwise each piece's orbit is imaged step by
+    step up to the horizon ``n_max``.  Both give the same rows.
 
     Pieces on the fixed base arc can never cover (the map is the identity
     there); they are reported with ``covered_at = None`` and excluded from
@@ -736,13 +823,16 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
         raise GeometryError("n_max must be >= 1")
     D = Fm.domain
     whole = full_subtree(D)
+    pieces = Fm.pieces()
+    succ = _markov_graph(Fm, pieces)
+    image_of: dict[int, int] = {}
     rows = []
-    for piece in Fm.pieces():
-        e, a, b, kind = piece
-        S = make_subtree(D, {e: (a, b)})
+    for i, (e, a, b, kind) in enumerate(pieces):
         covered = None
-        if kind == "bush":
-            cur = S
+        if kind == "bush" and succ is not None:
+            covered = _graph_cover_time(succ, i, n_max, image_of)
+        elif kind == "bush":
+            cur = make_subtree(D, {e: (a, b)})
             for n in range(1, n_max + 1):
                 cur = Fm.image(cur)
                 if cur == whole:

@@ -73,15 +73,19 @@ def generate(desc: FamilyDescriptor) -> Dendrite:
         "gehman": _gen_gehman,
     }[desc.family]
     D = fn(**desc.params)
-    D.descriptor = {"family": desc.family, "params": _jsonable(desc.params)}
+    D.descriptor = {"family": desc.family,
+                    "params": {k: _jsonable(v) for k, v in desc.params.items()}}
     return D
 
 
-def _jsonable(params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        out[k] = format_rat(v) if isinstance(v, Fraction) else v
-    return out
+def _jsonable(value):
+    """A param as a file holds it: Fractions as rational strings, tuples as
+    lists, at any depth of lists and tuples."""
+    if isinstance(value, Fraction):
+        return format_rat(value)
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def _gen_arc(length=Fraction(1)) -> Dendrite:

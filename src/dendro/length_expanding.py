@@ -368,17 +368,17 @@ def initial_lap_count(rho) -> int:
     return even_lap_count(2 * Fraction(rho), 4)
 
 
-def psi_lap_count(T: Dendrite, S: Subtree, root: str, rho, least: int) -> int:
-    """Laps at which the Zigzag of S about ``root`` onto [0, 1] expands by
+def psi_lap_count(psi: Zigzag, rho, least: int) -> int:
+    """Laps at which ``psi``, a Zigzag of a region S onto [0, 1], expands by
     rho / |S| every connected set that it does not map onto [0, 1]: by the
     fold lemma (:class:`Zigzag`), 2 rho m R / |S| for m ends of S besides
-    the root and reach R, or ``least`` if more, made even.  An arc rooted
-    at an end needs 2 rho, as phi does.
+    the root and psi's reach R, or ``least`` if more, made even.  An arc
+    rooted at an end needs 2 rho, as phi does.
     """
+    T, S = psi.domain, psi.region
     touches = Counter(v for e in S.intervals for v in (T.edges[e].u, T.edges[e].v))
-    ends = sum(1 for v, n in touches.items() if n == 1 and v != root)
-    reach = max(_walk(T, PointRef(vertex=root), S).values())
-    need = 2 * Fraction(rho) * ends * reach / h1_measure(S)
+    ends = sum(1 for v, n in touches.items() if n == 1 and v != psi.root)
+    need = 2 * Fraction(rho) * ends * psi.reach / h1_measure(S)
     return even_lap_count(need, least)
 
 

@@ -175,6 +175,28 @@ def plain_orbit(F, S, N):
     return out
 
 
+def plain_cover_times(F, n_max):
+    """covered_at of each certification piece of F by the horizon loop: a
+    bush piece's orbit is imaged step by step, up to n_max, until it is the
+    whole space; a base piece is never tried."""
+    from dendro.metric_tree import full_subtree, make_subtree
+
+    D = F.domain
+    whole = full_subtree(D)
+    out = []
+    for e, a, b, kind in F.pieces():
+        covered = None
+        if kind == "bush":
+            cur = make_subtree(D, {e: (a, b)})
+            for n in range(1, n_max + 1):
+                cur = F.image(cur)
+                if cur == whole:
+                    covered = n
+                    break
+        out.append(covered)
+    return out
+
+
 def first_repeat(orbit):
     """(m, p) of the first n = m + p with orbit[n] == orbit[m], m < n, or None."""
     for n, S in enumerate(orbit):

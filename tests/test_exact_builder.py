@@ -43,6 +43,7 @@ from dendro.metric_tree import (
     subtree_diam,
     subtree_points,
     subtrees_intersect,
+    union_connected,
 )
 from dendro.odometer import gehman_extend
 from dendro.serialize import dump_json, dumps_json
@@ -53,6 +54,7 @@ from oracles import (
     expansion_violations,
     grid_intervals,
     plain_apply,
+    plain_cover_times,
     plain_image,
 )
 
@@ -110,8 +112,6 @@ def test_decompose_rejects_whole_space(star3):
 def test_decompose_rejects_branched_base(comb4):
     # the tooth at 1/2, whole or cut off at half its height: a set whose
     # end lies inside an edge must not be traded for its longest arc
-    from dendro.metric_tree import union_connected
-
     arc = geodesic(comb4, V("b@-1"), V("b@1"))
     e = next(i for i, ed in enumerate(comb4.edges) if {ed.u, ed.v} == {"b@1/2", "t@1/2"})
     for top in (V("t@1/2"), comb4.point(e, comb4.edge_length(e) / 2)):
@@ -297,12 +297,16 @@ def test_verify_exact_rejects_bad_manifest_chain(comb4_map, targets):
         exact_builder.map_from_dict(d)
 
 
+def _one_tooth_arc():
+    """An arc l-m-r, A marked at its ends, with one tooth m-t."""
+    return Dendrite(["l", "m", "r", "t"],
+                    [("l", "m", F(1, 2)), ("m", "r", F(1, 2)), ("m", "t", F(1, 3))],
+                    marked={"A_left": V("l"), "A_right": V("r")})
+
+
 def test_build_exact_one_bush():
     # one tooth on an arc: K = 1, no target, region 1 rides the whole base
-    D = Dendrite(["l", "m", "r", "t"],
-                 [("l", "m", F(1, 2)), ("m", "r", F(1, 2)), ("m", "t", F(1, 3))],
-                 marked={"A_left": V("l"), "A_right": V("r")})
-    Fm = build_exact(D, "A")
+    Fm = build_exact(_one_tooth_arc(), "A")
     assert len(Fm.parts) == 1 and Fm.manifest["parts"][0]["target"] is None
     cert = verify_exact(Fm, 4)
     assert cert.chains == {} and cert.chain_ok
@@ -431,8 +435,8 @@ def test_psi_fold_lemma_dense_scan():
             psi = Zigzag(space, b.subtree, b.root, laps, unit)
             assert expansion_violations(psi, images, laps / (2 * m * R), whole) == [], \
                 (name, laps)
-        laps = psi_lap_count(space, b.subtree, b.root, rho, phi_laps)
-        psi = Zigzag(space, b.subtree, b.root, laps, unit)
+        psi = Zigzag(space, b.subtree, b.root, phi_laps, unit)
+        psi.laps = psi_lap_count(psi, rho, phi_laps)
         assert expansion_violations(psi, images, rho / b.measure, whole) == [], name
 
 
@@ -481,6 +485,92 @@ def test_verify_exact_tent_doubling(unit_arc):
     local_tent.pieces = lambda: [(0, F(0), F(1, 32), "bush")]
     cert = verify_exact(local_tent, 8)
     assert cert.rows[0].covered_at == 5
+
+
+# ---------------------------------------------------------------- Markov graph
+
+
+@pytest.fixture(scope="module")
+def markov_maps(comb4_map, comb_gch8_map, tmp_path_factory):
+    """(name, map) for every built map of the suite: the comb 4 and comb 8
+    glued_exact maps, built and loaded from their files, riemann qmax 4,
+    comb_gch 8 (glued_pieces) and the one-bush map."""
+    path = tmp_path_factory.mktemp("markov")
+    comb8 = build_exact(generate(FamilyDescriptor("comb", {"depth": 8})), "A")
+    out = []
+    for name, Fm in [("comb4", comb4_map), ("comb8", comb8)]:
+        dump_json(Fm.to_dict(), path / f"{name}.json")
+        out += [(name, Fm), (f"{name}_loaded", load_map(str(path / f"{name}.json")))]
+    riemann4 = generate(FamilyDescriptor("riemann", {"qmax": 4}))
+    return out + [("riemann4", build_exact(riemann4, "A")), ("comb_gch8", comb_gch8_map),
+                  ("one_bush", build_exact(_one_tooth_arc(), "A"))]
+
+
+def test_graph_cover_times_match_the_horizon_loop(markov_maps):
+    # every built map is Markov on its certification pieces, and the cover
+    # times read off its piece graph are the plain horizon loop's
+    for name, Fm in markov_maps:
+        assert exact_builder.markov_graph(Fm) is not None, name
+        for n_max in (1, len(Fm.parts) + 1, 64):
+            rows = verify_exact(Fm, n_max).rows
+            assert [r.covered_at for r in rows] == plain_cover_times(Fm, n_max), (name, n_max)
+
+
+def _assert_masks_rebuild_images(name, Fm):
+    """The pieces in each piece's successor mask make up exactly its image."""
+    D = Fm.domain
+    pieces = [make_subtree(D, {e: (a, b)}) for e, a, b, _ in Fm.pieces()]
+    for P, mask in zip(pieces, exact_builder.markov_graph(Fm)):
+        inside = [Q for j, Q in enumerate(pieces) if mask >> j & 1]
+        assert union_connected(D, inside) == Fm.image(P), (name, P)
+
+
+def test_markov_graph_masks_rebuild_piece_images(markov_maps):
+    for name, Fm in markov_maps:
+        _assert_masks_rebuild_images(name, Fm)
+
+
+def _unit_arc_map(unit_arc, peak, pieces):
+    """The map 0 -> 0, peak -> 1, 1 -> 0 on the unit arc, with ``pieces``
+    (lo, hi) as its bush pieces."""
+    Fm = TreeMap(unit_arc, unit_arc, {"0": V("0"), "1": V("0")}, {0: ((peak, V("1")),)})
+    Fm.pieces = lambda: [(0, F(a), F(b), "bush") for a, b in pieces]
+    return Fm
+
+
+def test_verify_exact_falls_back_to_the_horizon_loop(unit_arc, comb4_map, monkeypatch):
+    # no piece graph for the tent with a partial piece list, for a peak at
+    # 1/3 whose right piece's image [0, 3/4] ends off a cut, nor for the
+    # identity on half the arc, where "every piece" is not the whole space:
+    # their cover times are imaged step by step.  The tent on quarters has
+    # a graph, the image [1/2, 1] of [1/4, 1/2] starting inside the edge;
+    # so does the identity on whole-edge pieces, each piece its own
+    # successor, and its first repeat says never.  Each certificate is the
+    # one the loop alone writes
+    half = F(1, 2)
+    D = comb4_map.domain
+    identity = tree_map.identity_map(D)
+    identity.pieces = lambda: [(e, F(0), D.edge_length(e), "bush")
+                               for e in range(len(D.edges))]
+    half_identity = tree_map.identity_map(unit_arc)
+    half_identity.pieces = lambda: [(0, F(0), half, "bush")]
+    quarters = [(F(k, 4), F(k + 1, 4)) for k in range(4)]
+    cases = [("tent", _unit_arc_map(unit_arc, half, [(0, F(1, 32))]), [5], False),
+             ("peak", _unit_arc_map(unit_arc, F(1, 3), [(0, half), (half, 1)]), [1, 2], False),
+             ("half_identity", half_identity, [None], False),
+             ("quarters", _unit_arc_map(unit_arc, half, quarters), [2] * 4, True),
+             ("identity", identity, [None] * len(D.edges), True)]
+    certs = {}
+    for name, Fm, times, markov in cases:
+        assert (exact_builder.markov_graph(Fm) is not None) == markov, name
+        if markov:
+            _assert_masks_rebuild_images(name, Fm)
+        cert = verify_exact(Fm, 8)
+        assert [r.covered_at for r in cert.rows] == times == plain_cover_times(Fm, 8), name
+        certs[name] = cert.to_dict()
+    monkeypatch.setattr(exact_builder, "_markov_graph", lambda F, pieces: None)
+    for name, Fm, _, _ in cases:
+        assert verify_exact(Fm, 8).to_dict() == certs[name], name
 
 
 # ---------------------------------------------------------------- counterexamples

@@ -10,11 +10,13 @@ from dendro.gallery import (
     generate,
 )
 from dendro.metric_tree import (
+    Dendrite,
     PointRef,
     dist,
     geodesic,
 )
 from dendro.odometer import gehman_extend
+from dendro.serialize import dump_json, dumps_json, from_dict_checked, load_json
 from oracles import farey_count
 
 F = Fraction
@@ -102,6 +104,31 @@ def test_truncations_nest(family, param, lo, hi):
 
 
 # ---------------------------------------------------------------- classification
+
+
+def test_nested_fraction_params_are_written(tmp_path):
+    # a sequence param of Fractions is written as rational strings, so the
+    # dendrite file is written and loads back through the file check
+    D = generate(FamilyDescriptor("star", {"arm_lengths": (F(1, 2), F(1, 4), F(1, 4))}))
+    assert D.descriptor["params"] == {"arm_lengths": ["1/2", "1/4", "1/4"]}
+    path = tmp_path / "star.json"
+    dump_json(D.to_dict(), path)
+    back = from_dict_checked(Dendrite.from_dict, load_json(path), "dendrite")
+    assert back == D and back.descriptor == D.descriptor
+    assert dumps_json(back.to_dict()) == path.read_text()
+
+
+def test_readme_family_descriptors_keep_their_bytes():
+    # the families the README generates write the descriptors they always did
+    texts = {
+        ("comb", (("depth", 8),)): '{\n "family": "comb",\n "params": {\n  "depth": 8\n }\n}\n',
+        ("riemann", (("qmax", 4),)): '{\n "family": "riemann",\n "params": {\n  "qmax": 4\n }\n}\n',
+        ("omega_star", (("arms", 12), ("q", F(1, 2)))):
+            '{\n "family": "omega_star",\n "params": {\n  "arms": 12,\n  "q": "1/2"\n }\n}\n',
+    }
+    for (family, params), text in texts.items():
+        D = generate(FamilyDescriptor(family, dict(params)))
+        assert dumps_json(D.descriptor) == text, family
 
 
 def test_classification_flags():
