@@ -814,7 +814,9 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
 
     Pieces on the fixed base arc can never cover (the map is the identity
     there); they are reported with ``covered_at = None`` and excluded from
-    the pass criterion.  The target chain k -> l_k -> ..., read from the
+    the pass criterion.  A :class:`TreeMap` (the point form's map when every
+    bush is one edge) has no fixed base, and its (edge, lo, hi) pieces are
+    all bush pieces.  The target chain k -> l_k -> ..., read from the
     ``target`` of each part of the map's manifest, must be strictly
     decreasing down to 1 within as many steps as there are parts; a map
     loaded from a file holds the targets its loader derived, not the file's.
@@ -827,7 +829,8 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     succ = _markov_graph(Fm, pieces)
     image_of: dict[int, int] = {}
     rows = []
-    for i, (e, a, b, kind) in enumerate(pieces):
+    for i, (e, a, b, *rest) in enumerate(pieces):
+        kind = rest[0] if rest else "bush"  # a TreeMap fixes no base
         covered = None
         if kind == "bush" and succ is not None:
             covered = _graph_cover_time(succ, i, n_max, image_of)

@@ -11,9 +11,13 @@ Vertex distances and vertex paths come from one rooted index per tree: the
 parent edge, depth and distance from ``vertices[0]`` of every vertex, built
 in one traversal on the first query.  A query climbs both ends to their
 lowest common ancestor, and a per-pair memo answers repeated distance
-queries, so memory stays O(V + distinct pairs queried).  Where one source
-meets many targets, one walk out from the source (:func:`_walk`) gives its
-distance to every vertex instead, at one addition per edge: :func:`ball`
+queries, so memory stays O(V + distinct pairs queried).  The same climb says
+which way an arc runs: a point inside an edge leaves it through the end
+away from the root iff the other point lies below that end, so :func:`dist`
+and :func:`geodesic_walk` choose exits by topology, and Fractions only add
+up the lengths.  Where one source meets many targets, one walk out from the
+source (:func:`_walk`) gives its distance to every vertex instead, at one
+addition per edge: :func:`ball`
 (every radius about one centre from one table), and the builders' bush-root
 positions read the whole tree's table, and a zigzag's root table the table
 of its region.
@@ -31,10 +35,11 @@ Two memos live on the tree: the vertex-pair distances and the diameter of
 each set :func:`subtree_diam` has measured, keyed by :meth:`Subtree.key`,
 so a set that many orbits reach is measured once.
 
-A connected set is read whole, never sampled: an arc from a point of one
-set to a point of another meets each set in one end segment, so the set
-distance (:func:`subtree_dist`: the bridge between the two sets) comes from
-one arc's length outside the sets.
+A connected set is read whole, never sampled: two disjoint sets are joined
+by one bridge, which leaves the first along one edge and enters the second
+along one edge.  :func:`subtree_dist` finds both edges on the climb between
+the sets by vertex membership and measures the bridge as the two edges'
+parts outside the sets plus one vertex distance.
 """
 
 from __future__ import annotations
@@ -252,17 +257,14 @@ class Dendrite:
         try:
             return self._vdist_memo[u, w]
         except KeyError:
-            pass
+            return self._vdist_below(u, w, self._climb(u, w)[0])
+
+    def _vdist_below(self, u: str, w: str, lca: str) -> Fraction:
+        """vdist(u, w) on a memo miss, given their lowest common ancestor."""
         rdist = self._index()[2]
-        d = rdist[u] + rdist[w] - 2 * rdist[self._climb(u, w)[0]]
+        d = rdist[u] + rdist[w] - 2 * rdist[lca]
         self._vdist_memo[u, w] = self._vdist_memo[w, u] = d
         return d
-
-    def vertex_path(self, u: str, w: str) -> list[int]:
-        """Edge indices along the unique vertex path from u to w."""
-        _, from_u, from_w = self._climb(u, w)
-        from_w.reverse()
-        return from_u + from_w
 
     def total_length(self) -> Fraction:
         return sum((e.length for e in self.edges), F0)
@@ -419,6 +421,41 @@ def _exits(D: Dendrite, p: PointRef):
     return ((e.u, p.offset), (e.v, e.length - p.offset))
 
 
+def _child_end(D: Dendrite, ei: int) -> str:
+    """The end of edge ei away from the root."""
+    e, depth = D.edges[ei], D._index()[1]
+    return e.v if depth[e.v] > depth[e.u] else e.u
+
+
+def _route(D: Dendrite, x: PointRef, y: PointRef):
+    """(u, w, lca, up_u, up_w): how the arc from x to y runs, by topology.
+
+    u is where the arc leaves x's edge (x itself when a vertex) and w where
+    it enters y's; the vertex path from u to w climbs the edges ``up_u`` to
+    the lowest common ancestor ``lca``, then descends ``up_w`` reversed.
+    An interior point leaves its edge through the child end iff the other
+    point lies below that end, so each climb starts at a vertex or a child
+    end; one that starts with the point's own edge means the parent end
+    instead, and drops that edge.  x and y lie on different edges.
+    """
+    u = x.vertex if x.is_vertex else _child_end(D, x.edge)
+    w = y.vertex if y.is_vertex else _child_end(D, y.edge)
+    lca, up_u, up_w = D._climb(u, w)
+    if up_u and not x.is_vertex:
+        u = D._index()[0][u][1]
+        del up_u[0]
+    if up_w and not y.is_vertex:
+        w = D._index()[0][w][1]
+        del up_w[0]
+    return u, w, lca, up_u, up_w
+
+
+def _to_end(D: Dendrite, p: PointRef, end: str) -> Fraction:
+    """Distance from an interior point p to the end ``end`` of its edge."""
+    e = D.edges[p.edge]
+    return p.offset if e.u == end else e.length - p.offset
+
+
 def dist(D: Dendrite, x: PointRef, y: PointRef) -> Fraction:
     """Path-metric distance; exact rational."""
     D.check_point(x)
@@ -427,9 +464,18 @@ def dist(D: Dendrite, x: PointRef, y: PointRef) -> Fraction:
         return F0
     if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
         return abs(x.offset - y.offset)
-    return min(
-        cx + D.vdist(u, w) + cy for u, cx in _exits(D, x) for w, cy in _exits(D, y)
-    )
+    if x.is_vertex and y.is_vertex:
+        return D.vdist(x.vertex, y.vertex)
+    u, w, lca, _, _ = _route(D, x, y)
+    try:
+        d = D._vdist_memo[u, w]
+    except KeyError:
+        d = D._vdist_below(u, w, lca)
+    if not x.is_vertex:
+        d += _to_end(D, x, u)
+    if not y.is_vertex:
+        d += _to_end(D, y, w)
+    return d
 
 
 def geodesic_walk(D: Dendrite, x: PointRef, y: PointRef):
@@ -440,20 +486,14 @@ def geodesic_walk(D: Dendrite, x: PointRef, y: PointRef):
         return []
     if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
         return [(x.edge, x.offset, y.offset)]
-    best = None
-    for u, cx in _exits(D, x):
-        for w, cy in _exits(D, y):
-            d = cx + D.vdist(u, w) + cy
-            if best is None or d < best[0]:
-                best = (d, u, w)
-    _, u, w = best
+    u, w, _, up_u, up_w = _route(D, x, y)
     legs = []
     if not x.is_vertex:
-        target = F0 if D.edges[x.edge].u == u else D.edges[x.edge].length
-        if target != x.offset:
-            legs.append((x.edge, x.offset, target))
+        legs.append((x.edge, x.offset,
+                     F0 if D.edges[x.edge].u == u else D.edges[x.edge].length))
     cur = u
-    for ei in D.vertex_path(u, w):
+    up_w.reverse()
+    for ei in up_u + up_w:
         e = D.edges[ei]
         if e.u == cur:
             legs.append((ei, F0, e.length))
@@ -462,9 +502,8 @@ def geodesic_walk(D: Dendrite, x: PointRef, y: PointRef):
             legs.append((ei, e.length, F0))
             cur = e.u
     if not y.is_vertex:
-        start = F0 if D.edges[y.edge].u == w else D.edges[y.edge].length
-        if start != y.offset:
-            legs.append((y.edge, start, y.offset))
+        legs.append((y.edge, F0 if D.edges[y.edge].u == w else D.edges[y.edge].length,
+                     y.offset))
     return legs
 
 
@@ -676,24 +715,74 @@ def first_point(S: Subtree) -> PointRef:
     return PointRef(edge=e, offset=a)
 
 
-def _outside(legs, *sets) -> Fraction:
-    """Length of a walk's legs outside the given pairwise disjoint sets."""
-    out = F0
-    for e, a, b in legs:
-        lo, hi = (a, b) if a <= b else (b, a)
-        out += hi - lo
-        for S in sets:
-            iv = S.intervals.get(e)
-            if iv is not None and iv[0] < hi and lo < iv[1]:
-                out -= min(hi, iv[1]) - max(lo, iv[0])
-    return out
+def _exit(D: Dendrite, S: Subtree, edges, start: str):
+    """(k, far): the first of ``edges``, walked from ``start``, whose far end
+    is not in S, and that end.  Every edge before it has both ends in S, so
+    it lies inside the connected S."""
+    cur = start
+    for k, ei in enumerate(edges):
+        e = D.edges[ei]
+        far = e.v if e.u == cur else e.u
+        if far not in S.vertices:
+            return k, far
+        cur = far
+
+
+def _beyond(D: Dendrite, S: Subtree, ei: int, far: str) -> Fraction:
+    """Length of edge ei outside S, when S meets it from the end away from
+    ``far`` (or lies inside it)."""
+    e, iv = D.edges[ei], S.intervals.get(ei)
+    if iv is None:
+        return e.length
+    return e.length - iv[1] if far == e.v else iv[0]
 
 
 def subtree_dist(D: Dendrite, S1: Subtree, S2: Subtree) -> Fraction:
-    """Exact set distance between two closed subtrees (0 iff they meet)."""
+    """Exact set distance between two closed subtrees (0 iff they meet).
+
+    Two disjoint connected sets are joined by one bridge: it leaves S1
+    along one edge, runs between vertices and enters S2 along one edge.
+    The route between the sets is read off the rooted index, from a vertex
+    of each set or, for a set inside one edge, that edge's child end (the
+    set leaves its edge through the end toward the other set, as a point
+    does in :func:`_route`).  Walking the route from the S1 end, each edge
+    with both ends in S1 lies inside S1, and the first other edge is the
+    exit; the entry is found from the S2 end alike.  The distance is the
+    exit edge's part outside S1, plus the vertex distance between the two
+    far ends, plus the entry edge's part outside S2, or the gap between
+    the sets when exit and entry are one edge.
+    """
     if subtrees_intersect(S1, S2):
         return F0
-    return _outside(geodesic_walk(D, first_point(S1), first_point(S2)), S1, S2)
+    e1 = e2 = None
+    if not S1.vertices:
+        (e1, (a1, b1)), = S1.intervals.items()
+    if not S2.vertices:
+        (e2, (a2, b2)), = S2.intervals.items()
+    if e1 is not None and e1 == e2:
+        return a2 - b1 if b1 < a2 else a1 - b2
+    t1 = min(S1.vertices) if S1.vertices else _child_end(D, e1)
+    t2 = min(S2.vertices) if S2.vertices else _child_end(D, e2)
+    _, up1, up2 = D._climb(t1, t2)
+    # a vertex-free set's climb from its child end starts with its edge; an
+    # empty climb leaves through the child end, so the edge is walked to it
+    # from its parent end
+    up = D._index()[0]
+    if not S1.vertices and not up1:
+        up1.append(e1)
+        t1 = up[t1][1]
+    if not S2.vertices and not up2:
+        up2.append(e2)
+        t2 = up[t2][1]
+    route = up1 + up2[::-1]
+    i, far1 = _exit(D, S1, route, t1)
+    k, far2 = _exit(D, S2, reversed(route), t2)
+    d = _beyond(D, S1, route[i], far1) + _beyond(D, S2, route[-1 - k], far2)
+    if i + k == len(route) - 1:  # exit and entry are one edge
+        return d - D.edges[route[i]].length
+    if far1 != far2:
+        d += D.vdist(far1, far2)
+    return d
 
 
 def _walk(D: Dendrite, x: PointRef, S: Optional[Subtree] = None) -> dict:

@@ -161,6 +161,9 @@ class TreeMap:
         return _memo_image(self._image_memo, self._image, S)
 
     def _image(self, S: Subtree) -> Subtree:
+        if len(S.intervals) == 1:  # one interval's image is already one canonical set
+            (e, (a, b)), = S.intervals.items()
+            return self._interval_image(e, a, b)
         # every vertex of a connected set with intervals ends one of them
         parts = [self._interval_image(e, a, b) for e, (a, b) in S.intervals.items()]
         if not parts:

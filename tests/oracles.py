@@ -39,6 +39,92 @@ def dijkstra_dist(dend_dict, src_name, dst_name):
     return dijkstra_dists(dend_dict, src_name)[dst_name]
 
 
+def _plain_exits(D, p):
+    """(vertex, distance from p): the vertex p, or both ends of p's edge."""
+    if p.is_vertex:
+        return [(p.vertex, Fraction(0))]
+    e = D.edges[p.edge]
+    return [(e.u, p.offset), (e.v, e.length - p.offset)]
+
+
+def _plain_route(D, x, y):
+    """(length, u, w, Dijkstra table from u): the least of the exit-to-exit
+    sums, one per exit u of x and w of y."""
+    raw = D.to_dict()
+    best = None
+    for u, cu in _plain_exits(D, x):
+        table = dijkstra_dists(raw, u)
+        for w, cw in _plain_exits(D, y):
+            d = cu + table[w] + cw
+            if best is None or d < best[0]:
+                best = (d, u, w, table)
+    return best
+
+
+def plain_dist(D, x, y):
+    """The distance of two points: along the edge when they share one, else
+    the four-exit minimum over Dijkstra distances."""
+    if x == y:
+        return Fraction(0)
+    if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
+        return abs(x.offset - y.offset)
+    return _plain_route(D, x, y)[0]
+
+
+def plain_geodesic_legs(D, x, y):
+    """The arc from x to y as legs (edge, t_from, t_to), by the four-exit
+    minimum: x's leg to its exit u, the vertex path from u to the exit w
+    of y traced back from w down the Dijkstra table of u, and y's leg."""
+    if x == y:
+        return []
+    if not x.is_vertex and not y.is_vertex and x.edge == y.edge:
+        return [(x.edge, x.offset, y.offset)]
+    _, u, w, table = _plain_route(D, x, y)
+    path, cur = [], w
+    while cur != u:
+        for i, e in enumerate(D.edges):
+            prev = e.u if cur == e.v else e.v if cur == e.u else None
+            if prev is not None and table[prev] + e.length == table[cur]:
+                break
+        path.append((i, Fraction(0), e.length) if prev == e.u
+                    else (i, e.length, Fraction(0)))
+        cur = prev
+    legs = []
+    if not x.is_vertex:
+        e = D.edges[x.edge]
+        legs.append((x.edge, x.offset, Fraction(0) if e.u == u else e.length))
+    legs += path[::-1]
+    if not y.is_vertex:
+        e = D.edges[y.edge]
+        legs.append((y.edge, Fraction(0) if e.u == w else e.length, y.offset))
+    return legs
+
+
+def plain_subtree_dist(D, S1, S2):
+    """The distance of two connected sets, from their vertices and interval
+    ends.  The sets meet iff one holds such a point of the other (a vertex
+    or an end of their overlap is one); otherwise the bridge between them
+    ends at such points, so the distance is the least ``plain_dist``."""
+    from dendro.metric_tree import PointRef
+
+    def ends(S):
+        pts = [PointRef(vertex=v) for v in S.vertices]
+        for e, (a, b) in S.intervals.items():
+            pts += [D.point(e, a), D.point(e, b)]
+        return pts
+
+    def holds(S, p):
+        if p.is_vertex:
+            return p.vertex in S.vertices
+        iv = S.intervals.get(p.edge)
+        return iv is not None and iv[0] <= p.offset <= iv[1]
+
+    P1, P2 = ends(S1), ends(S2)
+    if any(holds(S2, p) for p in P1) or any(holds(S1, q) for q in P2):
+        return Fraction(0)
+    return min(plain_dist(D, p, q) for p in P1 for q in P2)
+
+
 def grid_points(D, E, steps=8):
     """Rational sample grid over a subtree (interval subdivisions + vertices)."""
     from dendro.metric_tree import PointRef

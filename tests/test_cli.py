@@ -485,9 +485,16 @@ GOLDEN_SHA256 = {
 }
 
 
+# The README's free-arc verdict on the comb 8 map above at N=20, recorded
+# before set distances were read off the bridge: the only verdict pinned on
+# a glued space.  The arcs inside the fixed base never meet, so it exits 2.
+COMB8_REPORT_SHA256 = "d0e8d27ea5aeae6ebdcb282efbd59fc2909802b6d9274d4e942cfcd58f47af4a"
+
+
 def test_golden_output_bytes(tmp_path):
     # speedups must keep every emitted byte: the comb 8 exactness map and
-    # certificate at seed 0, and the omega12 verdict reports at N=200, seed 7
+    # certificate at seed 0 and the free-arc verdict on that map, and the
+    # omega12 verdict reports at N=200, seed 7
     import hashlib
 
     out = {name: tmp_path / f"{name}.json" for name in GOLDEN_SHA256}
@@ -508,6 +515,12 @@ def test_golden_output_bytes(tmp_path):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in out.items()}
     assert digests == GOLDEN_SHA256
+    report = tmp_path / "comb8_report.json"
+    assert run([
+        "run", "--scenario", "gch-verdict", "--map", str(out["map"]),
+        "--family", "free_arcs", "--N", "20", "--out", str(report),
+    ]) == 2
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == COMB8_REPORT_SHA256
 
 
 GLUED_SHA256 = {

@@ -573,6 +573,22 @@ def test_verify_exact_falls_back_to_the_horizon_loop(unit_arc, comb4_map, monkey
         assert verify_exact(Fm, 8).to_dict() == certs[name], name
 
 
+def test_verify_exact_reads_tree_map_pieces_as_bush_pieces(star3, monkeypatch):
+    # the point form at the star's centre is a TreeMap, whose (edge, lo, hi)
+    # pieces carry no kind; with no fixed base each is a bush piece.  Each
+    # arm maps onto itself, so no piece's orbit ever covers the star, by
+    # the piece graph and by the horizon loop alike
+    Fm = build_exact(star3, PointRef(vertex="c"))
+    assert isinstance(Fm, TreeMap)
+    cert = verify_exact(Fm, 4)
+    assert [(r.edge, r.lo, r.hi) for r in cert.rows] == Fm.pieces()
+    assert [r.kind for r in cert.rows] == ["bush"] * len(Fm.pieces())
+    assert [r.covered_at for r in cert.rows] == [None] * len(Fm.pieces())
+    assert exact_builder.markov_graph(Fm) is not None
+    monkeypatch.setattr(exact_builder, "_markov_graph", lambda F, pieces: None)
+    assert verify_exact(Fm, 4).to_dict() == cert.to_dict()
+
+
 # ---------------------------------------------------------------- counterexamples
 
 

@@ -21,6 +21,7 @@ from dendro.metric_tree import (
     dist,
     full_subtree,
     geodesic,
+    geodesic_walk,
     h1_measure,
     ideal_point_order,
     intersect_subtrees,
@@ -44,6 +45,9 @@ from oracles import (
     grid_points,
     plain_ball,
     plain_diameter_ends,
+    plain_dist,
+    plain_geodesic_legs,
+    plain_subtree_dist,
     span_by_geodesics,
 )
 
@@ -96,15 +100,17 @@ def test_vdist_and_vertex_path_match_dijkstra(make):
         assert len(expected) == len(D.vertices)
         for w in D.vertices:
             assert D.vdist(u, w) == D.vdist(w, u) == expected[w]
-            path = D.vertex_path(u, w)
+            # the vertex path is the geodesic's legs, each a whole edge
+            legs = geodesic_walk(D, V(u), V(w))
             cur = u
-            for ei in path:
+            for ei, a, b in legs:
                 e = D.edges[ei]
-                assert cur in (e.u, e.v)
+                assert (cur, a, b) in ((e.u, 0, e.length), (e.v, e.length, 0))
                 cur = e.v if cur == e.u else e.u
             assert cur == w
-            assert sum((D.edge_length(ei) for ei in path), F(0)) == expected[w]
-            assert path == D.vertex_path(w, u)[::-1]
+            assert sum((D.edge_length(ei) for ei, _, _ in legs), F(0)) == expected[w]
+            back = geodesic_walk(D, V(w), V(u))
+            assert legs == [(ei, b, a) for ei, a, b in reversed(back)]
 
 
 @every_family
@@ -600,9 +606,71 @@ def test_span_and_subtree_dist_oracles(name):
             if subtrees_intersect(S1, S2):
                 expected = 0
             else:
-                expected = min(dist(D, p, q) for p in subtree_points(D, S1)
+                expected = min(plain_dist(D, p, q) for p in subtree_points(D, S1)
                                for q in subtree_points(D, S2))
             assert subtree_dist(D, S1, S2) == expected, (S1, S2)
+
+
+def _kin(D, ex):
+    """Edges by their place relative to edge ex, rooted at vertices[0] by
+    Dijkstra distances: ex itself, its parent edge, the edges below its
+    child end, and every edge."""
+    rd = dijkstra_dists(D.to_dict(), D.vertices[0])
+    child = [e.v if rd[e.v] > rd[e.u] else e.u for e in D.edges]
+    e = D.edges[ex]
+    top = e.u if child[ex] == e.v else e.v
+    return {
+        "same": [ex],
+        "parent": [i for i, c in enumerate(child) if c == top],
+        "child": [i for i, f in enumerate(D.edges)
+                  if i != ex and child[ex] in (f.u, f.v)],
+        "any": list(range(len(D.edges))),
+    }
+
+
+_inner = st.fractions(min_value=0, max_value=1, max_denominator=6).filter(
+    lambda t: 0 < t < 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(list(FAMILIES)), edge=st.integers(0, 99),
+       pick=st.integers(0, 99), tx=_fraction, ty=_fraction,
+       ivs=st.lists(_inner, min_size=4, max_size=4),
+       kinds=st.tuples(st.sampled_from(["vertex", "span"]),
+                       st.sampled_from(["vertex", "span"])))
+def test_geometry_matches_the_plain_oracles(family, edge, pick, tx, ty, ivs, kinds):
+    # points on one edge, on an edge and its parent or child edge, and on
+    # any two edges; sets inside one edge (no vertex, a lone point when its
+    # ends agree), one end vertex of an edge, or a span from a point of it:
+    # dist, the geodesic's legs and the set distance, both ways, equal the
+    # four-exit minimum over Dijkstra distances
+    D = generate(FamilyDescriptor(family, {}))
+    ex = edge % len(D.edges)
+    for relation, edges in _kin(D, ex).items():
+        if not edges:
+            continue
+        ey = edges[pick % len(edges)]
+        x, y = _edge_point(D, ex, tx), _edge_point(D, ey, ty)
+        assert dist(D, x, y) == dist(D, y, x) == plain_dist(D, x, y), relation
+        assert geodesic_walk(D, x, y) == plain_geodesic_legs(D, x, y), relation
+        assert geodesic_walk(D, y, x) == plain_geodesic_legs(D, y, x), relation
+
+        def inside(ei, a, b):
+            a, b = sorted((a, b))
+            return make_subtree(D, {ei: (D.edge_length(ei) * a, D.edge_length(ei) * b)})
+
+        def around(ei, p, kind):
+            if kind == "vertex":
+                return point_subtree(D, V(D.edges[ei].u if pick % 2 else D.edges[ei].v))
+            return span_subtree(D, [p, _edge_point(D, pick + ei, ty)])
+
+        free1, free2 = inside(ex, *ivs[:2]), inside(ey, *ivs[2:])
+        for S1, S2 in ((free1, free2), (free1, around(ey, y, kinds[1])),
+                       (around(ex, x, kinds[0]), free2),
+                       (around(ex, x, kinds[0]), around(ey, y, kinds[1]))):
+            want = plain_subtree_dist(D, S1, S2)
+            assert subtree_dist(D, S1, S2) == subtree_dist(D, S2, S1) == want, (
+                relation, S1, S2)
 
 
 # ---------------------------------------------------------------- balls
