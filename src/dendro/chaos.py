@@ -89,15 +89,8 @@ class SetFamily:
     def _balls(self, D: Dendrite):
         diam = subtree_diam(D, full_subtree(D))
         radii = [diam / 2 * Fraction(1, 2**j) for j in range(self.radii_levels)]
-        out = []
-        seen = set()
-        for c in self._centers(D):
-            for B in _balls(D, c, radii):
-                key = B.key()
-                if key not in seen:
-                    seen.add(key)
-                    out.append(B)
-        return out
+        return list(dict.fromkeys(
+            B for c in self._centers(D) for B in _balls(D, c, radii)))
 
     def _free_arcs(self, D: Dendrite):
         out = []
@@ -156,6 +149,8 @@ def prox_record(F, S1, S2, N: int) -> Fraction:
     early at a distance of 0, or once both orbits are periodic and every
     joint state has been seen.
     """
+    if N < 0:
+        raise GeometryError("need N >= 0")
     A, B = _orbit(F, S1), _orbit(F, S2)
     if A.at(0).is_degenerate() or B.at(0).is_degenerate():
         raise GeometryError("prox_record needs nondegenerate sets")

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--depth", type=int, help="comb teeth / gehman depth")
     g.add_argument("--qmax", type=int, help="riemann denominator bound")
     g.add_argument("--rank", type=int, help="cantor_comb gap rank")
-    g.add_argument("--arms", type=int, help="star arm count")
+    g.add_argument("--arms", type=int, help="omega_star arm count")
     g.add_argument("--q", type=parse_rat, help="omega_star weight ratio")
     g.add_argument("--length", type=parse_rat, help="arc length")
     g.add_argument("-o", "--out", required=True)
@@ -102,21 +102,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the gen options each family reads; any other one is refused
+_GEN_OPTIONS = {"comb": ("depth",), "gehman": ("depth",), "riemann": ("qmax",),
+                "cantor_comb": ("rank",), "omega_star": ("arms", "q"), "star": (),
+                "arc": ("length",)}
+
+
 def _gen_params(args) -> dict:
-    mapping = {
-        "comb": [("depth", args.depth)],
-        "gehman": [("depth", args.depth)],
-        "riemann": [("qmax", args.qmax)],
-        "cantor_comb": [("rank", args.rank)],
-        "omega_star": [("arms", args.arms), ("q", args.q)],
-        "star": [],
-        "arc": [("length", args.length)],
-    }
-    out = {}
-    for key, val in mapping[args.family]:
-        if val is not None:
-            out[key] = val
-    return out
+    reads = _GEN_OPTIONS[args.family]
+    for key in ("depth", "qmax", "rank", "arms", "q", "length"):
+        if key not in reads and getattr(args, key) is not None:
+            raise ValueError(f"gen {args.family} does not read --{key}")
+    return {key: getattr(args, key) for key in reads
+            if getattr(args, key) is not None}
 
 
 def cmd_gen(args) -> int:

@@ -26,19 +26,21 @@ chain, whose targets a loaded map derives as the builder does.  When the map
 is Markov on its certification pieces (:func:`markov_graph`: they tile every
 edge and each piece's image is a union of whole pieces), each piece is
 imaged once and the cover times are read off the piece graph; otherwise the
-piece orbits are imaged step by step up to the horizon.
+piece orbits are imaged step by step.  One scan (:func:`_cover_time`) serves
+both: it stops at the whole space or at the first repeated state.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
 and so interoperate with the chaos and orbit machinery.  A glued map images
 a set's overlap with each region whole, in one part call, and skips an
 overlap inside the base, where it is the identity.  Glued maps, like
-``TreeMap``, memoize their set images by ``Subtree.key()``, and also each
-part's images, one entry per distinct set for the life of the map, so
-merging piece orbits image their shared tail once.
+``TreeMap``, keep one image memo keyed by the set, one entry per distinct
+set for the life of the map, so merging piece orbits image their shared
+tail once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -402,10 +404,9 @@ class GluedMap:
     an overlap inside the base is skipped.
     Subclasses set the file ``kind``.
 
-    Like :class:`TreeMap`, the map memoizes its set images by
-    :meth:`Subtree.key`, and it keeps one more memo per part for the part
-    images it asks for, so orbits that merge image their shared tail once.
-    Memory is one stored image per distinct set imaged, for the map's life.
+    Like :class:`TreeMap`, the map keeps one image memo keyed by the set,
+    so orbits that merge image their shared tail once.  Memory is one
+    stored image per distinct set imaged, for the map's life.
     """
 
     def __init__(self, space, base, parts, manifest=None):
@@ -414,8 +415,7 @@ class GluedMap:
         self.base = base
         self.parts = parts
         self.manifest = manifest or {}
-        self._image_memo: dict[tuple, Subtree] = {}
-        self._part_memos = [{} for _ in parts]
+        self._image_memo: dict[Subtree, Subtree] = {}
 
     def apply(self, x: PointRef) -> PointRef:
         self.domain.check_point(x)
@@ -432,10 +432,10 @@ class GluedMap:
     def _image(self, S: Subtree) -> Subtree:
         D = self.domain
         parts_out = [intersect_subtrees(D, S, self.base)]
-        for part, memo in zip(self.parts, self._part_memos):
+        for part in self.parts:
             C = intersect_subtrees(D, S, part.region)
             if not C.is_empty() and not subtree_contains(self.base, C):
-                parts_out.append(_memo_image(memo, part.image, C))
+                parts_out.append(part.image(C))
         comps = union_subtrees(D, parts_out)
         if len(comps) != 1:
             raise GeometryError("image of a connected set came out disconnected")
@@ -555,8 +555,15 @@ def _glue_exact(dec: BushDecomposition, q, rho, g_for) -> "GluedExactMap":
     order, each as long as its bush, which ``starts`` places, and between
     them the base between the roots, so J_k is as long as the region's
     measure.  Every lap count comes from the fold lemma: phi's from rho,
-    psi's from rho and its bush, nu's from the length of J_k.
+    psi's from rho and its bush, nu's from the length of J_k.  A rho <= 1,
+    or a q that does not give the space's measures, is refused.
     """
+    if rho <= 1:
+        raise GeometryError(f"rho is {format_rat(rho)}, but must exceed 1")
+    if not (0 < q < 1 and h1_measure(dec.base) == 1 - q
+            and all(b.measure == (1 - q) * q**b.index for b in dec.bushes)):
+        raise GeometryError(f"q = {format_rat(q)} does not give the space's measures:"
+                            " base 1-q and bush k (1-q) q^k with 0 < q < 1")
     plan = plan_targets(dec)
     pos = plan.positions
     unit = unit_arc()
@@ -778,28 +785,17 @@ def _markov_graph(F, pieces):
     return succ
 
 
-def _graph_cover_time(succ, i: int, n_max: int, image_of: dict) -> Optional[int]:
-    """Least n <= n_max whose mask of f^n(piece i) holds every piece; None
-    past n_max or once a mask repeats, after which it never does.
-    ``image_of`` memoizes mask -> image mask across pieces."""
-    full = (1 << len(succ)) - 1
-    cur = 1 << i
-    seen = {cur}
+def _cover_time(image, start, full, n_max: int) -> Optional[int]:
+    """Least n <= n_max with image^n(start) == full, over hashable states
+    (piece masks or sets); None past n_max or at the first repeated state."""
+    cur, seen = start, {start}
     for n in range(1, n_max + 1):
-        nxt = image_of.get(cur)
-        if nxt is None:
-            nxt, rest = 0, cur
-            while rest:
-                low = rest & -rest
-                nxt |= succ[low.bit_length() - 1]
-                rest ^= low
-            image_of[cur] = nxt
-        if nxt == full:
+        cur = image(cur)
+        if cur == full:
             return n
-        if nxt in seen:
+        if cur in seen:
             return None
-        seen.add(nxt)
-        cur = nxt
+        seen.add(cur)
     return None
 
 
@@ -810,7 +806,8 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     cover time is read off the piece graph: the mask of f^n(piece) is the
     union of its successors' masks, and with tiling pieces "every piece"
     is "the whole space".  Otherwise each piece's orbit is imaged step by
-    step up to the horizon ``n_max``.  Both give the same rows.
+    step.  Either orbit is scanned up to the horizon ``n_max`` or its first
+    repeated state, past which it cannot cover (:func:`_cover_time`).
 
     Pieces on the fixed base arc can never cover (the map is the identity
     there); they are reported with ``covered_at = None`` and excluded from
@@ -824,23 +821,27 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     if n_max < 1:
         raise GeometryError("n_max must be >= 1")
     D = Fm.domain
-    whole = full_subtree(D)
     pieces = Fm.pieces()
     succ = _markov_graph(Fm, pieces)
-    image_of: dict[int, int] = {}
+    if succ is None:
+        image, full = Fm.image, full_subtree(D)
+    else:
+        @functools.cache
+        def image(mask: int) -> int:  # the union of the pieces' successors
+            out = 0
+            while mask:
+                low = mask & -mask
+                out |= succ[low.bit_length() - 1]
+                mask ^= low
+            return out
+        full = (1 << len(succ)) - 1
     rows = []
     for i, (e, a, b, *rest) in enumerate(pieces):
         kind = rest[0] if rest else "bush"  # a TreeMap fixes no base
         covered = None
-        if kind == "bush" and succ is not None:
-            covered = _graph_cover_time(succ, i, n_max, image_of)
-        elif kind == "bush":
-            cur = make_subtree(D, {e: (a, b)})
-            for n in range(1, n_max + 1):
-                cur = Fm.image(cur)
-                if cur == whole:
-                    covered = n
-                    break
+        if kind == "bush":
+            start = make_subtree(D, {e: (a, b)}) if succ is None else 1 << i
+            covered = _cover_time(image, start, full, n_max)
         rows.append(CoverRow(edge=e, lo=a, hi=b, kind=kind, covered_at=covered))
     parts = getattr(Fm, "manifest", {}).get("parts", [])
     targets = {p["bush"]: p["target"] for p in parts if p.get("target") is not None}

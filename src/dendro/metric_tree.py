@@ -32,8 +32,8 @@ is connected, so a path inside it is the geodesic, and the sweep costs
 O(|S|) whatever the size of the tree.
 
 Two memos live on the tree: the vertex-pair distances and the diameter of
-each set :func:`subtree_diam` has measured, keyed by :meth:`Subtree.key`,
-so a set that many orbits reach is measured once.
+each set :func:`subtree_diam` has measured, so a set that many orbits reach
+is measured once.  A :class:`Subtree` is its own key, hashed once by value.
 
 A connected set is read whole, never sampled: two disjoint sets are joined
 by one bridge, which leaves the first along one edge and enters the second
@@ -44,7 +44,7 @@ parts outside the sets plus one vertex distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -126,8 +126,8 @@ class Dendrite:
         # rooted index, built on the first query; vdist memo, both orders
         self._rooted: Optional[tuple[dict, dict, dict]] = None
         self._vdist_memo: dict[tuple[str, str], Fraction] = {}
-        # subtree_diam memo, keyed by Subtree.key()
-        self._diam_memo: dict[tuple, Fraction] = {}
+        # subtree_diam memo, keyed by the set
+        self._diam_memo: dict[Subtree, Fraction] = {}
         self._validate()
 
     # -- construction / validation
@@ -299,7 +299,7 @@ class Dendrite:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subtree:
     """A closed connected subset of a dendrite.
 
@@ -311,14 +311,22 @@ class Subtree:
     at file and user boundaries; :func:`merge_walks` (so :func:`geodesic`),
     :func:`union_subtrees` and :func:`intersect_subtrees` build sets that
     already satisfy them and construct the value directly.
+
+    A set is its own dictionary key: nothing writes to it once built, so its
+    hash by value is taken on the first lookup and kept in a slot.
     """
 
     vertices: frozenset
     intervals: dict
+    _hash: int = field(init=False, compare=False, repr=False)
 
-    def key(self) -> tuple:
-        """Hashable form: two subtrees have equal keys iff they are equal."""
-        return (self.vertices, tuple(sorted(self.intervals.items())))
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.vertices, frozenset(self.intervals.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def is_empty(self) -> bool:
         return not self.vertices and not self.intervals
@@ -852,10 +860,9 @@ def diameter_ends(D: Dendrite, S: Subtree) -> tuple[PointRef, PointRef]:
 
 def subtree_diam(D: Dendrite, S: Subtree) -> Fraction:
     """Diameter: the second sweep's distance, measured once per set and tree."""
-    key = S.key()
-    d = D._diam_memo.get(key)
+    d = D._diam_memo.get(S)
     if d is None:
-        d = D._diam_memo[key] = _double_sweep(D, S)[2]
+        d = D._diam_memo[S] = _double_sweep(D, S)[2]
     return d
 
 

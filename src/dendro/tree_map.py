@@ -10,12 +10,13 @@ Maps may have distinct domain and codomain; iteration requires a selfmap.
 Anything with ``domain``/``codomain``/``apply``/``image`` quacks like a map
 here (the glued constructions elsewhere rely on that).
 
-Set images are memoized per map: each instance keeps one dict from
-:meth:`Subtree.key` to the image, so a set is imaged once however often
-orbits, builders and checkers ask for it again.  Maps are immutable after
-construction, so an entry never goes stale, and callers share the stored
-image as they share every ``Subtree``, never mutating it.  The memo lives
-as long as the map and holds one image per distinct set imaged.
+Set images are memoized per map: each instance keeps one dict from the
+set (a :class:`Subtree` is its own key) to its image, so a set is imaged
+once however often orbits, builders and checkers ask for it again.  Maps
+are immutable after construction, so an entry never goes stale, and
+callers share the stored image as they share every ``Subtree``, never
+mutating it.  The memo lives as long as the map and holds one image per
+distinct set imaged.
 
 Each piece of the control polyline is found and walked once.  A point's
 piece, and the controls inside an interval, are found by bisecting the
@@ -76,7 +77,7 @@ class TreeMap:
         }
         # per edge: controls, their times, and per piece its walk and length
         self._controls_cache: dict[int, tuple] = {}
-        self._image_memo: dict[tuple, Subtree] = {}
+        self._image_memo: dict[Subtree, Subtree] = {}
         self._validate()
 
     def _validate(self):
@@ -245,16 +246,15 @@ class TreeMap:
 
 
 def _memo_image(memo: dict, image, S: Subtree) -> Subtree:
-    """``image(S)``, read from ``memo`` under ``S.key()`` or computed once.
+    """``image(S)``, read from ``memo`` under ``S`` or computed once.
 
     The lookup sits inside each map's ``image``, so every call is still a
     call of that method; only a miss computes.  A raised error stores
     nothing.
     """
-    key = S.key()
-    out = memo.get(key)
+    out = memo.get(S)
     if out is None:
-        out = memo[key] = image(S)
+        out = memo[S] = image(S)
     return out
 
 
@@ -318,7 +318,7 @@ def require_selfmap(F, kind: str):
 class SetOrbit:
     """The orbit S, f(S), f^2(S), ... of a set, computed on demand.
 
-    Each new image is keyed exactly (:meth:`Subtree.key`).  At the first
+    Each new image is keyed by the set itself, so by value.  At the first
     exact repeat f^n(S) = f^m(S), m < n, the orbit is eventually periodic
     with ``preperiod`` m and ``period`` n - m, and every later step is read
     from the stored sets without calling the map.  Both stay None while no
@@ -329,7 +329,7 @@ class SetOrbit:
         require_selfmap(F, "set")
         self.F = F
         self._sets = [S]
-        self._index = {S.key(): 0}
+        self._index = {S: 0}
         self.preperiod: Optional[int] = None
         self.period: Optional[int] = None
 
@@ -338,10 +338,9 @@ class SetOrbit:
         sets = self._sets
         while n >= len(sets) and self.period is None:
             S = self.F.image(sets[-1])
-            key = S.key()
-            m = self._index.get(key)
+            m = self._index.get(S)
             if m is None:
-                self._index[key] = len(sets)
+                self._index[S] = len(sets)
                 sets.append(S)
             else:
                 self.preperiod, self.period = m, len(sets) - m

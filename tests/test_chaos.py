@@ -50,6 +50,16 @@ def test_prox_identity_constant(unit_arc):
     assert prox_record(idm, S1, S2, 12) == F(3, 4)
 
 
+def test_prox_refuses_a_negative_horizon(unit_arc):
+    # an empty window has no minimum; N = 0 reads the sets themselves
+    idm = identity_map(unit_arc)
+    S1 = interval(unit_arc, 0, F(1, 8))
+    S2 = interval(unit_arc, F(7, 8), 1)
+    with pytest.raises(GeometryError, match="N >= 0"):
+        prox_record(idm, S1, S2, -1)
+    assert prox_record(idm, S1, S2, 0) == F(3, 4)
+
+
 def test_prox_monotone_in_horizon(tent, unit_arc):
     S1 = interval(unit_arc, 0, F(1, 64))
     S2 = interval(unit_arc, F(31, 32), 1)

@@ -58,6 +58,33 @@ def test_gen_unknown_family_fails(tmp_path, capsys):
     assert exc.value.code == 1  # malformed input, not the inconclusive code
 
 
+@pytest.mark.parametrize("family, option, value", [
+    ("star", "--arms", "5"),
+    ("arc", "--depth", "4"),
+    ("comb", "--qmax", "3"),
+    ("omega_star", "--length", "2"),
+    ("gehman", "--q", "1/3"),
+])
+def test_gen_refuses_an_option_its_family_does_not_read(tmp_path, capsys, family,
+                                                         option, value):
+    out = tmp_path / "x.json"
+    assert run(["gen", family, option, value, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: gen {family} does not read {option}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, params", [
+    (["arc", "--length", "2"], {"length": "2"}),
+    (["star"], {}),
+    (["cantor_comb", "--rank", "2"], {"rank": 2}),
+    (["gehman", "--depth", "3"], {"depth": 3}),
+])
+def test_gen_reads_its_family_options(tmp_path, args, params):
+    out = tmp_path / "x.json"
+    assert run(["gen", *args, "-o", str(out)]) == 0
+    assert load_json(out)["descriptor"]["params"] == params
+
+
 # ---------------------------------------------------------------- odometer scenario
 
 
@@ -472,6 +499,53 @@ def test_exactness_map_out_roundtrip(tmp_path):
     Fm = load_map(str(map_file))
     img = Fm.image(Fm.parts[0].region)
     assert img == full_subtree(Fm.domain)
+
+
+@pytest.mark.parametrize("rho", ["0", "-1", "1/2", "1"])
+def test_exactness_refuses_rho_at_most_one(tmp_path, capsys, rho):
+    # the arc-form layout expands by rho: a rho <= 1 expands nothing
+    dfile = tmp_path / "comb3.json"
+    run(["gen", "comb", "--depth", "3", "-o", str(dfile)])
+    capsys.readouterr()
+    cert_file, map_file = tmp_path / "cert.json", tmp_path / "map.json"
+    assert run([
+        "run", "--scenario", "exactness", "--dendrite", str(dfile), "--arc", "A",
+        "--rho", rho, "--out", str(cert_file), "--map-out", str(map_file),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: rho is {rho}, but must exceed 1\n"
+    assert not cert_file.exists() and not map_file.exists()
+
+
+@pytest.mark.parametrize("edit, err", [
+    # q outside (0, 1), with the deficit q^(K+1) that it implies
+    ({"q": "5", "deficit": "3125"},
+     "error: q = 5 does not give the space's measures: base 1-q and bush k "
+     "(1-q) q^k with 0 < q < 1\n"),
+    # a q in (0, 1) that is not the q the space's measures were scaled by
+    ({"q": "1/3", "deficit": "1/243"},
+     "error: q = 1/3 does not give the space's measures: base 1-q and bush k "
+     "(1-q) q^k with 0 < q < 1\n"),
+    ({"rho": "-1"}, "error: rho is -1, but must exceed 1\n"),
+], ids=["q5", "q1/3", "rho-1"])
+def test_glued_exact_load_refuses_a_false_q_or_rho(tmp_path, capsys, edit, err):
+    dfile, map_file = tmp_path / "comb3.json", tmp_path / "map.json"
+    run(["gen", "comb", "--depth", "3", "-o", str(dfile)])
+    assert run([
+        "run", "--scenario", "exactness", "--dendrite", str(dfile), "--arc", "A",
+        "--out", str(tmp_path / "cert.json"), "--map-out", str(map_file),
+    ]) == 0
+    d = load_json(map_file)
+    assert len(d["parts"]) == 4
+    d["manifest"].update(edit)
+    map_file.write_text(json.dumps(d))
+    capsys.readouterr()
+    report = tmp_path / "rep.json"
+    assert run([
+        "run", "--scenario", "gch-verdict", "--map", str(map_file),
+        "--family", "free_arcs", "--N", "5", "--out", str(report),
+    ]) == 1
+    assert capsys.readouterr().err == err
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------- golden bytes

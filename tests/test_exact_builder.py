@@ -573,6 +573,18 @@ def test_verify_exact_falls_back_to_the_horizon_loop(unit_arc, comb4_map, monkey
         assert verify_exact(Fm, 8).to_dict() == certs[name], name
 
 
+def test_verify_exact_stops_at_a_repeated_set(unit_arc):
+    # the identity on the piece [0, 1/2] images it to itself: the first
+    # repeat says it never covers, whatever the horizon
+    calls = []
+    half_identity = tree_map.identity_map(unit_arc)
+    half_identity.pieces = lambda: [(0, F(0), F(1, 2), "bush")]
+    image = half_identity.image
+    half_identity.image = lambda S: calls.append(S) or image(S)
+    assert [r.covered_at for r in verify_exact(half_identity, 1000).rows] == [None]
+    assert 1 <= len(calls) <= 2
+
+
 def test_verify_exact_reads_tree_map_pieces_as_bush_pieces(star3, monkeypatch):
     # the point form at the star's centre is a TreeMap, whose (edge, lo, hi)
     # pieces carry no kind; with no fixed base each is a bush piece.  Each

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from dendro.metric_tree import (
     Dendrite,
     GeometryError,
     PointRef,
+    Subtree,
     _balls,
     _walk,
     ball,
@@ -39,6 +41,7 @@ from dendro.metric_tree import (
     union_subtrees,
 )
 from dendro.odometer import gehman_extend
+from dendro.tree_map import SetOrbit, identity_map
 from oracles import (
     dijkstra_dist,
     dijkstra_dists,
@@ -574,6 +577,44 @@ def test_memoized_diameter_equals_fresh_tree(name, specs):
     for S in fixed + [_drawn_set(D, spec) for spec in specs]:
         fresh = Dendrite.from_dict(D.to_dict())
         assert subtree_diam(D, S) == subtree_diam(D, S) == subtree_diam(fresh, S), S
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(list(SEPARATION_TREES)),
+       specs=st.lists(_set_spec, min_size=1, max_size=5),
+       rng=st.randoms(use_true_random=False))
+def test_a_set_is_its_own_key(name, specs, rng):
+    # a set built three other ways (its intervals in shuffled order, a file
+    # round trip, its intersection with itself) is the same key: equal,
+    # with an equal hash, one entry in a map's image memo and in an orbit's
+    # index.  Sets whose files differ are unequal.
+    D = _separation_tree(name)
+    sets = [_drawn_set(D, spec) for spec in specs]
+    for S in sets:
+        items = list(S.intervals.items())
+        rng.shuffle(items)
+        copies = [make_subtree(D, dict(items), S.vertices),
+                  Subtree.from_dict(S.to_dict()), intersect_subtrees(D, S, S)]
+        assert all(C == S and hash(C) == hash(S) for C in copies), S
+        Fm = identity_map(D)
+        orbits = [SetOrbit(Fm, C) for C in [S] + copies]
+        assert all(orbit.at(3) == S for orbit in orbits)
+        assert len(Fm._image_memo) == 1
+        assert [(o.preperiod, o.period, len(o._index)) for o in orbits] == [(0, 1, 1)] * 4
+    for S in sets:
+        for T in sets:
+            assert (S == T) == (S.to_dict() == T.to_dict()), (S, T)
+
+
+def test_a_set_cannot_be_written(star3):
+    S = make_subtree(star3, {0: (F(0), F(1, 4))})
+    hash(S)
+    for field in ("vertices", "intervals", "_hash"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(S, field, None)
+    with pytest.raises((AttributeError, TypeError)):
+        S.extra = 1
+    assert S == make_subtree(star3, {0: (F(0), F(1, 4))})
 
 
 def test_diameter_of_the_empty_set_is_a_geometry_error(star3):
