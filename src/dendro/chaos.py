@@ -17,7 +17,6 @@ only "within horizon N".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -28,6 +27,8 @@ from dendro.metric_tree import (
     PointRef,
     Subtree,
     _balls,
+    _frozen,
+    _setattr,
     dist,
     full_subtree,
     make_subtree,
@@ -49,7 +50,6 @@ INTERPRETATION_NOTE = (
 # set families
 
 
-@dataclass(frozen=True)
 class SetFamily:
     """Generator spec for a family of nondegenerate test sets.
 
@@ -58,11 +58,17 @@ class SetFamily:
     (interior edge segments plus seeded random spans), ``explicit``.
     """
 
-    kind: str
-    radii_levels: int = 5
-    sample_count: int = 8
-    seed: int = 0
-    members: tuple = ()
+    def __init__(self, kind: str, radii_levels: int = 5, sample_count: int = 8,
+                 seed: int = 0, members: tuple = ()):
+        if radii_levels < 1:
+            raise GeometryError("radii_levels must be >= 1")
+        _setattr(self, "kind", kind)
+        _setattr(self, "radii_levels", radii_levels)
+        _setattr(self, "sample_count", sample_count)
+        _setattr(self, "seed", seed)
+        _setattr(self, "members", members)
+
+    __setattr__ = __delattr__ = _frozen
 
     def generate(self, D: Dendrite) -> list[Subtree]:
         if self.kind == "balls":
@@ -188,17 +194,24 @@ def sens_record(F, S, N0: int, N: int) -> Fraction:
     return best
 
 
-@dataclass
 class LySampleReport:
-    pair_count: int
-    horizon: int
-    delta: Fraction
-    epsilon: Fraction
-    seed: int
-    scrambling_evidence: int
-    proximal_only: int
-    separated_only: int
-    neither: int
+    def __init__(self, pair_count: int, horizon: int, delta: Fraction,
+                 epsilon: Fraction, seed: int, scrambling_evidence: int,
+                 proximal_only: int, separated_only: int, neither: int):
+        self.pair_count = pair_count
+        self.horizon = horizon
+        self.delta = delta
+        self.epsilon = epsilon
+        self.seed = seed
+        self.scrambling_evidence = scrambling_evidence
+        self.proximal_only = proximal_only
+        self.separated_only = separated_only
+        self.neither = neither
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
 
     def to_dict(self):
         return {
@@ -264,20 +277,24 @@ def ly_sample(F, pair_count: int, N: int, delta, epsilon, seed: int) -> LySample
 # verdict
 
 
-@dataclass
 class ChaosReport:
-    horizon: int
-    sens_start: int
-    tolerance: Fraction
-    family_kind: str
-    member_count: int
-    prox_records: list  # [((i, j), Fraction)]
-    sens_records: list  # [(i, Fraction)]
-    eta_estimate: Fraction
-    prox_pass: bool
-    sens0_pass: bool
-    generic_chaos_evidence: bool
-    note: str = INTERPRETATION_NOTE
+    def __init__(self, horizon: int, sens_start: int, tolerance: Fraction,
+                 family_kind: str, member_count: int, prox_records: list,
+                 sens_records: list, eta_estimate: Fraction, prox_pass: bool,
+                 sens0_pass: bool, generic_chaos_evidence: bool,
+                 note: str = INTERPRETATION_NOTE):
+        self.horizon = horizon
+        self.sens_start = sens_start
+        self.tolerance = tolerance
+        self.family_kind = family_kind
+        self.member_count = member_count
+        self.prox_records = prox_records  # [((i, j), Fraction)]
+        self.sens_records = sens_records  # [(i, Fraction)]
+        self.eta_estimate = eta_estimate
+        self.prox_pass = prox_pass
+        self.sens0_pass = sens0_pass
+        self.generic_chaos_evidence = generic_chaos_evidence
+        self.note = note
 
     def to_dict(self):
         return {

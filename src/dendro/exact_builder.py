@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -93,7 +92,6 @@ F1 = Fraction(1)
 # charts between a tree and a rescaled / extracted copy
 
 
-@dataclass
 class PieceChart:
     """Edge-wise affine map of whole-edge sets of ``source`` into ``target``.
 
@@ -101,9 +99,10 @@ class PieceChart:
     goes to offset t * scale on its target edge.
     """
 
-    source: Dendrite
-    target: Dendrite
-    edges: dict  # source edge -> (target edge, scale)
+    def __init__(self, source: Dendrite, target: Dendrite, edges: dict):
+        self.source = source
+        self.target = target
+        self.edges = edges  # source edge -> (target edge, scale)
 
     def point(self, p: PointRef) -> PointRef:
         if p.is_vertex:
@@ -149,20 +148,20 @@ def extract_region(D: Dendrite, S: Subtree, like=None) -> PieceChart:
 # decomposition
 
 
-@dataclass
 class Bush:
-    index: int  # 1-based; larger index = smaller assigned measure
-    root: str
-    subtree: Subtree
-    measure: Fraction
+    def __init__(self, index: int, root: str, subtree: Subtree, measure: Fraction):
+        self.index = index  # 1-based; larger index = smaller assigned measure
+        self.root = root
+        self.subtree = subtree
+        self.measure = measure
 
 
-@dataclass
 class BushDecomposition:
-    space: Dendrite  # refined so the base and all bushes are whole-edge sets
-    base: Subtree  # the arc A (or single point) inside `space`
-    base_kind: str  # "arc" | "point"
-    bushes: list
+    def __init__(self, space: Dendrite, base: Subtree, base_kind: str, bushes: list):
+        self.space = space  # refined so the base and all bushes are whole-edge sets
+        self.base = base  # the arc A (or single point) inside `space`
+        self.base_kind = base_kind  # "arc" | "point"
+        self.bushes = bushes
 
 
 def decompose_bushes(D: Dendrite, A) -> BushDecomposition:
@@ -262,13 +261,14 @@ def assign_metric(dec: BushDecomposition, q) -> BushDecomposition:
 # target planning
 
 
-@dataclass
 class BlowupPlan:
-    targets: dict  # k -> target index l_k < k (k >= 2)
-    positions: dict  # bush index -> arclength of its root along the base
-    ends: tuple  # the base arc's ends; positions run from the first
-    members: dict  # k -> bush indices in N_k, in base order
-    spans: dict  # k -> (lo, hi), the positions of E_k's stretch of base
+    def __init__(self, targets: dict, positions: dict, ends: tuple, members: dict,
+                 spans: dict):
+        self.targets = targets  # k -> target index l_k < k (k >= 2)
+        self.positions = positions  # bush index -> arclength of its root along the base
+        self.ends = ends  # the base arc's ends; positions run from the first
+        self.members = members  # k -> bush indices in N_k, in base order
+        self.spans = spans  # k -> (lo, hi), the positions of E_k's stretch of base
 
 
 def plan_targets(dec: BushDecomposition) -> BlowupPlan:
@@ -332,15 +332,16 @@ def _subtree_in(space: Dendrite, d, field: str) -> Subtree:
     return S
 
 
-@dataclass
 class ExactBushPart:
     """A bush sent onto its region E_k: zigzag, sawtooth, then g."""
 
-    region: Subtree  # the bush
-    root: str
-    psi: Zigzag  # the bush onto the unit arc
-    nu: Zigzag  # the unit arc onto g's domain
-    g: TreeMap
+    def __init__(self, region: Subtree, root: str, psi: Zigzag, nu: Zigzag,
+                 g: TreeMap):
+        self.region = region  # the bush
+        self.root = root
+        self.psi = psi  # the bush onto the unit arc
+        self.nu = nu  # the unit arc onto g's domain
+        self.g = g
 
     def apply(self, x: PointRef) -> PointRef:
         return self.g.apply(self.nu.apply(self.psi.apply(x)))
@@ -366,14 +367,15 @@ class ExactBushPart:
         }
 
 
-@dataclass
 class ConjugatePart:
     """A map on an extracted, rescaled copy of the region, carried back."""
 
-    region: Subtree
-    chart: PieceChart  # the glued space onto the inner map's domain
-    back: PieceChart  # the chart's inverse
-    inner: object
+    def __init__(self, region: Subtree, chart: PieceChart, back: PieceChart,
+                 inner: object):
+        self.region = region
+        self.chart = chart  # the glued space onto the inner map's domain
+        self.back = back  # the chart's inverse
+        self.inner = inner
 
     @staticmethod
     def on(space, region, inner) -> "ConjugatePart":
@@ -690,21 +692,22 @@ def _build_exact_point(dec: BushDecomposition, rho, seed):
 # exactness verification
 
 
-@dataclass
 class CoverRow:
-    edge: int
-    lo: Fraction
-    hi: Fraction
-    kind: str  # "bush" | "base"
-    covered_at: Optional[int]  # least n with f^n(piece) = whole space
+    def __init__(self, edge: int, lo: Fraction, hi: Fraction, kind: str,
+                 covered_at: Optional[int]):
+        self.edge = edge
+        self.lo = lo
+        self.hi = hi
+        self.kind = kind  # "bush" | "base"
+        self.covered_at = covered_at  # least n with f^n(piece) = whole space
 
 
-@dataclass
 class ExactnessCertificate:
-    rows: list
-    n_max: int
-    chain_ok: bool
-    chains: dict
+    def __init__(self, rows: list, n_max: int, chain_ok: bool, chains: dict):
+        self.rows = rows
+        self.n_max = n_max
+        self.chain_ok = chain_ok
+        self.chains = chains
 
     @property
     def all_bush_pieces_covered(self) -> bool:

@@ -9,10 +9,9 @@ names are stable, so the inclusion is the identity on names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from dendro.metric_tree import Dendrite, PointRef
+from dendro.metric_tree import Dendrite, PointRef, _frozen, _setattr
 from dendro.serialize import format_rat
 
 FAMILIES = (
@@ -37,20 +36,22 @@ _IDEAL_FLAGS = {
 }
 
 
-@dataclass(frozen=True)
 class FamilyDescriptor:
-    family: str
-    params: dict
+    def __init__(self, family: str, params: dict):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        _setattr(self, "family", family)
+        _setattr(self, "params", params)
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
+    __setattr__ = __delattr__ = _frozen
 
 
-@dataclass(frozen=True)
 class Classification:
-    completely_regular: bool
-    all_orders_finite: bool
+    def __init__(self, completely_regular: bool, all_orders_finite: bool):
+        _setattr(self, "completely_regular", completely_regular)
+        _setattr(self, "all_orders_finite", all_orders_finite)
+
+    __setattr__ = __delattr__ = _frozen
 
     @property
     def in_theorem_class(self) -> bool:
@@ -186,6 +187,8 @@ def _gen_cantor_comb(rank=2) -> Dendrite:
 def _gen_omega_star(arms=3, q=Fraction(1, 2)) -> Dendrite:
     """Star with arm j (1-based) of length (1-q) * q^(j-1)."""
     arms = int(arms)
+    if arms < 1:
+        raise ValueError("omega_star arms must be >= 1")
     q = Fraction(q)
     if not (0 < q < 1):
         raise ValueError("omega_star needs 0 < q < 1")

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -41,6 +40,8 @@ from dendro.metric_tree import (
     GeometryError,
     PointRef,
     Subtree,
+    _frozen,
+    _setattr,
     _walk,
     full_subtree,
     h1_measure,
@@ -67,7 +68,6 @@ class BuildError(RuntimeError):
 # dense families
 
 
-@dataclass(frozen=True)
 class DenseFamily:
     """Sampler for a dense family of nondegenerate test sets.
 
@@ -76,8 +76,11 @@ class DenseFamily:
     of the interval family under a fixed map).
     """
 
-    kind: str
-    through: Optional[object] = None  # map for phi_images
+    def __init__(self, kind: str, through: Optional[object] = None):
+        _setattr(self, "kind", kind)
+        _setattr(self, "through", through)  # map for phi_images
+
+    __setattr__ = __delattr__ = _frozen
 
     def sample(self, D: Dendrite, count: int, seed: int) -> list[Subtree]:
         if self.kind == "all_closed_intervals":
@@ -121,14 +124,17 @@ def _interval_family(D: Dendrite, count: int, seed: int) -> list[Subtree]:
 # the checker
 
 
-@dataclass(frozen=True)
 class LEWitness:
     """A true violation of the expansion dichotomy."""
 
-    set_: Subtree
-    measure: Fraction
-    image_measure: Fraction
-    rho: Fraction
+    def __init__(self, set_: Subtree, measure: Fraction, image_measure: Fraction,
+                 rho: Fraction):
+        _setattr(self, "set_", set_)
+        _setattr(self, "measure", measure)
+        _setattr(self, "image_measure", image_measure)
+        _setattr(self, "rho", rho)
+
+    __setattr__ = __delattr__ = _frozen
 
     def to_dict(self):
         return {
@@ -263,7 +269,6 @@ def sawtooth_image(total, laps: int, start, a, b):
     return lo, hi
 
 
-@dataclass
 class Zigzag:
     """Triangle wave of the normalized distance to a root, onto a one-edge arc.
 
@@ -283,22 +288,21 @@ class Zigzag:
     point nearest the root, along each of which the distance grows.
     """
 
-    domain: Dendrite
-    region: Subtree
-    root: str
-    laps: int
-    codomain: Dendrite
-    start: Fraction = F0
-    reach: Fraction = field(init=False)  # max distance from the root in the region
-    _rdist: dict = field(init=False, repr=False)  # region vertex -> root distance
-
-    def __post_init__(self):
-        if self.root not in self.region.vertices:
-            raise GeometryError(f"zigzag root {self.root!r} is not in its region")
-        for e, (a, b) in self.region.intervals.items():
-            if a != 0 or b != self.domain.edge_length(e):
+    def __init__(self, domain: Dendrite, region: Subtree, root: str, laps: int,
+                 codomain: Dendrite, start: Fraction = F0):
+        if root not in region.vertices:
+            raise GeometryError(f"zigzag root {root!r} is not in its region")
+        for e, (a, b) in region.intervals.items():
+            if a != 0 or b != domain.edge_length(e):
                 raise GeometryError("a zigzag region must be whole edges")
-        self._rdist = _walk(self.domain, PointRef(vertex=self.root), self.region)
+        self.domain = domain
+        self.region = region
+        self.root = root
+        self.laps = laps
+        self.codomain = codomain
+        self.start = start
+        # region vertex -> root distance, and the largest of them
+        self._rdist = _walk(domain, PointRef(vertex=root), region)
         self.reach = max(self._rdist.values())
 
     def _norm(self, x: PointRef) -> Fraction:
@@ -382,13 +386,14 @@ def psi_lap_count(psi: Zigzag, rho, least: int) -> int:
     return even_lap_count(need, least)
 
 
-@dataclass
 class BuiltPair:
-    phi: TreeMap
-    psi: TreeMap
-    space: Dendrite
-    laps: int
-    retries: int
+    def __init__(self, phi: TreeMap, psi: TreeMap, space: Dendrite, laps: int,
+                 retries: int):
+        self.phi = phi
+        self.psi = psi
+        self.space = space
+        self.laps = laps
+        self.retries = retries
 
 
 def normalize_measure(T: Dendrite) -> Dendrite:

@@ -44,7 +44,6 @@ parts outside the sets plus one vertex distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -66,18 +65,42 @@ class GeometryError(ValueError):
 # core value types
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
+def _frozen(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of the immutable value types: every
+    write is refused; their constructors set fields through ``_setattr``."""
+    from dataclasses import FrozenInstanceError  # only this error path loads it
+
+    raise FrozenInstanceError(
+        f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Edge:
-    u: str
-    v: str
-    length: Fraction
+    __slots__ = ("u", "v", "length")
 
-    def __post_init__(self):
-        if self.length <= 0:
-            raise GeometryError(f"edge {self.u}-{self.v} has nonpositive length")
+    def __init__(self, u: str, v: str, length: Fraction):
+        if length <= 0:
+            raise GeometryError(f"edge {u}-{v} has nonpositive length")
+        _setattr(self, "u", u)
+        _setattr(self, "v", v)
+        _setattr(self, "length", length)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.u, self.v, self.length) == (other.u, other.v, other.length)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.u, self.v, self.length))
+
+    def __repr__(self):
+        return f"Edge(u={self.u!r}, v={self.v!r}, length={self.length!r})"
 
 
-@dataclass(frozen=True)
 class PointRef:
     """A position on a dendrite: a vertex, or (edge index, interior offset).
 
@@ -85,15 +108,32 @@ class PointRef:
     endpoint vertex, so equality of PointRefs is equality of points.
     """
 
-    vertex: Optional[str] = None
-    edge: Optional[int] = None
-    offset: Optional[Fraction] = None
+    __slots__ = ("vertex", "edge", "offset")
 
-    def __post_init__(self):
-        if (self.vertex is None) == (self.edge is None):
+    def __init__(self, vertex: Optional[str] = None, edge: Optional[int] = None,
+                 offset: Optional[Fraction] = None):
+        if (vertex is None) == (edge is None):
             raise GeometryError("PointRef needs exactly one of vertex / edge+offset")
-        if self.edge is not None and self.offset is None:
+        if edge is not None and offset is None:
             raise GeometryError("edge PointRef needs an offset")
+        _setattr(self, "vertex", vertex)
+        _setattr(self, "edge", edge)
+        _setattr(self, "offset", offset)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.vertex, self.edge, self.offset)
+                    == (other.vertex, other.edge, other.offset))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertex, self.edge, self.offset))
+
+    def __repr__(self):
+        return (f"PointRef(vertex={self.vertex!r}, edge={self.edge!r}, "
+                f"offset={self.offset!r})")
 
     @property
     def is_vertex(self) -> bool:
@@ -299,7 +339,6 @@ class Dendrite:
         )
 
 
-@dataclass(frozen=True, slots=True)
 class Subtree:
     """A closed connected subset of a dendrite.
 
@@ -316,17 +355,29 @@ class Subtree:
     hash by value is taken on the first lookup and kept in a slot.
     """
 
-    vertices: frozenset
-    intervals: dict
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("vertices", "intervals", "_hash")
+
+    def __init__(self, vertices: frozenset, intervals: dict):
+        _setattr(self, "vertices", vertices)
+        _setattr(self, "intervals", intervals)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.vertices, self.intervals) == (other.vertices, other.intervals)
+        return NotImplemented
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
             h = hash((self.vertices, frozenset(self.intervals.items())))
-            object.__setattr__(self, "_hash", h)
+            _setattr(self, "_hash", h)
             return h
+
+    def __repr__(self):
+        return f"Subtree(vertices={self.vertices!r}, intervals={self.intervals!r})"
 
     def is_empty(self) -> bool:
         return not self.vertices and not self.intervals
@@ -906,7 +957,6 @@ def _component(D: Dendrite, edge: int, stub, far: str) -> Subtree:
     return make_subtree(D, dict(sorted(ivs.items())), verts)
 
 
-@dataclass(frozen=True)
 class ComplementDecomposition:
     """Closed components of D minus a subtree E, with their attachment points.
 
@@ -915,8 +965,11 @@ class ComplementDecomposition:
     E = D has no ways out, so no components.
     """
 
-    components: tuple
-    boundary_points: tuple
+    def __init__(self, components: tuple, boundary_points: tuple):
+        _setattr(self, "components", components)
+        _setattr(self, "boundary_points", boundary_points)
+
+    __setattr__ = __delattr__ = _frozen
 
     def grouped(self, D: Dendrite) -> dict[PointRef, Subtree]:
         """B_c sets: unions of component closures sharing an attachment."""

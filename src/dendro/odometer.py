@@ -20,9 +20,8 @@ fiber), a homeomorphism.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
-from dendro.metric_tree import PointRef
+from dendro.metric_tree import PointRef, _frozen, _setattr
 from dendro.serialize import format_rat
 from dendro.tree_map import TreeMap
 
@@ -31,7 +30,6 @@ class AddressError(ValueError):
     pass
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class Address:
     """3-adic address 1^inf + n with finitely many digits different from 1.
 
@@ -39,7 +37,7 @@ class Address:
     non-1 digits only (canonical), which stays readable as a property.
     """
 
-    _n: int
+    __slots__ = ("_n",)
 
     def __init__(self, digits: tuple = ()):
         seen = set()
@@ -53,7 +51,17 @@ class Address:
             n += (d - 1) * 3**pos
         if tuple(sorted(digits)) != digits:
             raise AddressError("digits must be sorted by position")
-        object.__setattr__(self, "_n", n)
+        _setattr(self, "_n", n)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._n == other._n
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self._n,))
 
     @property
     def digits(self) -> tuple:
@@ -101,10 +109,16 @@ class Address:
         return f"Address(digits={self.digits!r})"
 
 
+# every odometer step builds an address: _at skips __init__'s digit checks
+# and sets the one slot through its descriptor
+_new = object.__new__
+_set_n = Address._n.__set__
+
+
 def _at(n: int) -> Address:
     """The address 1^inf + n."""
-    alpha = object.__new__(Address)
-    object.__setattr__(alpha, "_n", n)
+    alpha = _new(Address)
+    _set_n(alpha, n)
     return alpha
 
 
@@ -165,14 +179,27 @@ def fiber_height(alpha: Address) -> Fraction:
     return Fraction(1, 3 ** ell(alpha))
 
 
-@dataclass(frozen=True)
 class FiberPoint:
-    alpha: Address
-    y: Fraction
+    __slots__ = ("alpha", "y")
 
-    def __post_init__(self):
-        if not (0 <= self.y <= fiber_height(self.alpha)):
+    def __init__(self, alpha: Address, y: Fraction):
+        if not (0 <= y <= fiber_height(alpha)):
             raise AddressError("vertical coordinate outside the fiber")
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "y", y)
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.y) == (other.alpha, other.y)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.y))
+
+    def __repr__(self):
+        return f"FiberPoint(alpha={self.alpha!r}, y={self.y!r})"
 
     @property
     def x(self) -> Fraction:
@@ -222,12 +249,14 @@ def pair_limsup_distance(alpha: Address, y1: Fraction, y2: Fraction) -> Fraction
     return abs(y1 - y2) * Fraction(3 ** ell(alpha), 3)
 
 
-@dataclass(frozen=True)
 class EpsScrambledResult:
-    size: int
-    analytic_bound: int
-    epsilon: Fraction
-    grid: int
+    def __init__(self, size: int, analytic_bound: int, epsilon: Fraction, grid: int):
+        _setattr(self, "size", size)
+        _setattr(self, "analytic_bound", analytic_bound)
+        _setattr(self, "epsilon", epsilon)
+        _setattr(self, "grid", grid)
+
+    __setattr__ = __delattr__ = _frozen
 
 
 def eps_scrambled_max(alpha: Address, epsilon, grid: int = 1000) -> EpsScrambledResult:
@@ -260,13 +289,19 @@ def eps_scrambled_max(alpha: Address, epsilon, grid: int = 1000) -> EpsScrambled
 # rectangle pattern of the ambient planar set
 
 
-@dataclass(frozen=True)
 class Rect:
-    word: str  # base-3 word, most significant first in construction order
-    x0: Fraction
-    x1: Fraction
-    y0: Fraction
-    y1: Fraction
+    __slots__ = ("word", "x0", "x1", "y0", "y1")
+
+    def __init__(self, word: str, x0: Fraction, x1: Fraction, y0: Fraction,
+                 y1: Fraction):
+        # word: base-3, most significant digit first in construction order
+        _setattr(self, "word", word)
+        _setattr(self, "x0", x0)
+        _setattr(self, "x1", x1)
+        _setattr(self, "y0", y0)
+        _setattr(self, "y1", y1)
+
+    __setattr__ = __delattr__ = _frozen
 
     def child(self, i: int) -> "Rect":
         theta = Fraction(1) if i == 1 else Fraction(1, 3)

@@ -37,7 +37,6 @@ reads the same cached walks.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -354,7 +353,6 @@ class SetOrbit:
 # orbit decomposition at a finite horizon
 
 
-@dataclass
 class OrbitDecomposition:
     """Finite-horizon cyclic structure of a set orbit.
 
@@ -362,15 +360,19 @@ class OrbitDecomposition:
     appears within the horizon; all other fields are then empty.
     """
 
-    conclusive: bool
-    horizon: int
-    n0: Optional[int] = None
-    k: Optional[int] = None
-    K_sets: list = field(default_factory=list)
-    K_stabilized: list = field(default_factory=list)
-    r: Optional[int] = None
-    L_sets: list = field(default_factory=list)
-    cyclic_ok: Optional[bool] = None
+    def __init__(self, conclusive: bool, horizon: int, n0: Optional[int] = None,
+                 k: Optional[int] = None, K_sets: Optional[list] = None,
+                 K_stabilized: Optional[list] = None, r: Optional[int] = None,
+                 L_sets: Optional[list] = None, cyclic_ok: Optional[bool] = None):
+        self.conclusive = conclusive
+        self.horizon = horizon
+        self.n0 = n0
+        self.k = k
+        self.K_sets = [] if K_sets is None else K_sets
+        self.K_stabilized = [] if K_stabilized is None else K_stabilized
+        self.r = r
+        self.L_sets = [] if L_sets is None else L_sets
+        self.cyclic_ok = cyclic_ok
 
 
 def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:

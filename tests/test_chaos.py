@@ -145,6 +145,14 @@ def test_verdict_deterministic(tent):
     assert r1.to_dict() == r2.to_dict()
 
 
+@pytest.mark.parametrize("kind", ["balls", "free_arcs", "subdendrites"])
+@pytest.mark.parametrize("levels", [0, -3])
+def test_a_family_refuses_radii_levels_below_one(kind, levels):
+    # every kind refuses it, not only balls, the one kind that reads the levels
+    with pytest.raises(GeometryError, match="radii_levels must be >= 1"):
+        SetFamily(kind, radii_levels=levels)
+
+
 def test_verdict_exactness_recompute(tent):
     fam = SetFamily("free_arcs")
     rep = verdict(tent, fam, N=12)

@@ -73,6 +73,18 @@ def test_gen_refuses_an_option_its_family_does_not_read(tmp_path, capsys, family
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["gen", "omega_star", "--arms", "0"],
+    ["gen", "omega_star", "--arms", "-3"],
+    ["build", "omega_star_gch", "--arms", "0"],
+])
+def test_an_omega_star_without_arms_is_refused(tmp_path, capsys, args):
+    out = tmp_path / "x.json"
+    assert run([*args, "-o", str(out)]) == 1
+    assert capsys.readouterr().err == "error: omega_star arms must be >= 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args, params", [
     (["arc", "--length", "2"], {"length": "2"}),
     (["star"], {}),
@@ -301,6 +313,20 @@ def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     err = capsys.readouterr().err
     assert message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_run_gch_verdict_refuses_radii_levels_below_one(tmp_path, capsys):
+    mapfile = tmp_path / "omega4.json"
+    assert run(["build", "omega_star_gch", "--arms", "4", "-o", str(mapfile)]) == 0
+    capsys.readouterr()
+    code = run([
+        "run", "--scenario", "gch-verdict", "--map", str(mapfile),
+        "--family", "subdendrites", "--radii-levels", "-3",
+        "--out", str(tmp_path / "rep.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "error: radii_levels must be >= 1\n"
     assert not (tmp_path / "rep.json").exists()
 
 
