@@ -7,19 +7,19 @@ records grow with the horizon, so the uniform-sensitivity estimate
 ``eta_estimate`` is a lower bound for what any longer horizon would report.
 Every quantity is an exact rational.
 
-``verdict`` follows one :class:`~dendro.tree_map.SetOrbit` per family member
-and reads every record from those orbits.  A record stops at the first
-exact repeat of its orbits: from there on every step repeats one already
-read, so the value equals the plain horizon-N loop's.  Records still claim
-only "within horizon N".
+``verdict`` follows one set :class:`~dendro.tree_map.Orbit` per family
+member and reads every record from those orbits; ``ly_sample`` follows one
+point orbit per sampled point.  Each record reads its steps from
+:func:`~dendro.tree_map.scan`, which stops once the joint state of its
+orbits repeats: from there on every step repeats one already read, so the
+value equals the plain horizon-N loop's.  Records still claim only "within
+horizon N".
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
-from typing import Optional
 
 from dendro.metric_tree import (
     Dendrite,
@@ -37,7 +37,7 @@ from dendro.metric_tree import (
     subtree_dist,
 )
 from dendro.serialize import format_rat
-from dendro.tree_map import SetOrbit, require_selfmap
+from dendro.tree_map import Orbit, require_selfmap, scan, set_orbit
 
 INTERPRETATION_NOTE = (
     "records are finite-horizon evidence: prox_record 0 certifies the image "
@@ -128,32 +128,21 @@ def _random_point(rng: random.Random, D: Dendrite, den: int = 4096) -> PointRef:
 # records
 
 
-def _orbit(F, S) -> SetOrbit:
-    if not isinstance(S, SetOrbit):
-        return SetOrbit(F, S)
-    if S.F is not F:
+def _orbit(F, S) -> Orbit:
+    if not isinstance(S, Orbit):
+        return set_orbit(F, S)
+    if S.f != F.image:
         raise GeometryError("set orbit belongs to another map")
     return S
-
-
-def _cycle_end(start: int, *orbits: SetOrbit) -> Optional[int]:
-    """Last step whose joint state can be new, once every orbit is periodic.
-
-    From step max(start, preperiods) on, the joint state of the orbits
-    repeats with the lcm of their periods, so later steps add nothing.
-    """
-    if any(o.period is None for o in orbits):
-        return None
-    first = max(start, *(o.preperiod for o in orbits))
-    return first + lcm(*(o.period for o in orbits)) - 1
 
 
 def prox_record(F, S1, S2, N: int) -> Fraction:
     """min over 0 <= n <= N of the exact distance between the image sets.
 
-    S1 and S2 are sets or :class:`SetOrbit`s of them under F.  The scan stops
-    early at a distance of 0, or once both orbits are periodic and every
-    joint state has been seen.
+    S1 and S2 are sets or their orbits under F
+    (:func:`~dendro.tree_map.set_orbit`).  The scan stops early at a
+    distance of 0, or once both orbits are periodic and every joint state
+    has been seen.
     """
     if N < 0:
         raise GeometryError("need N >= 0")
@@ -161,36 +150,30 @@ def prox_record(F, S1, S2, N: int) -> Fraction:
     if A.at(0).is_degenerate() or B.at(0).is_degenerate():
         raise GeometryError("prox_record needs nondegenerate sets")
     best = None
-    for n in range(N + 1):
+    for n in scan(0, N, A, B):
         d = subtree_dist(F.domain, A.at(n), B.at(n))
         if best is None or d < best:
             best = d
         if best == 0:
             return Fraction(0)
-        end = _cycle_end(0, A, B)
-        if end is not None and n >= end:
-            break
     return best
 
 
 def sens_record(F, S, N0: int, N: int) -> Fraction:
     """max over N0 <= n <= N of diam f^n(S).
 
-    S is a set or a :class:`SetOrbit` of one under F.  The scan stops once
-    the orbit is periodic and every step of its cycle from N0 on has been
-    seen.
+    S is a set or its orbit under F (:func:`~dendro.tree_map.set_orbit`).
+    The scan stops once the orbit is periodic and every step of its cycle
+    from N0 on has been seen.
     """
     if not (0 <= N0 <= N):
         raise GeometryError("need 0 <= N0 <= N")
     orbit = _orbit(F, S)
     best = Fraction(0)
-    for n in range(N0, N + 1):
+    for n in scan(N0, N, orbit):
         d = subtree_diam(F.domain, orbit.at(n))
         if d > best:
             best = d
-        end = _cycle_end(N0, orbit)
-        if end is not None and n >= end:
-            break
     return best
 
 
@@ -233,9 +216,13 @@ def ly_sample(F, pair_count: int, N: int, delta, epsilon, seed: int) -> LySample
     """Sampled point pairs classified by finite-horizon min/max orbit distance.
 
     A pair counts as scrambling evidence iff its distance dips to <= delta
-    and also exceeds epsilon somewhere within the horizon.
+    and also exceeds epsilon somewhere within the horizon.  Each pair's
+    distances are read over :func:`~dendro.tree_map.scan` of its two point
+    orbits: a repeated joint state repeats its distance.
     """
     require_selfmap(F, "point")
+    if N < 0 or pair_count < 0:
+        raise GeometryError("need N >= 0 and pair_count >= 0")
     delta, epsilon = Fraction(delta), Fraction(epsilon)
     if delta <= 0 or epsilon <= 0:
         raise GeometryError("delta and epsilon must be positive")
@@ -243,13 +230,10 @@ def ly_sample(F, pair_count: int, N: int, delta, epsilon, seed: int) -> LySample
     D = F.domain
     both = prox_only = sep_only = neither = 0
     for _ in range(pair_count):
-        x, y = _random_point(rng, D), _random_point(rng, D)
-        lo = hi = dist(D, x, y)
-        for _n in range(N):
-            x, y = F.apply(x), F.apply(y)
-            d = dist(F.codomain, x, y)
-            lo = min(lo, d)
-            hi = max(hi, d)
+        X = Orbit(F.apply, _random_point(rng, D))
+        Y = Orbit(F.apply, _random_point(rng, D))
+        steps = [dist(D, X.at(n), Y.at(n)) for n in scan(0, N, X, Y)]
+        lo, hi = min(steps), max(steps)
         prox = lo <= delta
         sep = hi > epsilon
         if prox and sep:
@@ -332,7 +316,7 @@ def verdict(
     """
     members = family.generate(F.domain)
     tolerance = Fraction(tolerance)
-    orbits = [SetOrbit(F, S) for S in members]
+    orbits = [set_orbit(F, S) for S in members]
     prox_records = []
     for i in range(len(orbits)):
         for j in range(i + 1, len(orbits)):

@@ -26,8 +26,9 @@ chain, whose targets a loaded map derives as the builder does.  When the map
 is Markov on its certification pieces (:func:`markov_graph`: they tile every
 edge and each piece's image is a union of whole pieces), each piece is
 imaged once and the cover times are read off the piece graph; otherwise the
-piece orbits are imaged step by step.  One scan (:func:`_cover_time`) serves
-both: it stops at the whole space or at the first repeated state.
+piece orbits are imaged step by step.  Both are one
+:class:`~dendro.tree_map.Orbit` read over :func:`~dendro.tree_map.scan`,
+which stops at the whole space or at the first repeated state.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
 and so interoperate with the chaos and orbit machinery.  A glued map images
@@ -82,7 +83,7 @@ from dendro.metric_tree import (
     union_subtrees,
 )
 from dendro.serialize import format_rat, from_dict_checked, json_copy, parse_rat
-from dendro.tree_map import TreeMap, _memo_image, compose
+from dendro.tree_map import Orbit, TreeMap, _memo_image, compose, scan
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -788,20 +789,6 @@ def _markov_graph(F, pieces):
     return succ
 
 
-def _cover_time(image, start, full, n_max: int) -> Optional[int]:
-    """Least n <= n_max with image^n(start) == full, over hashable states
-    (piece masks or sets); None past n_max or at the first repeated state."""
-    cur, seen = start, {start}
-    for n in range(1, n_max + 1):
-        cur = image(cur)
-        if cur == full:
-            return n
-        if cur in seen:
-            return None
-        seen.add(cur)
-    return None
-
-
 def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     """Least full-cover time per certification piece, plus chain validation.
 
@@ -809,8 +796,9 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     cover time is read off the piece graph: the mask of f^n(piece) is the
     union of its successors' masks, and with tiling pieces "every piece"
     is "the whole space".  Otherwise each piece's orbit is imaged step by
-    step.  Either orbit is scanned up to the horizon ``n_max`` or its first
-    repeated state, past which it cannot cover (:func:`_cover_time`).
+    step.  Either :class:`~dendro.tree_map.Orbit` is read over
+    :func:`~dendro.tree_map.scan` up to the horizon ``n_max`` or its first
+    repeated state, past which it cannot cover.
 
     Pieces on the fixed base arc can never cover (the map is the identity
     there); they are reported with ``covered_at = None`` and excluded from
@@ -843,8 +831,8 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
         kind = rest[0] if rest else "bush"  # a TreeMap fixes no base
         covered = None
         if kind == "bush":
-            start = make_subtree(D, {e: (a, b)}) if succ is None else 1 << i
-            covered = _cover_time(image, start, full, n_max)
+            o = Orbit(image, make_subtree(D, {e: (a, b)}) if succ is None else 1 << i)
+            covered = next((n for n in scan(1, n_max, o) if o.at(n) == full), None)
         rows.append(CoverRow(edge=e, lo=a, hi=b, kind=kind, covered_at=covered))
     parts = getattr(Fm, "manifest", {}).get("parts", [])
     targets = {p["bush"]: p["target"] for p in parts if p.get("target") is not None}

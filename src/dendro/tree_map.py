@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
 from dendro.metric_tree import (
@@ -314,39 +315,65 @@ def require_selfmap(F, kind: str):
             f"{kind} orbits need a selfmap: codomain differs from domain")
 
 
-class SetOrbit:
-    """The orbit S, f(S), f^2(S), ... of a set, computed on demand.
+class Orbit:
+    """The orbit start, f(start), f^2(start), ... of a state, on demand.
 
-    Each new image is keyed by the set itself, so by value.  At the first
-    exact repeat f^n(S) = f^m(S), m < n, the orbit is eventually periodic
-    with ``preperiod`` m and ``period`` n - m, and every later step is read
-    from the stored sets without calling the map.  Both stay None while no
-    repeat has been seen.
+    A state is a hashable set, point or piece mask; each new one is keyed by
+    value.  At the first exact repeat f^n(start) = f^m(start), m < n, the
+    orbit is eventually periodic with ``preperiod`` m and ``period`` n - m,
+    and every later step is read from the stored states without calling f.
+    Both stay None while no repeat has been seen.
     """
 
-    def __init__(self, F, S: Subtree):
-        require_selfmap(F, "set")
-        self.F = F
-        self._sets = [S]
-        self._index = {S: 0}
+    def __init__(self, f, start):
+        self.f = f
+        self._states = [start]
+        self._index = {start: 0}
         self.preperiod: Optional[int] = None
         self.period: Optional[int] = None
 
-    def at(self, n: int) -> Subtree:
-        """f^n(S)."""
-        sets = self._sets
-        while n >= len(sets) and self.period is None:
-            S = self.F.image(sets[-1])
-            m = self._index.get(S)
+    def at(self, n: int):
+        """f^n(start)."""
+        states = self._states
+        while n >= len(states) and self.period is None:
+            x = self.f(states[-1])
+            m = self._index.get(x)
             if m is None:
-                self._index[S] = len(sets)
-                sets.append(S)
+                self._index[x] = len(states)
+                states.append(x)
             else:
-                self.preperiod, self.period = m, len(sets) - m
-        if n < len(sets):
-            return sets[n]
+                self.preperiod, self.period = m, len(states) - m
+        if n < len(states):
+            return states[n]
         m = self.preperiod
-        return sets[m + (n - m) % self.period]
+        return states[m + (n - m) % self.period]
+
+
+def scan(first: int, last: int, *orbits: Orbit):
+    """The steps first..last at which the joint state of the orbits can be new.
+
+    The caller reads the orbits at each step it is given.  Once every orbit
+    is periodic, the joint state repeats with the lcm of their periods from
+    step max(first, preperiods) on, so the scan stops after one such cycle.
+    """
+    end = None
+    for n in range(first, last + 1):
+        yield n
+        if end is None:
+            for o in orbits:  # a plain loop: it runs at every step
+                if o.period is None:
+                    break
+            else:
+                end = (max(first, *(o.preperiod for o in orbits))
+                       + lcm(*(o.period for o in orbits)) - 1)
+        if end is not None and n >= end:
+            return
+
+
+def set_orbit(F, S: Subtree) -> Orbit:
+    """The orbit of the set S under the selfmap F."""
+    require_selfmap(F, "set")
+    return Orbit(F.image, S)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +412,7 @@ def orbit_decomposition(F, E: Subtree, horizon: int) -> OrbitDecomposition:
     """
     if horizon < 1:
         raise GeometryError("horizon must be >= 1")
-    at = SetOrbit(F, E).at
+    at = set_orbit(F, E).at
     found = None
     for n0 in range(horizon):
         for k in range(1, horizon - n0 + 1):

@@ -261,6 +261,49 @@ def plain_orbit(F, S, N):
     return out
 
 
+def plain_ly_sample(F, pair_count, N, delta, epsilon, seed):
+    """ly_sample's report by the horizon loop: every pair's points are
+    mapped N times, with no cycle cut."""
+    import random
+
+    from dendro.chaos import LySampleReport, _random_point
+    from dendro.metric_tree import dist
+
+    delta, epsilon = Fraction(delta), Fraction(epsilon)
+    rng = random.Random(seed)
+    D = F.domain
+    both = prox_only = sep_only = neither = 0
+    for _ in range(pair_count):
+        x, y = _random_point(rng, D), _random_point(rng, D)
+        lo = hi = dist(D, x, y)
+        for _n in range(N):
+            x, y = F.apply(x), F.apply(y)
+            d = dist(F.codomain, x, y)
+            lo = min(lo, d)
+            hi = max(hi, d)
+        prox = lo <= delta
+        sep = hi > epsilon
+        if prox and sep:
+            both += 1
+        elif prox:
+            prox_only += 1
+        elif sep:
+            sep_only += 1
+        else:
+            neither += 1
+    return LySampleReport(
+        pair_count=pair_count,
+        horizon=N,
+        delta=delta,
+        epsilon=epsilon,
+        seed=seed,
+        scrambling_evidence=both,
+        proximal_only=prox_only,
+        separated_only=sep_only,
+        neither=neither,
+    )
+
+
 def plain_cover_times(F, n_max):
     """covered_at of each certification piece of F by the horizon loop: a
     bush piece's orbit is imaged step by step, up to n_max, until it is the

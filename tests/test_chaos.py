@@ -16,11 +16,13 @@ from dendro.metric_tree import (
     PointRef,
     make_subtree,
 )
-from dendro.tree_map import SetOrbit, TreeMap, identity_map
+from dendro.odometer import gehman_extend
+from dendro.tree_map import TreeMap, identity_map, set_orbit
 from oracles import (
     first_repeat,
     plain_diam_steps,
     plain_dist_steps,
+    plain_ly_sample,
     plain_orbit,
     tent_iterate_interval,
 )
@@ -95,9 +97,52 @@ def test_sens_monotone_in_horizon(tent, unit_arc):
 
 
 def test_ly_sample_identity_counts_nothing(unit_arc):
+    # every point is fixed, so each point orbit repeats at its first image
+    # and a huge horizon costs no more than a short one
     idm = identity_map(unit_arc)
-    rep = ly_sample(idm, 50, 20, F(1, 1000), F(1, 2), seed=4)
-    assert rep.scrambling_evidence == 0
+    calls = []
+    apply = idm.apply
+    idm.apply = lambda x: calls.append(x) or apply(x)
+    for N in (20, 10**9):
+        calls.clear()
+        rep = ly_sample(idm, 50, N, F(1, 1000), F(1, 2), seed=4)
+        assert rep.scrambling_evidence == 0
+        assert len(calls) <= 2 * 2 * 50, N
+
+
+@pytest.mark.parametrize("N,pair_count", [(-1, 3), (3, -2), (-1, -1)])
+def test_ly_sample_refuses_a_negative_horizon_or_count(unit_arc, N, pair_count):
+    # as prox_record does: an empty window has no minimum, and N = 0 with
+    # no pairs is still a report
+    idm = identity_map(unit_arc)
+    with pytest.raises(GeometryError, match="need N >= 0 and pair_count >= 0"):
+        ly_sample(idm, pair_count, N, F(1, 10), F(1, 10), 0)
+    assert ly_sample(idm, 0, 0, F(1, 10), F(1, 10), 0).to_dict()["horizon"] == 0
+
+
+LY_MAPS = ["tent", "flip", "identity", "contraction", "gehman4"]
+
+
+@pytest.fixture(scope="module")
+def ly_maps(unit_arc, tent, flip, contraction):
+    return {
+        "tent": tent,
+        "flip": flip,
+        "identity": identity_map(unit_arc),
+        "contraction": contraction,
+        "gehman4": gehman_extend(4)[1],
+    }
+
+
+@pytest.mark.parametrize("N", [0, 1, 7, 100])
+@pytest.mark.parametrize("name", LY_MAPS)
+def test_ly_sample_matches_plain_horizon_loop(ly_maps, name, N):
+    # ly_sample stops each pair at the first repeat of its joint state; the
+    # plain loop maps both points N times
+    Fm = ly_maps[name]
+    for seed in range(5):
+        rep = ly_sample(Fm, 6, N, F(1, 16), F(1, 4), seed)
+        assert rep == plain_ly_sample(Fm, 6, N, F(1, 16), F(1, 4), seed), seed
 
 
 def test_ly_sample_deterministic(tent):
@@ -261,7 +306,7 @@ def test_verdict_image_calls_stop_at_the_cycle(omega12_map, monkeypatch):
 def test_records_accept_set_orbits(flip, sym_arc, tent):
     S1 = make_subtree(sym_arc, {0: (F(1, 4), F(1, 2))})
     S2 = make_subtree(sym_arc, {1: (F(1, 4), F(1, 2))})
-    A, B = SetOrbit(flip, S1), SetOrbit(flip, S2)
+    A, B = set_orbit(flip, S1), set_orbit(flip, S2)
     for N in range(6):
         assert prox_record(flip, A, B, N) == prox_record(flip, S1, S2, N)
         for N0 in range(N + 1):
@@ -269,7 +314,7 @@ def test_records_accept_set_orbits(flip, sym_arc, tent):
     assert (A.preperiod, A.period) == (0, 2)
     with pytest.raises(GeometryError):
         sens_record(tent, A, 0, 3)
-    point = SetOrbit(flip, make_subtree(sym_arc, {0: (F(1, 2), F(1, 2))}))
+    point = set_orbit(flip, make_subtree(sym_arc, {0: (F(1, 2), F(1, 2))}))
     with pytest.raises(GeometryError):
         prox_record(flip, point, B, 3)
 

@@ -317,6 +317,9 @@ def test_build_exact_one_bush():
 
 
 def test_verify_identity_never_covers(comb4_map):
+    # each edge is a piece that the identity fixes, so the piece graph
+    # exists and every piece's mask repeats at its first image, whatever
+    # the horizon
     from dendro.tree_map import identity_map
 
     D = comb4_map.domain
@@ -324,9 +327,11 @@ def test_verify_identity_never_covers(comb4_map):
     idm.pieces = lambda: [
         (e, F(0), D.edge_length(e), "bush") for e in range(len(D.edges))
     ]
-    cert = verify_exact(idm, 4)
-    assert not cert.all_bush_pieces_covered
-    assert all(r.covered_at is None for r in cert.rows)
+    assert exact_builder.markov_graph(idm) is not None
+    for n_max in (4, 10**9):
+        cert = verify_exact(idm, n_max)
+        assert not cert.all_bush_pieces_covered
+        assert all(r.covered_at is None for r in cert.rows)
 
 
 def test_bush_psi_witness_reverifies(comb4):

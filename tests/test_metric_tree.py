@@ -41,7 +41,7 @@ from dendro.metric_tree import (
     union_subtrees,
 )
 from dendro.odometer import gehman_extend
-from dendro.tree_map import SetOrbit, identity_map
+from dendro.tree_map import identity_map, set_orbit
 from oracles import (
     dijkstra_dist,
     dijkstra_dists,
@@ -597,7 +597,7 @@ def test_a_set_is_its_own_key(name, specs, rng):
                   Subtree.from_dict(S.to_dict()), intersect_subtrees(D, S, S)]
         assert all(C == S and hash(C) == hash(S) for C in copies), S
         Fm = identity_map(D)
-        orbits = [SetOrbit(Fm, C) for C in [S] + copies]
+        orbits = [set_orbit(Fm, C) for C in [S] + copies]
         assert all(orbit.at(3) == S for orbit in orbits)
         assert len(Fm._image_memo) == 1
         assert [(o.preperiod, o.period, len(o._index)) for o in orbits] == [(0, 1, 1)] * 4

@@ -16,11 +16,13 @@ from dendro.metric_tree import (
     union_subtrees,
 )
 from dendro.tree_map import (
-    SetOrbit,
+    Orbit,
     TreeMap,
     compose,
     identity_map,
     orbit_decomposition,
+    scan,
+    set_orbit,
 )
 from oracles import first_repeat, plain_image, plain_orbit, tent_iterate_interval
 
@@ -255,7 +257,7 @@ def test_set_orbit_cycles(tent, flip, contraction, unit_arc, sym_arc):
                 return Fm.image(A)
 
         counted = Counted()
-        orbit = SetOrbit(counted, S)
+        orbit = set_orbit(counted, S)
         plain = plain_orbit(Fm, S, 40)
         assert first_repeat(plain) == cycle
         assert [orbit.at(n) for n in range(41)] == plain
@@ -265,6 +267,28 @@ def test_set_orbit_cycles(tent, flip, contraction, unit_arc, sym_arc):
             assert (orbit.preperiod, orbit.period) == cycle
             assert len(calls) == sum(cycle)
             assert orbit.at(10**6) == plain[cycle[0] + (10**6 - cycle[0]) % cycle[1]]
+
+
+def test_scan_reads_every_joint_state():
+    # int orbits on random functional graphs of at most 12 nodes, whose
+    # joint cycles close within 100 steps: the steps scan gives read every
+    # joint state of the plain first..last loop, even at a huge horizon
+    rng = random.Random(27)
+    for _ in range(400):
+        size = rng.randint(1, 12)
+        table = [rng.randrange(size) for _ in range(size)]
+        orbits = [Orbit(table.__getitem__, rng.randrange(size))
+                  for _ in range(rng.randint(1, 3))]
+        first = rng.randint(0, 6)
+        last = first + rng.choice([0, 1, rng.randint(2, 40), 10**9])
+        steps, read = [], set()
+        for n in scan(first, last, *orbits):
+            steps.append(n)
+            read.add(tuple(o.at(n) for o in orbits))
+        assert steps == list(range(first, steps[-1] + 1))
+        plain = {tuple(o.at(n) for o in orbits)
+                 for n in range(first, min(last, first + 100) + 1)}
+        assert read == plain
 
 
 def test_decomposition_laws_random():
