@@ -2,37 +2,40 @@
 
 The arc construction: test that the base A is an arc (its measure equals
 its diameter), cut the tree once at A's ends inside edges, split it into A
-plus finitely many bushes hanging off it, reassign the metric so bush k
-carries total measure (1-q) q^k (the base gets (1-q)), and send each bush k
-onto the region E_k spanned by the arc from its root to a nearer,
-larger-bush root together with all smaller bushes rooted between them (E_1
-is the whole tree).  Each bush map factors as: a normalized-distance zigzag
-psi onto [0,1], a constant-slope sawtooth nu onto a blown-up interval J_k in
-which every member root is widened into a block of its bush's measure, then
-a block-wise surjection g whose blocks replay expanding walk surjections phi
-onto the bushes and whose gaps ride along the base arc.  Points of A stay
-fixed; every bush root stays fixed.  Both waves are one
+plus finitely many bushes hanging off it, lay the base out at length 1-q
+and bush k at (1-q) q^k, and send each bush k onto the region E_k spanned
+by the arc from its root to a nearer, larger-bush root together with all
+smaller bushes rooted between them (E_1 is the whole tree).  Each bush map
+factors as: a normalized-distance zigzag psi onto [0,1], a constant-slope
+sawtooth nu onto a blown-up interval J_k in which every member root is
+widened into a block of its bush's layout length, then a block-wise
+surjection g whose blocks replay expanding walk surjections phi onto the
+bushes and whose gaps ride along the base arc.  Points of A stay fixed;
+every bush root stays fixed.  Both waves are one
 ``length_expanding.Zigzag``, and every lap count comes from its fold lemma,
-so the builder samples nothing.  A :class:`PieceChart` runs one way; a
-conjugated part holds its chart and the chart's inverse.
+so the builder samples nothing.
 
-Build and load share one layout (:func:`_glue_exact`): the bushes, each
-region's target, members and blocks, the lap counts, both waves and the
-manifest follow from the space, the base, q and rho.  Only g is built, or
-read from a file.  An ideal version of this map is exact; at a finite
-truncation the base arc has interior, so only bush pieces can cover, and
-:func:`verify_exact` certifies coverage per piece together with the target
-chain, whose targets a loaded map derives as the builder does.  When the map
-is Markov on its certification pieces (:func:`markov_graph`: they tile every
-edge and each piece's image is a union of whole pieces), each piece is
-imaged once and the cover times are read off the piece graph; otherwise the
-piece orbits are imaged step by step.  Both are one
+Every glued part is such an :class:`ExactBushPart`, laid out in the glued
+space itself: ``build_exact`` first rescales the space to the layout
+lengths, while the counterexample's shells (``glued_pieces``) keep their
+own, read in layout units.  The point form (``glued_point``) sends a
+branched bush onto itself through psi, the unit wave onto [0, 2|bush|] and
+the bush's double-cover walk, at ``build_pair``'s lap count.  Build and
+load share one layout per kind, so a file is read as its inputs; only the
+arc forms' g is read from it.  An ideal version of this map is exact; at a
+finite truncation the base arc has interior, so only bush pieces can
+cover, and :func:`verify_exact` certifies coverage per piece together with
+the target chain, whose targets a loaded map derives as the builder does.
+When the map is Markov on its certification pieces (:func:`markov_graph`:
+they tile every edge and each piece's image is a union of whole pieces),
+each piece is imaged once and the cover times are read off the piece
+graph; otherwise the piece orbits are imaged step by step.  Both are one
 :class:`~dendro.tree_map.Orbit` read over :func:`~dendro.tree_map.scan`,
 which stops at the whole space or at the first repeated state.
 
 All maps here expose ``domain``/``codomain``/``apply``/``image``/``pieces``
 and so interoperate with the chaos and orbit machinery.  A glued map images
-a set's overlap with each region whole, in one part call, and skips an
+a set's overlap with each bush whole, in one part call, and skips an
 overlap inside the base, where it is the identity.  Glued maps, like
 ``TreeMap``, keep one image memo keyed by the set, one entry per distinct
 set for the life of the map, so merging piece orbits image their shared
@@ -54,6 +57,7 @@ from dendro.length_expanding import (
     initial_lap_count,
     psi_lap_count,
     unit_arc,
+    walk_map,
 )
 from dendro.metric_tree import (
     Dendrite,
@@ -79,70 +83,13 @@ from dendro.metric_tree import (
     point_subtree,
     refine_at,
     subtree_contains,
-    union_connected,
     union_subtrees,
 )
 from dendro.serialize import format_rat, from_dict_checked, json_copy, parse_rat
-from dendro.tree_map import Orbit, TreeMap, _memo_image, compose, scan
+from dendro.tree_map import Orbit, TreeMap, _memo_image, require_selfmap, scan
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-# ---------------------------------------------------------------------------
-# charts between a tree and a rescaled / extracted copy
-
-
-class PieceChart:
-    """Edge-wise affine map of whole-edge sets of ``source`` into ``target``.
-
-    Vertices keep their names; a point at offset t on a charted source edge
-    goes to offset t * scale on its target edge.
-    """
-
-    def __init__(self, source: Dendrite, target: Dendrite, edges: dict):
-        self.source = source
-        self.target = target
-        self.edges = edges  # source edge -> (target edge, scale)
-
-    def point(self, p: PointRef) -> PointRef:
-        if p.is_vertex:
-            return p
-        e, s = self.edges[p.edge]
-        return self.target.point(e, p.offset * s)
-
-    def subtree(self, S: Subtree) -> Subtree:
-        ivs = {}
-        for e, (a, b) in S.intervals.items():
-            te, s = self.edges[e]
-            ivs[te] = (a * s, b * s)
-        return make_subtree(self.target, ivs, S.vertices)
-
-    def inverse(self) -> "PieceChart":
-        return PieceChart(self.target, self.source,
-                          {te: (e, 1 / s) for e, (te, s) in self.edges.items()})
-
-
-def extract_region(D: Dendrite, S: Subtree, like=None) -> PieceChart:
-    """Chart from a whole-edge subtree onto a standalone copy of it.
-
-    The copy keeps the vertex names and lists the edges in index order.  It
-    is a new dendrite with the same edge lengths, or ``like`` (say the
-    domain of a map built on such a copy), whose edges must join the same
-    vertices in the same order and may have any lengths.
-    """
-    for e, (a, b) in S.intervals.items():
-        if a != 0 or b != D.edge_length(e):
-            raise GeometryError("extraction needs a whole-edge subtree")
-    edges = [D.edges[e] for e in sorted(S.intervals)]
-    if like is None:
-        like = Dendrite(sorted(S.vertices), edges)
-    elif [(ed.u, ed.v) for ed in like.edges] != [(ed.u, ed.v) for ed in edges]:
-        raise GeometryError("the inner map's domain does not match its region")
-    return PieceChart(D, like, {
-        e: (i, like.edges[i].length / D.edges[e].length)
-        for i, e in enumerate(sorted(S.intervals))
-    })
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +178,8 @@ def assign_metric(dec: BushDecomposition, q) -> BushDecomposition:
     """Rescale an arc decomposition: base to 1-q, bush k to (1-q) q^k.
 
     Each bush's measure is then its weight; the measure the finite tree
-    misses, q^(K+1) for K bushes, is left to the caller.
+    misses, q^(K+1) for K bushes, is left to the caller.  Each edge is
+    scaled by its part's factor, and vertices keep their names.
     """
     q = Fraction(q)
     if not (0 < q < 1):
@@ -246,15 +194,20 @@ def assign_metric(dec: BushDecomposition, q) -> BushDecomposition:
         [Edge(e.u, e.v, e.length * scale.get(i, F1)) for i, e in enumerate(D.edges)],
         descriptor=D.descriptor,
     )
-    chart = PieceChart(D, space, {i: (i, scale.get(i, F1))
-                                  for i in range(len(D.edges))})
-    space.marked.update({k: chart.point(p) for k, p in D.marked.items()})
+    space.marked.update({
+        k: p if p.is_vertex else space.point(p.edge, p.offset * scale.get(p.edge, F1))
+        for k, p in D.marked.items()})
+
+    def moved(S: Subtree) -> Subtree:
+        return make_subtree(space, {e: (a * scale[e], b * scale[e])
+                                    for e, (a, b) in S.intervals.items()}, S.vertices)
+
     bushes = [
-        Bush(index=b.index, root=b.root, subtree=chart.subtree(b.subtree),
+        Bush(index=b.index, root=b.root, subtree=moved(b.subtree),
              measure=(1 - q) * q**b.index)
         for b in dec.bushes
     ]
-    return BushDecomposition(space=space, base=chart.subtree(dec.base),
+    return BushDecomposition(space=space, base=moved(dec.base),
                              base_kind=dec.base_kind, bushes=bushes)
 
 
@@ -298,10 +251,7 @@ def plan_targets(dec: BushDecomposition) -> BlowupPlan:
 
 
 # ---------------------------------------------------------------------------
-# glued maps: the identity on a base, one part map on each region off it
-#
-# A part has a ``region`` (a subtree of the glued space), ``apply`` and
-# ``image`` there, certification ``pieces`` (edge, lo, hi) and ``to_dict``.
+# glued maps: the identity on a base, one ExactBushPart on each bush off it
 
 
 def _subtree_in(space: Dendrite, d, field: str) -> Subtree:
@@ -368,44 +318,15 @@ class ExactBushPart:
         }
 
 
-class ConjugatePart:
-    """A map on an extracted, rescaled copy of the region, carried back."""
-
-    def __init__(self, region: Subtree, chart: PieceChart, back: PieceChart,
-                 inner: object):
-        self.region = region
-        self.chart = chart  # the glued space onto the inner map's domain
-        self.back = back  # the chart's inverse
-        self.inner = inner
-
-    @staticmethod
-    def on(space, region, inner) -> "ConjugatePart":
-        """The part that carries ``inner``, a map on a copy of the region."""
-        chart = extract_region(space, region, like=inner.domain)
-        return ConjugatePart(region, chart, chart.inverse(), inner)
-
-    def apply(self, x):
-        return self.back.point(self.inner.apply(self.chart.point(x)))
-
-    def image(self, S):
-        return self.back.subtree(self.inner.image(self.chart.subtree(S)))
-
-    def pieces(self):
-        return [(e, a, b) for e, (a, b) in sorted(self.region.intervals.items())]
-
-    def to_dict(self):
-        return {"region": self.region.to_dict(), "inner": self.inner.to_dict()}
-
-
 class GluedMap:
-    """The identity on the base, each part's map on its region off the base.
+    """The identity on the base, each part's map on its bush off the base.
 
-    Regions meet the base and each other only where the map is the
+    Bushes meet the base and each other only at roots, where the map is the
     identity, so the image of a set is its base overlap together with each
-    part's image of its overlap with the region.  Two subtrees meet in a
+    part's image of its overlap with the bush.  Two subtrees meet in a
     connected set, so each overlap goes to its part whole, in one call, and
     an overlap inside the base is skipped.
-    Subclasses set the file ``kind``.
+    Subclasses set the file ``kind`` and read their files as their inputs.
 
     Like :class:`TreeMap`, the map keeps one image memo keyed by the set,
     so orbits that merge image their shared tail once.  Memory is one
@@ -465,20 +386,27 @@ class GluedMap:
             "manifest": json_copy(self.manifest),
         }
 
-    @classmethod
-    def from_dict(cls, d):
-        """A file of conjugate parts.  An inner map is read unchecked, as the
-        glued file's check covers it, and must be a selfmap of its copy."""
-        space = Dendrite.from_dict(d["space"])
-        parts = []
-        for pd in d["parts"]:
-            inner = _map_type(pd["inner"]).from_dict(pd["inner"])
-            if inner.codomain != inner.domain:
-                raise ValueError("a glued part's inner map is not a selfmap")
-            parts.append(ConjugatePart.on(
-                space, _subtree_in(space, pd["region"], "part region"), inner))
-        return cls(space, _subtree_in(space, d["base"], "base"), parts,
-                   manifest=d.get("manifest"))
+
+def _g_reader(d, space: Dendrite, bushes: int):
+    """The layout's ``g_for`` that reads each part's g from the file ``d``
+    in turn, mapping into ``space``.  The file must hold one part per bush,
+    and each g must run on its blown-up interval and send its own block's
+    start, where psi then nu send the root, to the root."""
+    if len(d["parts"]) != bushes:
+        raise ValueError(f"the file has {len(d['parts'])} parts, but its base "
+                         f"has {bushes} bushes")
+    parts = enumerate(d["parts"])
+
+    def read_g(dec, plan, b, arc, starts):
+        i, pd = next(parts)
+        g = TreeMap.from_dict(pd["g"], codomain=space)
+        if g.domain != arc:
+            raise ValueError(f"part {i} g.domain is not its blown-up interval")
+        if g.apply(arc.point(0, starts[b.index])) != PointRef(vertex=b.root):
+            raise ValueError(f"part {i} does not fix its root {b.root!r}")
+        return g
+
+    return read_g
 
 
 class GluedExactMap(GluedMap):
@@ -491,30 +419,37 @@ class GluedExactMap(GluedMap):
     def from_dict(cls, d):
         """The map a file describes, read as its inputs: its space, base,
         manifest q and rho, and each part's g; :func:`_glue_exact` lays out
-        the rest as the builder does, and the file must agree with it."""
+        the rest as the builder does, and the file must agree with it.  The
+        space must have the layout lengths, base 1-q and bush k (1-q) q^k."""
         space = Dendrite.from_dict(d["space"])
         dec = decompose_bushes(space, _subtree_in(space, d["base"], "base"))
         if dec.base_kind != "arc":
             raise ValueError("a glued_exact base must be an arc")
-        if len(d["parts"]) != len(dec.bushes):
-            raise ValueError(f"the file has {len(d['parts'])} parts, but its base "
-                             f"has {len(dec.bushes)} bushes")
-
-        def read_g(plan, b, arc, starts):
-            g = TreeMap.from_dict(d["parts"][b.index - 1]["g"], codomain=dec.space)
-            if g.domain != arc:
-                raise ValueError(f"part {b.index - 1} g.domain is not its blown-up interval")
-            return g
-
-        return _glue_exact(dec, parse_rat(d["manifest"]["q"]),
-                           parse_rat(d["manifest"]["rho"]), read_g)
+        read_g = _g_reader(d, dec.space, len(dec.bushes))
+        q = parse_rat(d["manifest"]["q"])
+        if not (0 < q < 1 and h1_measure(dec.base) == 1 - q
+                and all(b.measure == (1 - q) * q**b.index for b in dec.bushes)):
+            raise GeometryError(f"q = {format_rat(q)} does not give the space's measures:"
+                                " base 1-q and bush k (1-q) q^k with 0 < q < 1")
+        return _glue_exact(dec, q, parse_rat(d["manifest"]["rho"]), read_g)
 
 
 class GluedPointMap(GluedMap):
-    """Identity at the shared fixed point, conjugated exact maps per bush."""
+    """Identity at the shared fixed point, an exact map of each bush onto
+    itself."""
 
     kind = "glued_point"
     image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
+
+    @classmethod
+    def from_dict(cls, d):
+        """The map a file describes, read as its inputs: its space, base
+        point and manifest lap counts; :func:`_glue_point` derives the rest,
+        and a base of more than one point does not write back."""
+        space = Dendrite.from_dict(d["space"])
+        base = _subtree_in(space, d["base"], "base")
+        return _glue_point(decompose_bushes(space, first_point(base)),
+                           [entry["laps"] for entry in d["manifest"]["parts"]])
 
 
 class GluedPieceMap(GluedMap):
@@ -522,6 +457,18 @@ class GluedPieceMap(GluedMap):
 
     kind = "glued_pieces"
     image = GluedMap.image  # own attribute: perfbench/tracer.py wraps it per class
+
+    @classmethod
+    def from_dict(cls, d):
+        """The map a file describes, read as its inputs: its space, base,
+        manifest q and rho, and each part's g; the shells come from
+        :func:`_gch_shells` and the rest from :func:`_glue_pieces`, as at
+        build, and the file must agree with them."""
+        space = Dendrite.from_dict(d["space"])
+        space, base, shells = _gch_shells(space, _subtree_in(space, d["base"], "base"))
+        read_g = _g_reader(d, space, sum(len(shell.bushes) for _, _, shell in shells))
+        return _glue_pieces(space, base, shells, parse_rat(d["manifest"]["q"]),
+                            parse_rat(d["manifest"]["rho"]), read_g)
 
 
 MAP_KINDS = {
@@ -550,35 +497,38 @@ def map_from_dict(d):
 
 
 def _glue_exact(dec: BushDecomposition, q, rho, g_for) -> "GluedExactMap":
-    """The glued_exact map on an arc decomposition whose bush k carries
-    measure (1-q) q^k, with each part's g from ``g_for(plan, bush, J_k,
-    starts)``.  Build and load both lay out everything else here.
+    """The glued_exact layout of an arc decomposition (build, load, and
+    each shell of the counterexample), with each part's g from
+    ``g_for(dec, plan, bush, J_k, starts)``.
 
-    A region's blocks lie along J_k, g's domain: one per member in base
-    order, each as long as its bush, which ``starts`` places, and between
-    them the base between the roots, so J_k is as long as the region's
-    measure.  Every lap count comes from the fold lemma: phi's from rho,
-    psi's from rho and its bush, nu's from the length of J_k.  A rho <= 1,
-    or a q that does not give the space's measures, is refused.
+    Lengths are laid out in the q-form: the base as 1-q, a position along
+    it as its arclength times (1-q)/|base|, and bush k as (1-q) q^k; a
+    space that ``assign_metric`` made has them as its own.  A region's
+    blocks lie along J_k, g's domain: one per member in base order, each as
+    long as its bush, which ``starts`` places, and between them the base
+    between the roots, so J_k is as long as the region's laid-out measure.
+    Every lap count comes from the fold lemma: phi's from rho, psi's from
+    rho and its bush, nu's from the length of J_k.  psi reads normalized
+    distance, so a bush scaled by one factor gets the same psi.  A
+    rho <= 1, or a q outside (0, 1), is refused.
     """
     if rho <= 1:
         raise GeometryError(f"rho is {format_rat(rho)}, but must exceed 1")
-    if not (0 < q < 1 and h1_measure(dec.base) == 1 - q
-            and all(b.measure == (1 - q) * q**b.index for b in dec.bushes)):
-        raise GeometryError(f"q = {format_rat(q)} does not give the space's measures:"
-                            " base 1-q and bush k (1-q) q^k with 0 < q < 1")
+    if not 0 < q < 1:
+        raise GeometryError(f"q is {format_rat(q)}, but must lie strictly between 0 and 1")
     plan = plan_targets(dec)
-    pos = plan.positions
+    per_length = (1 - q) / h1_measure(dec.base)
+    pos = {h: p * per_length for h, p in plan.positions.items()}
     unit = unit_arc()
     phi_laps = initial_lap_count(rho)
     parts, entries = [], []
     for b in dec.bushes:
         k = b.index
-        lo, hi = plan.spans[k]
+        lo, hi = (s * per_length for s in plan.spans[k])
         starts, acc, prev = {}, F0, lo
         for h in plan.members[k]:
             starts[h] = acc + pos[h] - prev
-            acc, prev = starts[h] + dec.bushes[h - 1].measure, pos[h]
+            acc, prev = starts[h] + (1 - q) * q**h, pos[h]
         total = acc + hi - prev
         arc = Dendrite([f"J{k}:0", f"J{k}:1"], [(f"J{k}:0", f"J{k}:1", total)])
         # the sawtooth starts in the block of bush k itself
@@ -588,25 +538,41 @@ def _glue_exact(dec: BushDecomposition, q, rho, g_for) -> "GluedExactMap":
         # from phi's laps it rises to the lemma's count for its own reach
         psi = Zigzag(dec.space, b.subtree, b.root, phi_laps, unit)
         psi.laps = psi_lap_count(psi, rho, phi_laps)
-        part = ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu,
-                             g=g_for(plan, b, arc, starts))
-        # the part meets the base, where the map is the identity, at its root
-        if part.apply(PointRef(vertex=b.root)) != PointRef(vertex=b.root):
-            raise ValueError(f"part {k - 1} does not fix its root {b.root!r}")
-        parts.append(part)
+        parts.append(ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu,
+                                   g=g_for(dec, plan, b, arc, starts)))
         entries.append({
-            "bush": k, "root": b.root, "weight": format_rat(b.measure),
+            "bush": k, "root": b.root, "weight": format_rat((1 - q) * q**k),
             "target": plan.targets.get(k), "members": plan.members[k],
             "phi_laps": phi_laps, "nu_laps": nu_laps, "region_measure": format_rat(total),
         })
-    manifest = {
-        "q": format_rat(q),
-        "rho": format_rat(rho),
-        "base_measure": format_rat(h1_measure(dec.base)),
-        "deficit": format_rat(q ** (len(dec.bushes) + 1)),
-        "parts": entries,
-    }
+    manifest = {"q": format_rat(q), "rho": format_rat(rho), "base_measure": format_rat(1 - q),
+                "deficit": format_rat(q ** (len(dec.bushes) + 1)), "parts": entries}
     return GluedExactMap(dec.space, dec.base, parts, manifest=manifest)
+
+
+def _replay(q, rho):
+    """The ``g_for`` that builds g: its blocks replay the members' phi,
+    each built once, and its gaps ride the base arc.  Its ends are the
+    span's base points (a block at an end starts or ends at its root), and
+    the roots' positions differ, so the shifted controls never share a
+    time."""
+    phi_laps = initial_lap_count(rho)
+    phis = {}
+
+    def replay(dec, plan, b, arc, starts):
+        D = dec.space
+        v0, v1 = (point_along(D, *plan.ends, s) for s in plan.spans[b.index])
+        controls = []
+        for h, start in starts.items():
+            c = dec.bushes[h - 1]
+            if c.root not in phis:
+                phis[c.root] = build_phi_on_subtree(D, c.subtree, c.root, phi_laps)
+            weight = (1 - q) * q**h
+            controls += [(start + t * weight, p) for t, p in phis[c.root].controls(0)]
+        inner = tuple((t, p) for t, p in controls if F0 < t < arc.edge_length(0))
+        return TreeMap(arc, D, {arc.edges[0].u: v0, arc.edges[0].v: v1}, {0: inner})
+
+    return replay
 
 
 def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int = 0):
@@ -629,24 +595,7 @@ def build_exact(D: Dendrite, A, q=Fraction(1, 2), rho=Fraction(6, 5), seed: int 
     dec = decompose_bushes(D, A)
     if dec.base_kind == "point":
         return _build_exact_point(dec, rho, seed)
-    asg = assign_metric(dec, q)
-    # per-bush expanding surjections
-    phi_laps = initial_lap_count(rho)
-    phis = {b.index: build_phi_on_subtree(asg.space, b.subtree, b.root, phi_laps)
-            for b in asg.bushes}
-
-    def replay(plan, b, arc, starts):
-        # g: blocks replay the bush surjections, gaps ride the base arc.  Its
-        # ends are the span's base points (a block at an end starts or ends
-        # at its root, which is that point), and the roots' positions differ,
-        # so the shifted controls never share a time
-        v0, v1 = (point_along(asg.space, *plan.ends, s) for s in plan.spans[b.index])
-        controls = [(start + t * asg.bushes[h - 1].measure, p)
-                    for h, start in starts.items() for t, p in phis[h].controls(0)]
-        inner = tuple((t, p) for t, p in controls if F0 < t < arc.edge_length(0))
-        return TreeMap(arc, asg.space, {arc.edges[0].u: v0, arc.edges[0].v: v1}, {0: inner})
-
-    return _glue_exact(asg, q, rho, replay)
+    return _glue_exact(assign_metric(dec, q), q, rho, _replay(q, rho))
 
 
 def _nu_lap_count(total: Fraction) -> int:
@@ -658,13 +607,14 @@ def _build_exact_point(dec: BushDecomposition, rho, seed):
     """Point base: per-bush exact maps glued at the fixed point.
 
     Arc-shaped bushes get the slope-2 fold onto themselves; branched bushes
-    get the composed pair of expanding surjections through the unit interval.
-    Single-edge bushes assemble into one explicit TreeMap.
+    get the pair of expanding surjections through the unit interval, laid
+    out in place (:func:`_glue_point`) at the lap count ``build_pair``
+    settles on a standalone copy of the bush.  Single-edge bushes assemble
+    into one explicit TreeMap.
     """
     D = dec.space
     (root_name,) = dec.base.vertices
-    all_single_edges = all(len(b.subtree.intervals) == 1 for b in dec.bushes)
-    if all_single_edges:
+    if all(len(b.subtree.intervals) == 1 for b in dec.bushes):
         vertex_images = {root_name: PointRef(vertex=root_name)}
         edge_breaks = {}
         for b in dec.bushes:
@@ -675,18 +625,34 @@ def _build_exact_point(dec: BushDecomposition, rho, seed):
             mid = ed.length / 2
             edge_breaks[e] = ((mid, PointRef(vertex=far)),)
         return TreeMap(D, D, vertex_images, edge_breaks)
-    # general point case: conjugate a built pair through an extracted copy
-    parts = []
-    manifest_parts = []
+    laps = []
     for b in dec.bushes:
-        copy = extract_region(D, b.subtree).target
-        built = build_pair(copy, PointRef(vertex=b.root), rho, samples=80, seed=seed)
-        parts.append(ConjugatePart.on(D, b.subtree, compose(built.phi, built.psi)))
-        manifest_parts.append(
-            {"bush": b.index, "root": b.root, "style": "pair",
-             "laps": built.laps}
-        )
-    return GluedPointMap(D, dec.base, parts, manifest={"parts": manifest_parts})
+        copy = Dendrite(sorted(b.subtree.vertices),
+                        [D.edges[e] for e in sorted(b.subtree.intervals)])
+        laps.append(build_pair(copy, PointRef(vertex=b.root), rho, samples=80,
+                               seed=seed).laps)
+    return _glue_point(dec, laps)
+
+
+def _glue_point(dec: BushDecomposition, laps: list) -> "GluedPointMap":
+    """The glued_point map of a point decomposition, bush i sent onto itself
+    at ``laps[i]`` laps: the zigzag psi onto [0, 1], the unit wave nu onto
+    [0, 2|bush|], then g, the bush's double-cover walk from its root.  That
+    is ``build_pair``'s phi after its psi, on the bush itself.  A lap count
+    that is not a positive int is refused.
+    """
+    D, unit = dec.space, unit_arc()
+    parts, entries = [], []
+    for b, n in zip(dec.bushes, laps):
+        if type(n) is not int or n < 1:
+            raise ValueError(f"manifest.parts[{b.index - 1}].laps is {n!r}, "
+                             "but must be a positive integer")
+        g = walk_map(D, b.subtree, b.root)
+        nu = Zigzag(unit, full_subtree(unit), "0", n, g.domain)
+        psi = Zigzag(D, b.subtree, b.root, n, unit)
+        parts.append(ExactBushPart(region=b.subtree, root=b.root, psi=psi, nu=nu, g=g))
+        entries.append({"bush": b.index, "root": b.root, "style": "pair", "laps": n})
+    return GluedPointMap(D, dec.base, parts, manifest={"parts": entries})
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +774,9 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
     ``target`` of each part of the map's manifest, must be strictly
     decreasing down to 1 within as many steps as there are parts; a map
     loaded from a file holds the targets its loader derived, not the file's.
+    A map onto another tree has no piece orbits and is refused.
     """
+    require_selfmap(Fm, "piece")
     if n_max < 1:
         raise GeometryError("n_max must be >= 1")
     D = Fm.domain
@@ -863,8 +831,9 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
     (generator descriptor); each complement component maps exactly onto
     itself fixing the point.  Arc form: nested subarcs A_1 = A > A_2 > ...
     shrink toward an interior anchor; the teeth rooted at distance between
-    consecutive radii join piece E_j, each piece carries an exact map fixing
-    its subarc, and the pieces glue along the identity on A.
+    consecutive radii join shell j (:func:`_gch_shells`), each shell is laid
+    out as an exact map fixing its subarc, and all their parts glue along
+    the identity on A.  ``seed`` is read by the point form only.
     """
     if isinstance(A_or_point, PointRef):
         if ideal_point_order(D, A_or_point) != math.inf:
@@ -873,9 +842,23 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
             )
         return build_exact(D, A_or_point, q=q, rho=rho, seed=seed)
     # arc form
+    q, rho = Fraction(q), Fraction(rho)
     A = A_or_point
     if isinstance(A, str):
         A = geodesic(D, D.resolve_marked(f"{A}_left"), D.resolve_marked(f"{A}_right"))
+    return _glue_pieces(*_gch_shells(D, A), q, rho, _replay(q, rho))
+
+
+def _gch_shells(D: Dendrite, A: Subtree):
+    """The arc form's (space, base, shells), for build and load alike.
+
+    The radii halve from the farthest root's distance to the marked
+    'origin' anchor; shell j holds the teeth rooted at a distance in
+    (radius_j / 2, radius_j] (shell 1 also the anchor's own) and the base
+    clipped at radius_j, cut out as whole edges.  A shell is (j, radius_j,
+    its decomposition, teeth indexed by (-measure, root)).  Given a space
+    and base it returned, it returns the same space.
+    """
     dec0 = decompose_bushes(D, A)
     space0 = dec0.space
     anchor0 = space0.marked.get("origin")
@@ -902,32 +885,39 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
         p for j in set(shell.values())
         for p in _clip_points(space0, anchor0, ends0, radius0 / 2 ** (j - 1))])
     anchor = space.marked["origin"]
-    roots_by_shell: dict[int, list] = {}
+    teeth: dict[int, list] = {}
     for b in decompose_bushes(space, base).bushes:
-        roots_by_shell.setdefault(shell[b.root], []).append(b)
+        teeth.setdefault(shell[b.root], []).append(b)
     ends = diameter_ends(space, base)
-    pieces = []
-    manifest = []
-    for j in sorted(roots_by_shell):
+    shells = []
+    for j in sorted(teeth):
         radius = radius0 / 2 ** (j - 1)
         sub_arc = geodesic(space, *_clip_points(space, anchor, ends, radius))
         if sub_arc.is_degenerate():
             raise GeometryError("clipped arc degenerated")
-        members = roots_by_shell[j]
-        region = union_connected(space, [sub_arc] + [b.subtree for b in members])
-        chart = extract_region(space, region)
-        inner_arc = chart.subtree(sub_arc)
-        inner_map = build_exact(chart.target, inner_arc, q=q, rho=rho, seed=seed)
-        pieces.append(ConjugatePart.on(space, region, inner_map))
-        manifest.append(
-            {
-                "piece": j,
-                "bush_roots": sorted(b.root for b in members),
-                "arc_radius": format_rat(radius),
-                "region_measure": format_rat(h1_measure(region)),
-            }
-        )
-    return GluedPieceMap(space, base, pieces, manifest={"pieces": manifest})
+        bushes = [Bush(index=i + 1, root=b.root, subtree=b.subtree, measure=b.measure)
+                  for i, b in enumerate(teeth[j])]
+        shells.append((j, radius, BushDecomposition(space, sub_arc, "arc", bushes)))
+    return space, base, shells
+
+
+def _glue_pieces(space, base, shells, q, rho, g_for) -> "GluedPieceMap":
+    """The glued_pieces map: each shell's parts laid out by
+    :func:`_glue_exact` on its own arc and teeth, all glued along the
+    identity on the whole base arc; the manifest records q, rho and per
+    shell its roots, radius and region measure."""
+    parts, pieces = [], []
+    for j, radius, shell in shells:
+        parts += _glue_exact(shell, q, rho, g_for).parts
+        pieces.append({
+            "piece": j,
+            "bush_roots": sorted(b.root for b in shell.bushes),
+            "arc_radius": format_rat(radius),
+            "region_measure": format_rat(
+                h1_measure(shell.base) + sum(b.measure for b in shell.bushes)),
+        })
+    manifest = {"q": format_rat(q), "rho": format_rat(rho), "pieces": pieces}
+    return GluedPieceMap(space, base, parts, manifest=manifest)
 
 
 def _clip_points(space, anchor, ends, radius):

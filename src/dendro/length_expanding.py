@@ -22,9 +22,9 @@ distance to a; phi is the unit-arc Zigzag onto [0, 2|T|] composed with
 the closed double-cover walk of T (``tree_map.compose``).  Both prove their
 own expansion by the fold lemma (:class:`Zigzag`, ``build_phi_on_subtree``):
 a stretch that holds no whole lap is folded at most once.  ``exact_builder``
-builds its bush maps from the same Zigzag on ``unit_arc()`` and takes their
-lap counts from the lemma (``initial_lap_count``, ``psi_lap_count``), so it
-samples nothing.
+builds its bush maps from the same Zigzag on ``unit_arc()`` and the same
+walk (``walk_map``) and takes the arc form's lap counts from the lemma
+(``initial_lap_count``, ``psi_lap_count``), so it samples nothing there.
 """
 
 from __future__ import annotations
@@ -412,18 +412,10 @@ def normalize_measure(T: Dendrite) -> Dendrite:
     )
 
 
-def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
-    """Walk zigzag surjection I -> S for a whole-edge subtree S of T.
-
-    The unit-arc wave onto the arc [0, 2|S|], composed with the closed
-    double-cover walk from `root`, which runs that arc onto S.
-
-    Fold lemma: an interval J of I that holds a whole lap maps onto S.
-    Otherwise the wave folds J at most once, onto a stretch of the walk at
-    least laps |S| |J| long (see :class:`Zigzag`); the walk runs each edge
-    twice, so mu(phi J) >= laps |S| |J| / 2 >= rho |S| |J| when laps >= 2
-    rho, as ``initial_lap_count(rho)`` guarantees.
-    """
+def walk_map(T: Dendrite, S, root: str) -> TreeMap:
+    """The closed double-cover walk of S from `root`, run at unit speed:
+    a TreeMap from the arc [0, 2|S|] onto the whole-edge subtree S of T
+    whose ends both go to the root."""
     legs = double_cover_walk(T, S, root)
     arc = Dendrite(["0", "1"], [("0", "1", 2 * h1_measure(S))])
     ends, clock = [], F0
@@ -431,9 +423,25 @@ def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
         clock += T.edge_length(e)
         ends.append((clock, T.point(e, b)))
     base = PointRef(vertex=root)
-    walk = TreeMap(arc, T, {"0": base, "1": base}, {0: ends})
+    return TreeMap(arc, T, {"0": base, "1": base}, {0: ends})
+
+
+def build_phi_on_subtree(T: Dendrite, S, root: str, laps: int) -> TreeMap:
+    """Walk zigzag surjection I -> S for a whole-edge subtree S of T.
+
+    The unit-arc wave onto the arc [0, 2|S|], composed with the closed
+    double-cover walk from `root` (:func:`walk_map`), which runs that arc
+    onto S.
+
+    Fold lemma: an interval J of I that holds a whole lap maps onto S.
+    Otherwise the wave folds J at most once, onto a stretch of the walk at
+    least laps |S| |J| long (see :class:`Zigzag`); the walk runs each edge
+    twice, so mu(phi J) >= laps |S| |J| / 2 >= rho |S| |J| when laps >= 2
+    rho, as ``initial_lap_count(rho)`` guarantees.
+    """
+    walk = walk_map(T, S, root)
     unit = unit_arc()
-    wave = Zigzag(unit, full_subtree(unit), "0", laps, arc)
+    wave = Zigzag(unit, full_subtree(unit), "0", laps, walk.domain)
     return compose(walk, wave.tree_map())
 
 

@@ -593,3 +593,108 @@ def _plain_rat(x):
     if m is None or m.group(2) is not None and int(m.group(2)) == 0:
         return None
     return Fraction(int(m.group(1)), int(m.group(2) or 1))
+
+
+class PlainConjugateGlued:
+    """The identity on ``base`` and on each region the map ``inner`` of a
+    rescaled standalone copy of it, carried there and back edge by edge:
+    the conjugation layout the glued builders used before gluing in place.
+    Every overlap, inside the base or not, goes through its region's map."""
+
+    def __init__(self, D, base, parts):
+        self.domain = self.codomain = D
+        self.base = base
+        self.parts = []  # (region, chart onto the copy, chart back, inner map)
+        for region, inner in parts:
+            copy = inner.domain
+            there = {e: (i, copy.edges[i].length / D.edges[e].length)
+                     for i, e in enumerate(sorted(region.intervals))}
+            back = {i: (e, 1 / s) for e, (i, s) in there.items()}
+            self.parts.append((region, (copy, there), (D, back), inner))
+
+    def apply(self, x):
+        from dendro.metric_tree import contains_point
+
+        if contains_point(self.domain, self.base, x):
+            return x
+        for region, there, back, inner in self.parts:
+            if contains_point(self.domain, region, x):
+                return _carry_point(back, inner.apply(_carry_point(there, x)))
+        raise AssertionError(x)
+
+    def image(self, S):
+        from dendro.metric_tree import intersect_subtrees, union_subtrees
+
+        D = self.domain
+        out = [intersect_subtrees(D, S, self.base)]
+        for region, there, back, inner in self.parts:
+            C = intersect_subtrees(D, S, region)
+            if not C.is_empty():
+                out.append(_carry_set(back, inner.image(_carry_set(there, C))))
+        comps = union_subtrees(D, out)
+        assert len(comps) == 1, comps
+        return comps[0]
+
+
+def _carry_point(chart, p):
+    T, edges = chart
+    if p.is_vertex:
+        return p
+    e, s = edges[p.edge]
+    return T.point(e, p.offset * s)
+
+
+def _carry_set(chart, S):
+    from dendro.metric_tree import make_subtree
+
+    T, edges = chart
+    ivs = {edges[e][0]: (a * edges[e][1], b * edges[e][1]) for e, (a, b) in S.intervals.items()}
+    return make_subtree(T, ivs, S.vertices)
+
+
+def _standalone_copy(D, S):
+    """A new dendrite of the whole-edge subtree S: its vertices sorted, its
+    edges in index order, at their lengths in D."""
+    from dendro.metric_tree import Dendrite
+
+    return Dendrite(sorted(S.vertices), [D.edges[e] for e in sorted(S.intervals)])
+
+
+def plain_conjugate_gch(D, A, q, rho):
+    """The arc-form counterexample as it was built by conjugation: each
+    shell region (its clipped arc and teeth) extracted, ``build_exact`` run
+    on the copy at q and rho, which rescales it to the q-form, and the
+    result carried back to the glued space."""
+    from dendro.exact_builder import _gch_shells, build_exact
+    from dendro.metric_tree import geodesic, make_subtree, union_connected
+
+    if isinstance(A, str):
+        A = geodesic(D, D.resolve_marked(f"{A}_left"), D.resolve_marked(f"{A}_right"))
+    space, base, shells = _gch_shells(D, A)
+    parts = []
+    for _, _, shell in shells:
+        region = union_connected(space, [shell.base] + [b.subtree for b in shell.bushes])
+        copy = _standalone_copy(space, region)
+        index = {e: i for i, e in enumerate(sorted(region.intervals))}
+        arc = make_subtree(copy, {index[e]: iv for e, iv in shell.base.intervals.items()},
+                           shell.base.vertices)
+        parts.append((region, build_exact(copy, arc, q=q, rho=rho)))
+    return PlainConjugateGlued(space, base, parts)
+
+
+def plain_conjugate_point(D, point, rho, seed=0):
+    """The point form with branched bushes as it was built by conjugation:
+    ``build_pair`` on a standalone copy of each bush, which rescales it to
+    measure 1, and phi after psi carried back to the bush."""
+    from dendro.exact_builder import decompose_bushes
+    from dendro.length_expanding import build_pair
+    from dendro.metric_tree import PointRef
+    from dendro.tree_map import compose
+
+    dec = decompose_bushes(D, point)
+    parts = []
+    for b in dec.bushes:
+        built = build_pair(_standalone_copy(dec.space, b.subtree), PointRef(vertex=b.root),
+                           rho, samples=80, seed=seed)
+        parts.append((b.subtree, compose(built.phi, built.psi)))
+    return PlainConjugateGlued(dec.space, dec.base, parts)

@@ -170,24 +170,13 @@ def _point_map_dict():
     return d
 
 
-def _swapped_parts_map():
-    """A point-based glued map file whose two parts carry each other's map."""
+def _point_map_with_laps(laps):
+    """A point-based glued map file whose manifest gives the first bush
+    ``laps`` laps, its parts keeping the laps they were built with."""
     from dendro.serialize import dumps_json
 
     d = _point_map_dict()
-    p0, p1 = d["parts"]
-    p0["inner"], p1["inner"] = p1["inner"], p0["inner"]
-    return dumps_json(d)
-
-
-def _point_map_with_inner_domain_lengths(length):
-    """A point-based glued map file whose first inner map's domain edges all
-    have the given length, its codomain keeping the lengths it had."""
-    from dendro.serialize import dumps_json
-
-    d = _point_map_dict()
-    for edge in d["parts"][0]["inner"]["domain"]["edges"]:
-        edge["len"] = length
+    d["manifest"]["parts"][0]["laps"] = laps
     return dumps_json(d)
 
 
@@ -241,7 +230,9 @@ def _last_part_dropped(d):
      "malformed piecewise map: missing field 'edges'"),
     ('{"kind": "glued_exact", "space": [], "base": {}, "parts": []}\n',
      "malformed glued_exact map"),
-    (_swapped_parts_map, "the inner map's domain does not match its region"),
+    (lambda: _glued_map_with(
+        "comb_gch", lambda d: d["manifest"]["pieces"][0].update(arc_radius="7")),
+     'manifest.pieces[0].arc_radius reads "7" but loads as "1"'),
     (lambda: _comb8_map_with(["x"], "psi", "root"), "malformed glued_exact map"),
     (lambda: _comb8_map_with("7/3", "psi", "reach"),
      'parts[0].psi.reach reads "7/3" but loads as "1/4"'),
@@ -259,8 +250,10 @@ def _last_part_dropped(d):
         "comb", lambda d: d["base"]["intervals"].update({"99": ["0", "1/2"]})),
      "base edge 99 is not an edge of the space"),
     (lambda: _glued_map_with(
-        "comb_gch", lambda d: d["parts"][0]["region"]["vertices"].append("zz")),
-     "part region vertex 'zz' is not a vertex of the space"),
+        "comb_gch", lambda d: d["manifest"]["pieces"][0].update(bush_roots=["nonsense"])),
+     "manifest.pieces[0].bush_roots reads an array of 1 but loads as an array of 2"),
+    (lambda: _glued_map_with("comb_gch", lambda d: d["manifest"].update(q="7")),
+     "q is 7, but must lie strictly between 0 and 1"),
     (lambda: _glued_map_with(
         "comb", lambda d: d["parts"][0]["g"]["codomain"]["edges"][0].update(len="7")),
      'parts[0].g.codomain.edges[0].len reads "7" but loads as "1/4"'),
@@ -292,16 +285,18 @@ def _last_part_dropped(d):
     (lambda: _glued_map_with(
         "comb", lambda d: d["parts"][1]["g"]["vertex_images"].update({"J2:0": {"vertex": "t@0"}})),
      "part 1 does not fix its root 'b@1'"),
-    (lambda: _point_map_with_inner_domain_lengths("7"),
-     "a glued part's inner map is not a selfmap"),
+    # a glued_point file is read as its space, base point and lap counts
+    (lambda: _point_map_with_laps(6), "parts[0].nu.laps reads 4 but loads as 6"),
+    (lambda: _point_map_with_laps(0),
+     "manifest.parts[0].laps is 0, but must be a positive integer"),
 ], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
-        "mismatched_part", "psi_root_list", "psi_reach_differs", "psi_bush_differs",
+        "pieces_arc_radius_7", "psi_root_list", "psi_reach_differs", "psi_bush_differs",
         "root_differs", "nu_codomain_length_differs", "psi_kind_unknown",
-        "base_vertex_unknown", "base_edge_unknown", "region_vertex_unknown",
+        "base_vertex_unknown", "base_edge_unknown", "pieces_bush_roots_nonsense", "pieces_q_7",
         "g_codomain_differs", "base_not_connected", "every_target_one", "psi_laps_2",
         "phi_laps_differs", "nu_laps_differs", "nu_start_differs", "last_part_dropped",
         "g_kind_unknown", "unknown_key", "g_domain_length_differs", "g_moves_root",
-        "inner_map_not_a_selfmap"])
+        "point_laps_differs", "point_laps_zero"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content() if callable(content) else content)
@@ -624,9 +619,9 @@ def test_golden_output_bytes(tmp_path):
 
 
 GLUED_SHA256 = {
-    "comb_gch8_map": "585b48c125608e325be9c3500a36d4c0af5a615d2ce37a4352d121b41bb7d297",
+    "comb_gch8_map": "1a0c633019640112b0bdf18bb1d1bbdbecf0e3d61bd7b5e1b07984e3c1759d77",
     "gehman3_point_map":
-        "ff3dcd3b64f38f9b9629192159758c802de813bdac38261779c94a2dd7381aa2",
+        "a11dd3aed31725399320c9f1617c5898dec99bde32bf4381338e847a42e675c5",
     "riemann4_map": "0bca39be34e4db8d4fa64ddf2dfb8c3fb66a310ac1cfc635bb76cba79601498c",
     "riemann4_certificate":
         "9b76fbf1c3f7ba938bfd3888879aaf96e80303b08dbdf8b862834dbb75422f37",

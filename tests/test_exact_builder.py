@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dendro import exact_builder, gallery, length_expanding, metric_tree, tree_map
+from dendro import chaos, exact_builder, gallery, length_expanding, metric_tree, tree_map
 from dendro.cli import load_map
 from dendro.exact_builder import (
     Zigzag,
@@ -54,6 +54,8 @@ from oracles import (
     expansion_violations,
     grid_intervals,
     plain_apply,
+    plain_conjugate_gch,
+    plain_conjugate_point,
     plain_cover_times,
     plain_image,
 )
@@ -224,6 +226,27 @@ def test_first_bush_covers_everything(comb4_map):
     assert img == full_subtree(comb4_map.domain)
 
 
+def _manifest_shells(Fm):
+    """(arc, teeth, region) of each shell of a glued_pieces map, read off its
+    manifest: the base clipped at the shell's radius about the anchor, and
+    the bushes of the base rooted at the shell's roots."""
+    from dendro.serialize import parse_rat
+
+    D = Fm.domain
+    anchor = D.marked["origin"]
+    ends = metric_tree.diameter_ends(D, Fm.base)
+    bushes = decompose_bushes(D, Fm.base).bushes
+    out = []
+    for entry in Fm.manifest["pieces"]:
+        radius = parse_rat(entry["arc_radius"])
+        clips = [metric_tree.point_along(D, anchor, end, min(radius, dist(D, anchor, end)))
+                 for end in ends]
+        arc = geodesic(D, *clips)
+        teeth = [b for b in bushes if b.root in entry["bush_roots"]]
+        out.append((arc, teeth, union_connected(D, [arc] + [b.subtree for b in teeth])))
+    return out
+
+
 def test_region_images_match_manifest(comb4_map, comb_gch8_map):
     # the manifest is laid out from the plan, a region's measure as its span
     # of base plus its members' measures; each part's image of its bush has
@@ -233,7 +256,6 @@ def test_region_images_match_manifest(comb4_map, comb_gch8_map):
     maps = [("comb4", comb4_map),
             ("comb8", build_exact(generate(FamilyDescriptor("comb", {"depth": 8})), "A")),
             ("riemann4", build_exact(generate(FamilyDescriptor("riemann", {"qmax": 4})), "A"))]
-    maps += [(f"comb_gch8/{i}", part.inner) for i, part in enumerate(comb_gch8_map.parts)]
     for name, Fm in maps:
         assert Fm.kind == "glued_exact", name
         bushes = decompose_bushes(Fm.domain, Fm.base).bushes
@@ -242,6 +264,16 @@ def test_region_images_match_manifest(comb4_map, comb_gch8_map):
         for part, entry in zip(Fm.parts, Fm.manifest["parts"]):
             measure = h1_measure(part.image(part.region))
             assert measure == parse_rat(entry["region_measure"]), (name, entry["bush"])
+    # comb_gch 8: the parts are the shells' teeth, shell by shell, and each
+    # shell's first tooth covers its region, whose measure the manifest gives
+    Fm = comb_gch8_map
+    shells = _manifest_shells(Fm)
+    teeth = [b for _, shell_teeth, _ in shells for b in shell_teeth]
+    assert [b.subtree for b in teeth] == [part.region for part in Fm.parts]
+    assert [b.root for b in teeth] == [part.root for part in Fm.parts]
+    for (_, shell_teeth, region), entry in zip(shells, Fm.manifest["pieces"]):
+        assert Fm.image(shell_teeth[0].subtree) == region
+        assert h1_measure(region) == parse_rat(entry["region_measure"]), entry["piece"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -606,6 +638,18 @@ def test_verify_exact_reads_tree_map_pieces_as_bush_pieces(star3, monkeypatch):
     assert verify_exact(Fm, 4).to_dict() == cert.to_dict()
 
 
+@pytest.mark.parametrize("length", [F(1, 2), F(1)], ids=["half_arc", "unit_arc"])
+def test_verify_exact_refuses_a_map_onto_another_tree(star3, length):
+    # star3 onto a one-edge arc: its pieces' images are sets of the arc, so
+    # they have no orbits.  Onto the arc of length 1/2 they used to be
+    # imaged again as sets of the star, three rows that never cover; onto
+    # the unit arc that failed with "interval [0, 1] outside edge 0"
+    arc = Dendrite(["0", "1"], [("0", "1", length)])
+    Fm = TreeMap(star3, arc, {v: V("0" if v == "c" else "1") for v in star3.vertices})
+    with pytest.raises(GeometryError, match="^piece orbits need a selfmap: codomain differs"):
+        verify_exact(Fm, 5)
+
+
 # ---------------------------------------------------------------- counterexamples
 
 
@@ -624,7 +668,7 @@ def test_omega_star_gch_rejects_finite_order_point(star3):
 
 def test_comb_gch_pieces(comb_gch8_map):
     Fm = comb_gch8_map
-    regions = [p.region for p in Fm.parts]
+    regions = [region for _, _, region in _manifest_shells(Fm)]
     assert len(regions) >= 3
     for region in regions:
         img = Fm.image(region)
@@ -699,6 +743,52 @@ def test_comb_gch_parts_map_connected_sets(monkeypatch):
     assert sets == 903 and seen
     for out in seen:
         assert len(components(D, out)) == 1, out
+
+
+def _branched_pair_bushes():
+    """A point with two branched bushes, as the CLI and file tests use."""
+    return Dendrite(
+        ["c", "m1", "x1", "y1", "m2", "x2", "y2"],
+        [("c", "m1", F(1, 4)), ("m1", "x1", F(1, 8)), ("m1", "y1", F(1, 8)),
+         ("c", "m2", F(1, 4)), ("m2", "x2", F(1, 8)), ("m2", "y2", F(1, 8))])
+
+
+def test_glued_in_place_equals_the_conjugate_construction(comb_gch8_map, branched_point_map):
+    # oracle for gluing in place: every glued_pieces and glued_point map
+    # equals the construction on rescaled standalone copies carried back
+    # through edgewise charts, on the probe geodesics and on the vertices,
+    # the edge third-points and 2/7-points, and so does a comb_gch verdict
+    rho = F(6, 5)
+    cases = []
+    for depth in (4, 8):
+        D = generate(FamilyDescriptor("comb", {"depth": depth}))
+        Fm = comb_gch8_map if depth == 8 else build_counterexample("comb_gch", depth=4)[1]
+        cases.append((f"comb_gch{depth}", Fm, plain_conjugate_gch(D, "A", F(1, 2), rho)))
+    points = [(f"gehman{d}", generate(FamilyDescriptor("gehman", {"depth": d})), V("g"))
+              for d in (2, 3)]
+    points += [("branched_a", branched_point_map.domain, V("a")),
+               ("branched_c", _branched_pair_bushes(), V("c"))]
+    for name, D, x in points:
+        Fm = branched_point_map if name == "branched_a" else build_exact(D, x, rho=rho)
+        cases.append((name, Fm, plain_conjugate_point(D, x, rho)))
+    counts = []
+    for name, Fm, plain in cases:
+        D = Fm.domain
+        assert Fm.kind == ("glued_pieces" if name.startswith("comb") else "glued_point"), name
+        assert plain.domain == D and plain.base == Fm.base, name
+        sets = list(_probe_geodesics(D))
+        for S in sets:
+            assert Fm.image(S) == plain.image(S), (name, S)
+        pts = [V(v) for v in sorted(D.vertices)]
+        pts += [D.point(e, D.edge_length(e) * t) for e in range(len(D.edges))
+                for t in (F(1, 3), F(2, 7))]
+        for x in pts:
+            assert Fm.apply(x) == plain.apply(x), (name, x)
+        counts.append((len(sets), len(pts)))
+    assert counts == [(300, 37), (903, 64), (78, 19), (406, 43), (21, 10), (78, 19)]
+    family = chaos.SetFamily("free_arcs", radii_levels=5)
+    assert (chaos.verdict(comb_gch8_map, family, N=8).to_dict()
+            == chaos.verdict(cases[1][2], family, N=8).to_dict())
 
 
 def _memo_cases():
