@@ -17,6 +17,8 @@ def main():
     ap.add_argument("--steps", type=int, default=3**7)
     ap.add_argument("--csv", help="optional trajectory CSV path")
     args = ap.parse_args()
+    if args.steps < 1:
+        ap.error(f"--steps must be >= 1, got {args.steps}")
 
     alpha = Address.parse(args.alpha)
     traj = fiber_diam_traj(alpha, args.steps)

@@ -12,9 +12,11 @@ off n.
 An address alpha embeds horizontally at x = sum 2*alpha_i / 5^(i+1); its
 fiber is the vertical segment of height 3^(-ell(alpha)) where ell counts the
 non-1 digits.  ``embed_x`` and ``ell`` read n's digits four at a time, from
-one table over the remainders of n modulo 3^4 taken in [-40, 40].  The skew
-map sends (x_alpha, y) to (x_{alpha+1}, y rescaled linearly onto the new
-fiber), a homeomorphism.
+flat tables over the remainders of n modulo 3^4 taken in [-40, 40].  The
+digits fix the embedding's lowest terms, so ``embed_x`` builds its
+``Fraction`` already reduced, with no gcd; so does ``fiber_height``.  The
+skew map sends (x_alpha, y) to (x_{alpha+1}, y rescaled linearly onto the
+new fiber), a homeomorphism.
 """
 
 from __future__ import annotations
@@ -68,6 +70,8 @@ class Address:
         return tuple((p, d) for p, d in enumerate(_digits(self._n)) if d != 1)
 
     def digit(self, pos: int) -> int:
+        if type(pos) is not int or pos < 0:  # not a bool or a float
+            raise AddressError(f"digit position must be an int >= 0, got {pos!r}")
         # adding 1 + 3 + ... + 3^pos lifts digits 0..pos of n from {-1, 0, 1}
         # to {0, 1, 2}, so digit pos is then the plain ternary digit
         return (self._n + (3 ** (pos + 1) - 1) // 2) // 3**pos % 3
@@ -109,8 +113,8 @@ class Address:
         return f"Address(digits={self.digits!r})"
 
 
-# every odometer step builds an address: _at skips __init__'s digit checks
-# and sets the one slot through its descriptor
+# every odometer step builds an address: add (and _at) skip __init__'s digit
+# checks and set the one slot through its descriptor
 _new = object.__new__
 _set_n = Address._n.__set__
 
@@ -129,20 +133,33 @@ def _digits(n: int):
         yield d
 
 
-def _chunk(m: int) -> tuple[int, int]:
+def _chunk(m: int) -> tuple[int, int, int]:
     """For the digits d_0..d_3 of 1^inf + m - 40: the Horner value
-    sum (d_j - 1)*5^(3-j) and the count of d_j != 1."""
-    r, value, count = m - 40, 0, 0
-    for _ in range(4):
+    sum (d_j - 1)*5^(3-j), the count of d_j != 1 and 5^(3-r), r the place
+    of the last d_j != 1 (1 when every d_j is 1)."""
+    r, value, count, top = m - 40, 0, 0, 1
+    for j in range(4):
         r, d = divmod(r + 1, 3)
         value = 5 * value + d - 1
         count += d != 1
-    return value, count
+        if d != 1:
+            top = 5 ** (3 - j)
+    return value, count, top
 
 
 # n = 81*q + m - 40 with 0 <= m < 81: digits 0..3 of 1^inf + n are those of
 # 1^inf + m - 40, and digit 4 + i is digit i of 1^inf + q
-_CHUNKS = tuple(_chunk(m) for m in range(81))
+_VALUE, _COUNT, _TOP = zip(*map(_chunk, range(81)))
+
+
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    """The Fraction numerator/denominator of two coprime ints, denominator
+    > 0, set slot by slot: ``Fraction.__new__`` would type-dispatch and run
+    a gcd."""
+    x = _new(Fraction)
+    x._numerator = numerator
+    x._denominator = denominator
+    return x
 
 
 def ell(alpha: Address) -> int:
@@ -150,39 +167,57 @@ def ell(alpha: Address) -> int:
     n, count = alpha._n, 0
     while n:
         n, m = divmod(n + 40, 81)
-        count += _CHUNKS[m][1]
+        count += _COUNT[m]
     return count
 
 
 def add(alpha: Address, n: int) -> Address:
     """alpha + n under 3-adic addition with carry upward; n may be negative."""
-    return _at(alpha._n + n)
+    beta = _new(Address)
+    _set_n(beta, alpha._n + n)
+    return beta
 
 
 def embed_x(alpha: Address) -> Fraction:
-    """Horizontal coordinate sum 2*digit_i / 5^(i+1), in closed form.
+    """Horizontal coordinate sum 2*digit_i / 5^(i+1), in closed form and in
+    lowest terms.
 
     The all-ones tail sums to 1/2 and each digit d at position i moves it by
     2*(d-1)/5^(i+1).  Over the common denominator 2*5^K, K four times the
-    chunk count, the numerator is 5^K + 4*num with num = sum (d-1)*5^(K-1-i),
-    accumulated by Horner's rule one chunk of four digits at a time.
+    chunk count, the numerator is N = 5^K + 4*num with num = sum
+    (d-1)*5^(K-1-i), accumulated by Horner's rule one chunk of four digits
+    at a time, lowest chunk first.
+
+    Lowest terms: let t = 4*(chunks - 1) + r be the position of the top
+    non-1 digit, r its place in the top chunk.  The top chunk is added last
+    and unscaled, and its value is 5^(3-r) times a number prime to 5 (its
+    last term is +-5^(3-r), every other a multiple of 5^(4-r)); each lower
+    chunk carries a factor 625.  So num has 5-adic valuation 3 - r = K-1-t,
+    below K, and so has N.  N is odd, 5^K plus an even number.  So
+    gcd(N, 2*5^K) = 5^(3-r), which ``_TOP`` reads off the top chunk's
+    remainder m, and the reduced value is (N / 5^(3-r), 2*5^K / 5^(3-r)).
+    With no chunk (alpha = 1^inf), K = 0 and the value is 1/2.
     """
-    n, num, scale = alpha._n, 0, 1
+    n, num, scale, m = alpha._n, 0, 1, 40  # m = 40: no chunk, 1^inf gives 1/2
     while n:
         n, m = divmod(n + 40, 81)
-        num = 625 * num + _CHUNKS[m][0]
+        num = 625 * num + _VALUE[m]
         scale *= 625
-    return Fraction(scale + 4 * num, 2 * scale)
+    cut = _TOP[m]
+    return _fraction((scale + 4 * num) // cut, 2 * scale // cut)
 
 
 def fiber_height(alpha: Address) -> Fraction:
-    return Fraction(1, 3 ** ell(alpha))
+    return _fraction(1, 3 ** ell(alpha))
 
 
 class FiberPoint:
     __slots__ = ("alpha", "y")
 
     def __init__(self, alpha: Address, y: Fraction):
+        if type(y) is not int and type(y) is not Fraction:  # not a bool or a float
+            raise AddressError(
+                f"vertical coordinate must be an int or a Fraction, got {y!r}")
         if not (0 <= y <= fiber_height(alpha)):
             raise AddressError("vertical coordinate outside the fiber")
         _setattr(self, "alpha", alpha)
@@ -213,15 +248,20 @@ def step(p: FiberPoint) -> FiberPoint:
     return FiberPoint(nxt, p.y * factor)
 
 
+def _check_steps(N: int) -> None:
+    if N < 0:
+        raise ValueError(f"step count must be >= 0, got {N}")
+
+
 def fiber_diam_traj(alpha: Address, N: int) -> list[Fraction]:
     """diam of the n-th image of the fiber over alpha, n = 0..N (exact)."""
+    _check_steps(N)
     return [fiber_height(add(alpha, n)) for n in range(N + 1)]
 
 
 def write_traj_csv(path, alpha: Address, N: int) -> int:
     """CSV rows (n, ell, diam); returns the number of data rows."""
-    if N < 0:
-        raise ValueError(f"step count must be >= 0, got {N}")
+    _check_steps(N)
     diam = {}  # ell -> the text of 3^-ell, formatted once per digit count
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -364,10 +404,11 @@ def gehman_extend(depth: int):
     leaves = [v for v in D.vertices if D.degree(v) == 1 and v != "g"]
     leaves.sort()
     n_leaves = len(leaves)
-    labels = {}
-    for j, leaf in enumerate(leaves):  # leaf j carries 1^inf + j
-        alpha = add(Address.ones(), j)
-        labels[leaf] = "".join(str(alpha.digit(i)) for i in range(depth))
+    ones = Address.ones()
+    # leaf j carries 1^inf + j; j < 2^depth <= (3^depth + 1)/2, so its
+    # literal's digits end within the first depth places
+    labels = {leaf: add(ones, j).literal()[:-len("1^inf")].ljust(depth, "1")
+              for j, leaf in enumerate(leaves)}
     parent_of = {}
     for e in D.edges:
         parent_of[e.v] = e.u  # construction emits parent -> child edges

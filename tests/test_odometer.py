@@ -1,5 +1,7 @@
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -138,22 +140,26 @@ def test_embed_and_add_match_digit_oracles():
 SPAN = 3**20
 
 
+# the chunk edges: embed_x and ell read four digits at a time, as remainders
+# modulo 3^4 in [-40, 40]
+CHUNK_EDGES = [(40, 1, -1), (-40, -1, 1), (41, -81, 81), (-41, 81, -81),
+               (3280, 1, 3**8), (-3280, -1, -(3**8)), (3281, -3281, 3280),
+               (-3281, 3281, -3280)]
+
+
+def _chunk_edge_examples(test):
+    for n, m, k in CHUNK_EDGES:
+        test = example(n=n, m=m, k=k)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(min_value=-SPAN, max_value=SPAN),
     m=st.integers(min_value=-SPAN, max_value=SPAN),
     k=st.integers(min_value=-SPAN, max_value=SPAN),
 )
-# the chunk edges: embed_x and ell read four digits at a time, as remainders
-# modulo 3^4 in [-40, 40]
-@example(n=40, m=1, k=-1)
-@example(n=-40, m=-1, k=1)
-@example(n=41, m=-81, k=81)
-@example(n=-41, m=81, k=-81)
-@example(n=3280, m=1, k=3**8)
-@example(n=-3280, m=-1, k=-(3**8))
-@example(n=3281, m=-3281, k=3280)
-@example(n=-3281, m=3281, k=-3280)
+@_chunk_edge_examples
 def test_integer_addresses_match_digit_oracles(n, m, k):
     digs = odometer_add({}, n)
     alpha = add(ONES, n)
@@ -167,6 +173,38 @@ def test_integer_addresses_match_digit_oracles(n, m, k):
     assert Address(alpha.digits) == alpha
     assert hash(Address(alpha.digits)) == hash(alpha)
     assert add(add(alpha, m), k) == add(alpha, m + k)
+
+
+def _n_of(digits):
+    return sum((d - 1) * 3**p for p, d in digits.items())
+
+
+# the top non-1 digit at each of the four places of the second chunk, over a
+# lowest chunk whose top non-1 digit sits at another place
+TOP_PLACES = [{3: 0, 4: 2}, {0: 2, 5: 0}, {1: 0, 6: 2}, {2: 2, 7: 0}]
+
+
+@pytest.mark.parametrize(
+    "n", [0, *(n for n, _, _ in CHUNK_EDGES), *map(_n_of, TOP_PLACES)])
+def test_embed_x_and_fiber_height_are_built_in_lowest_terms(n):
+    # both set their Fraction's two slots with no gcd: each must be the very
+    # Fraction that reducing the digit oracle's terms gives
+    digs = odometer_add({}, n)
+    alpha = add(ONES, n)
+    L = max(digs, default=-1) + 1  # x = N / (2*5^L), summed digit by digit
+    N = 5**L + 4 * sum((d - 1) * 5 ** (L - 1 - i) for i, d in digs.items())
+    for got, want in ((embed_x(alpha), F(N, 2 * 5**L)),
+                      (fiber_height(alpha), F(1, 3 ** len(digs)))):
+        assert type(got) is Fraction
+        assert got.as_integer_ratio() == want.as_integer_ratio()
+        assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("pos", [-1, -5, 0.0, 1.5, True, "0"])
+def test_digit_rejects_bad_positions(pos):
+    # a negative position would make 3**pos fractional and the digit a float
+    with pytest.raises(AddressError, match="digit position"):
+        Address.parse("21^inf").digit(pos)
 
 
 def test_address_repr_and_equality():
@@ -212,6 +250,19 @@ def test_step_examples():
     assert q.alpha.literal() == "021^inf" and q.y == F(1, 9)
 
 
+@pytest.mark.parametrize("y", [0.5, 0.0, True, False],
+                         ids=["float", "float_zero", "true", "false"])
+def test_fiber_point_rejects_inexact_y(y):
+    # step would carry a float on, rescaling it inexactly at every step
+    with pytest.raises(AddressError, match="int or a Fraction"):
+        FiberPoint(ONES, y)
+
+
+def test_fiber_point_accepts_int_and_fraction_y():
+    assert FiberPoint(ONES, 1) == FiberPoint(ONES, F(1))
+    assert step(FiberPoint(ONES, 0)).y == 0
+
+
 def _step_back(p):
     """The skew map's inverse: shift the base by -1, rescale the fiber."""
     prev = add(p.alpha, -1)
@@ -244,6 +295,24 @@ def test_fiber_diam_values_at_small_n():
     assert traj[1] == F(1, 3)  # 21^inf
     assert traj[3] == F(1, 3)  # 121^inf has a single non-1 digit
     assert traj == [F(1, 3 ** ell(add(ONES, n))) for n in range(4)]
+
+
+@pytest.mark.parametrize("N", [-1, -3])
+def test_fiber_diam_traj_rejects_negative_step_counts(N):
+    with pytest.raises(ValueError, match=f"step count must be >= 0, got {N}"):
+        fiber_diam_traj(ONES, N)
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_window_script_refuses_an_empty_window(steps, monkeypatch, capsys):
+    # the window 1..steps must hold a step: an empty one has no max
+    script = Path(__file__).resolve().parents[1] / "scripts" / "odometer_window.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--steps", steps])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(f"--steps must be >= 1, got {steps}")
 
 
 def test_diam_never_full_after_start():
