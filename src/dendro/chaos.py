@@ -55,16 +55,15 @@ class SetFamily:
 
     kinds: ``balls`` (centers at vertices and edge midpoints, radii on a
     geometric grid), ``free_arcs`` (interior edge segments), ``subdendrites``
-    (interior edge segments plus seeded random spans), ``explicit``.
+    (interior edge segments plus eight seeded random spans), ``explicit``.
     """
 
-    def __init__(self, kind: str, radii_levels: int = 5, sample_count: int = 8,
-                 seed: int = 0, members: tuple = ()):
+    def __init__(self, kind: str, radii_levels: int = 5, seed: int = 0,
+                 members: tuple = ()):
         if radii_levels < 1:
             raise GeometryError("radii_levels must be >= 1")
         _setattr(self, "kind", kind)
         _setattr(self, "radii_levels", radii_levels)
-        _setattr(self, "sample_count", sample_count)
         _setattr(self, "seed", seed)
         _setattr(self, "members", members)
 
@@ -111,7 +110,7 @@ class SetFamily:
             L = D.edge_length(e)
             out.append(make_subtree(D, {e: (L / 3, 2 * L / 3)}))
         rng = random.Random(self.seed)
-        for _ in range(self.sample_count):
+        for _ in range(8):
             pts = [_random_point(rng, D) for _ in range(rng.randint(2, 4))]
             S = span_subtree(D, pts)
             if not S.is_degenerate():
@@ -262,14 +261,12 @@ def ly_sample(F, pair_count: int, N: int, delta, epsilon, seed: int) -> LySample
 
 
 class ChaosReport:
-    def __init__(self, horizon: int, sens_start: int, tolerance: Fraction,
-                 family_kind: str, member_count: int, prox_records: list,
-                 sens_records: list, eta_estimate: Fraction, prox_pass: bool,
-                 sens0_pass: bool, generic_chaos_evidence: bool,
-                 note: str = INTERPRETATION_NOTE):
+    def __init__(self, horizon: int, sens_start: int, family_kind: str,
+                 member_count: int, prox_records: list, sens_records: list,
+                 eta_estimate: Fraction, prox_pass: bool, sens0_pass: bool,
+                 generic_chaos_evidence: bool, note: str = INTERPRETATION_NOTE):
         self.horizon = horizon
         self.sens_start = sens_start
-        self.tolerance = tolerance
         self.family_kind = family_kind
         self.member_count = member_count
         self.prox_records = prox_records  # [((i, j), Fraction)]
@@ -284,7 +281,7 @@ class ChaosReport:
         return {
             "horizon": self.horizon,
             "sens_start": self.sens_start,
-            "tolerance": format_rat(self.tolerance),
+            "tolerance": "0",  # prox passes iff every record is 0
             "family": {"kind": self.family_kind, "members": self.member_count},
             "prox_records": [
                 {"pair": list(ij), "record": format_rat(r)}
@@ -301,21 +298,16 @@ class ChaosReport:
         }
 
 
-def verdict(
-    F,
-    family: SetFamily,
-    N: int = 100,
-    N0: int = 1,
-    tolerance=Fraction(0),
-) -> ChaosReport:
+def verdict(F, family: SetFamily, N: int = 100, N0: int = 1) -> ChaosReport:
     """Evaluate prox over all family pairs and sens over all members.
+
+    Prox passes iff every pair's record is 0: each pair's images met.
 
     The sensitivity window starts at N0 = 1 by default so a set's initial
     diameter does not stand in for sustained sensitivity (a constant map
     must fail, the identity must pass).
     """
     members = family.generate(F.domain)
-    tolerance = Fraction(tolerance)
     orbits = [set_orbit(F, S) for S in members]
     prox_records = []
     for i in range(len(orbits)):
@@ -326,12 +318,11 @@ def verdict(
     for i, orbit in enumerate(orbits):
         sens_records.append((i, sens_record(F, orbit, N0, N)))
     eta = min(r for _, r in sens_records)
-    prox_pass = all(r <= tolerance for _, r in prox_records)
+    prox_pass = all(r == 0 for _, r in prox_records)
     sens0_pass = all(r > 0 for _, r in sens_records)
     return ChaosReport(
         horizon=N,
         sens_start=N0,
-        tolerance=tolerance,
         family_kind=family.kind,
         member_count=len(members),
         prox_records=prox_records,

@@ -73,21 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run an experiment scenario")
     r.add_argument("--scenario", required=True,
                    choices=["odometer-diam", "gch-verdict", "exactness"])
-    r.add_argument("--alpha", default="1^inf", help="odometer start address")
-    r.add_argument("--steps", type=int, default=3**7)
-    r.add_argument("--map", dest="map_file", help="map descriptor file")
-    r.add_argument("--family", default="balls",
-                   choices=["balls", "free_arcs", "subdendrites"])
-    r.add_argument("--N", type=int, default=100)
-    r.add_argument("--N0", type=int, default=1)
-    r.add_argument("--radii-levels", type=int, default=5)
+    # the defaults are in _RUN_OPTIONS
+    r.add_argument("--alpha", help="odometer start address")
+    r.add_argument("--steps", type=int)
+    r.add_argument("--map", help="map descriptor file")
+    r.add_argument("--family", choices=["balls", "free_arcs", "subdendrites"])
+    r.add_argument("--N", type=int)
+    r.add_argument("--N0", type=int)
+    r.add_argument("--radii-levels", type=int)
     r.add_argument("--map-out", help="also write the built map descriptor")
     r.add_argument("--dendrite", help="dendrite descriptor file")
     r.add_argument("--arc", help="marked arc name prefix (e.g. A)")
-    r.add_argument("--q", type=parse_rat, default=Fraction(1, 2))
-    r.add_argument("--rho", type=parse_rat, default=Fraction(6, 5))
-    r.add_argument("--nmax", type=int, default=64)
-    r.add_argument("--seed", type=int, default=None)
+    r.add_argument("--q", type=parse_rat)
+    r.add_argument("--rho", type=parse_rat)
+    r.add_argument("--nmax", type=int)
+    r.add_argument("--seed", type=int)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_run)
 
@@ -117,6 +117,29 @@ def _gen_params(args) -> dict:
             if getattr(args, key) is not None}
 
 
+# the run options each scenario reads, with their defaults; any other one is
+# refused
+_RUN_OPTIONS = {
+    "odometer-diam": {"alpha": "1^inf", "steps": 3**7},
+    "gch-verdict": {"map": None, "family": "balls", "N": 100, "N0": 1,
+                    "radii-levels": 5, "seed": None},
+    "exactness": {"dendrite": None, "arc": None, "q": Fraction(1, 2),
+                  "rho": Fraction(6, 5), "nmax": 64, "map-out": None, "seed": None},
+}
+
+
+def _run_options(args) -> None:
+    """Refuse a run option the scenario does not read, and give each one it
+    reads but was not given its default."""
+    reads = _RUN_OPTIONS[args.scenario]
+    for key in dict.fromkeys(k for opts in _RUN_OPTIONS.values() for k in opts):
+        dest = key.replace("-", "_")
+        if getattr(args, dest) is None:
+            setattr(args, dest, reads.get(key))
+        elif key not in reads:
+            raise ValueError(f"run {args.scenario} does not read --{key}")
+
+
 def cmd_gen(args) -> int:
     desc = gallery.FamilyDescriptor(args.family, _gen_params(args))
     D = gallery.generate(desc)
@@ -142,6 +165,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_run(args) -> int:
+    _run_options(args)
     seed = args.seed if args.seed is not None else default_seed()
     if args.scenario == "odometer-diam":
         alpha = odometer.Address.parse(args.alpha)
@@ -149,9 +173,9 @@ def cmd_run(args) -> int:
         print(f"wrote {args.out} ({rows} rows)")
         return EXIT_OK
     if args.scenario == "gch-verdict":
-        if not args.map_file:
+        if not args.map:
             raise ValueError("gch-verdict needs --map")
-        Fm = load_map(args.map_file)
+        Fm = load_map(args.map)
         fam = chaos.SetFamily(
             args.family, radii_levels=args.radii_levels, seed=seed
         )

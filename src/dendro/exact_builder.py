@@ -823,9 +823,10 @@ def verify_exact(Fm, n_max: int) -> ExactnessCertificate:
 # counterexample assembly: generically-chaotic-but-not-uniformly-sensitive
 
 
-def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
-                      rho=Fraction(6, 5), seed: int = 0):
+def build_gch_not_eps(D: Dendrite, A_or_point):
     """Glue exact pieces so every neighborhood scrambles but diameters shrink.
+
+    Both forms build at q = 1/2 and rho = 6/5, the point form at seed 0.
 
     Point form: the base point must have infinite order in the ideal object
     (generator descriptor); each complement component maps exactly onto
@@ -833,16 +834,16 @@ def build_gch_not_eps(D: Dendrite, A_or_point, q=Fraction(1, 2),
     shrink toward an interior anchor; the teeth rooted at distance between
     consecutive radii join shell j (:func:`_gch_shells`), each shell is laid
     out as an exact map fixing its subarc, and all their parts glue along
-    the identity on A.  ``seed`` is read by the point form only.
+    the identity on A.
     """
+    q, rho = Fraction(1, 2), Fraction(6, 5)
     if isinstance(A_or_point, PointRef):
         if ideal_point_order(D, A_or_point) != math.inf:
             raise GeometryError(
                 "point form needs a point of infinite ideal order"
             )
-        return build_exact(D, A_or_point, q=q, rho=rho, seed=seed)
+        return build_exact(D, A_or_point, q=q, rho=rho, seed=0)
     # arc form
-    q, rho = Fraction(q), Fraction(rho)
     A = A_or_point
     if isinstance(A, str):
         A = geodesic(D, D.resolve_marked(f"{A}_left"), D.resolve_marked(f"{A}_right"))

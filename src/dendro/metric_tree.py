@@ -9,18 +9,17 @@ is a pure function of immutable values and returns exact rationals.
 
 Vertex distances and vertex paths come from one rooted index per tree: the
 parent edge, depth and distance from ``vertices[0]`` of every vertex, built
-in one traversal on the first query.  A query climbs both ends to their
-lowest common ancestor, and a per-pair memo answers repeated distance
-queries, so memory stays O(V + distinct pairs queried).  The same climb says
-which way an arc runs: a point inside an edge leaves it through the end
-away from the root iff the other point lies below that end, so :func:`dist`
-and :func:`geodesic_walk` choose exits by topology, and Fractions only add
-up the lengths.  Where one source meets many targets, one walk out from the
+by the traversal that checks the tree is connected, so memory stays O(V).
+A query climbs both ends to their lowest common ancestor and reads the
+distance off the root distances of the three.  The same climb says which
+way an arc runs: a point inside an edge leaves it through the end away from
+the root iff the other point lies below that end, so :func:`dist` and
+:func:`geodesic_walk` choose exits by topology, and Fractions only add up
+the lengths.  Where one source meets many targets, one walk out from the
 source (:func:`_walk`) gives its distance to every vertex instead, at one
-addition per edge: :func:`ball`
-(every radius about one centre from one table), and the builders' bush-root
-positions read the whole tree's table, and a zigzag's root table the table
-of its region.
+addition per edge: :func:`ball` (every radius about one centre from one
+table), and the builders' bush-root positions read the whole tree's table,
+and a zigzag's root table the table of its region.
 
 The complement of a connected set E is read off one list, the ways out of
 E: each interval end of E short of its edge's end, and each edge leaving a
@@ -31,9 +30,9 @@ Each sweep is one walk from its source that stays inside the set: the set
 is connected, so a path inside it is the geodesic, and the sweep costs
 O(|S|) whatever the size of the tree.
 
-Two memos live on the tree: the vertex-pair distances and the diameter of
-each set :func:`subtree_diam` has measured, so a set that many orbits reach
-is measured once.  A :class:`Subtree` is its own key, hashed once by value.
+The tree holds its rooted index and one memo, the diameter of each set
+:func:`subtree_diam` has measured, so a set that many orbits reach is
+measured once.  A :class:`Subtree` is its own key, hashed once by value.
 
 A connected set is read whole, never sampled: two disjoint sets are joined
 by one bridge, which leaves the first along one edge and enters the second
@@ -163,9 +162,12 @@ class Dendrite:
         self.marked: dict[str, PointRef] = dict(marked or {})
         self.descriptor: Optional[dict] = descriptor
         self._adj: dict[str, list[tuple[int, str]]] = {v: [] for v in self.vertices}
-        # rooted index, built on the first query; vdist memo, both orders
-        self._rooted: Optional[tuple[dict, dict, dict]] = None
-        self._vdist_memo: dict[tuple[str, str], Fraction] = {}
+        # the rooted index from vertices[0], filled by _validate: each
+        # non-root vertex's (parent edge, parent), and every vertex's depth
+        # in edges and exact distance from the root
+        self._up: dict[str, tuple[int, str]] = {}
+        self._depth: dict[str, int] = {}
+        self._rdist: dict[str, Fraction] = {}
         # subtree_diam memo, keyed by the set
         self._diam_memo: dict[Subtree, Fraction] = {}
         self._validate()
@@ -183,16 +185,22 @@ class Dendrite:
                 raise GeometryError(f"edge {i} is a loop")
             self._adj[e.u].append((i, e.v))
             self._adj[e.v].append((i, e.u))
-        # a tree: connected with |V| - 1 edges
+        # a tree: connected with |V| - 1 edges; the traversal that checks
+        # connectivity builds the rooted index
         if self.vertices:
-            seen = {self.vertices[0]}
-            stack = [self.vertices[0]]
+            root = self.vertices[0]
+            up, depth, rdist = self._up, self._depth, self._rdist
+            depth[root], rdist[root] = 0, F0
+            stack = [root]
             while stack:
-                for _, w in self._adj[stack.pop()]:
-                    if w not in seen:
-                        seen.add(w)
+                v = stack.pop()
+                for ei, w in self._adj[v]:
+                    if w not in depth:
+                        up[w] = (ei, v)
+                        depth[w] = depth[v] + 1
+                        rdist[w] = rdist[v] + self.edges[ei].length
                         stack.append(w)
-            if len(seen) != len(self.vertices):
+            if len(depth) != len(self.vertices):
                 raise GeometryError("edge graph is not connected")
             if len(self.edges) != len(self.vertices) - 1:
                 raise GeometryError("edge graph contains a cycle")
@@ -251,31 +259,9 @@ class Dendrite:
 
     # -- vertex-level shortest paths (tree: unique)
 
-    def _index(self):
-        """(up, depth, rdist): the rooted index from ``vertices[0]``.
-
-        ``up`` maps each non-root vertex to (parent edge, parent), ``depth``
-        counts edges and ``rdist`` is the exact distance from the root; one
-        traversal builds all three on the first query.
-        """
-        if self._rooted is None:
-            root = self.vertices[0]
-            up, depth, rdist = {}, {root: 0}, {root: F0}
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                for ei, w in self._adj[v]:
-                    if w not in depth:
-                        up[w] = (ei, v)
-                        depth[w] = depth[v] + 1
-                        rdist[w] = rdist[v] + self.edges[ei].length
-                        stack.append(w)
-            self._rooted = (up, depth, rdist)
-        return self._rooted
-
     def _climb(self, u: str, w: str):
         """(lowest common ancestor, edges climbed from u, edges climbed from w)."""
-        up, depth, _ = self._index()
+        up, depth = self._up, self._depth
         from_u, from_w = [], []
         du, dw = depth[u], depth[w]
         while du > dw:
@@ -294,17 +280,12 @@ class Dendrite:
         return u, from_u, from_w
 
     def vdist(self, u: str, w: str) -> Fraction:
-        try:
-            return self._vdist_memo[u, w]
-        except KeyError:
-            return self._vdist_below(u, w, self._climb(u, w)[0])
+        return self._vdist_via(u, w, self._climb(u, w)[0])
 
-    def _vdist_below(self, u: str, w: str, lca: str) -> Fraction:
-        """vdist(u, w) on a memo miss, given their lowest common ancestor."""
-        rdist = self._index()[2]
-        d = rdist[u] + rdist[w] - 2 * rdist[lca]
-        self._vdist_memo[u, w] = self._vdist_memo[w, u] = d
-        return d
+    def _vdist_via(self, u: str, w: str, lca: str) -> Fraction:
+        """vdist(u, w), given their lowest common ancestor."""
+        rdist = self._rdist
+        return rdist[u] + rdist[w] - 2 * rdist[lca]
 
     def total_length(self) -> Fraction:
         return sum((e.length for e in self.edges), F0)
@@ -327,7 +308,7 @@ class Dendrite:
     def from_dict(d: Mapping) -> "Dendrite":
         for field, kind, json_name in (
             ("vertices", list, "array"), ("edges", list, "array"),
-            ("marked", dict, "object"),
+            ("marked", dict, "object"), ("descriptor", dict, "object"),
         ):
             if not isinstance(d.get(field, kind()), kind):
                 raise ValueError(f"dendrite field {field!r} must be a JSON {json_name}")
@@ -482,7 +463,7 @@ def _exits(D: Dendrite, p: PointRef):
 
 def _child_end(D: Dendrite, ei: int) -> str:
     """The end of edge ei away from the root."""
-    e, depth = D.edges[ei], D._index()[1]
+    e, depth = D.edges[ei], D._depth
     return e.v if depth[e.v] > depth[e.u] else e.u
 
 
@@ -501,10 +482,10 @@ def _route(D: Dendrite, x: PointRef, y: PointRef):
     w = y.vertex if y.is_vertex else _child_end(D, y.edge)
     lca, up_u, up_w = D._climb(u, w)
     if up_u and not x.is_vertex:
-        u = D._index()[0][u][1]
+        u = D._up[u][1]
         del up_u[0]
     if up_w and not y.is_vertex:
-        w = D._index()[0][w][1]
+        w = D._up[w][1]
         del up_w[0]
     return u, w, lca, up_u, up_w
 
@@ -526,10 +507,7 @@ def dist(D: Dendrite, x: PointRef, y: PointRef) -> Fraction:
     if x.is_vertex and y.is_vertex:
         return D.vdist(x.vertex, y.vertex)
     u, w, lca, _, _ = _route(D, x, y)
-    try:
-        d = D._vdist_memo[u, w]
-    except KeyError:
-        d = D._vdist_below(u, w, lca)
+    d = D._vdist_via(u, w, lca)
     if not x.is_vertex:
         d += _to_end(D, x, u)
     if not y.is_vertex:
@@ -826,7 +804,7 @@ def subtree_dist(D: Dendrite, S1: Subtree, S2: Subtree) -> Fraction:
     # a vertex-free set's climb from its child end starts with its edge; an
     # empty climb leaves through the child end, so the edge is walked to it
     # from its parent end
-    up = D._index()[0]
+    up = D._up
     if not S1.vertices and not up1:
         up1.append(e1)
         t1 = up[t1][1]

@@ -2,7 +2,7 @@
 
 Rationals travel as ``"p/q"`` strings (plain ``"p"`` for integers) so files
 round-trip exactly, and a file loads only if the loaded object writes it
-back (:func:`from_dict_checked`).
+back (:func:`from_dict_checked`) and it holds no float.
 
 A file is byte for byte ``json.dumps(obj, sort_keys=True, indent=1)`` plus a
 newline, written in one pass by :func:`dumps_json`.  Only ``str``, ``int``,
@@ -136,13 +136,14 @@ def from_dict_checked(from_dict, d, what: str):
 
 
 def _same_types(wrote, read) -> bool:
-    """Whether values that ``==`` calls equal agree in type throughout:
-    ``==`` lets ``true`` and ``1.0`` pass for ``1``."""
+    """Whether values that ``==`` calls equal agree in type throughout, and
+    hold no float: ``==`` lets ``true`` and ``1.0`` pass for ``1``, and a
+    float a loader copies through writes back as itself."""
     if type(wrote) is dict is type(read):
         return all(map(_same_types, wrote.values(), map(read.__getitem__, wrote)))
     if type(wrote) is list is type(read):
         return all(map(_same_types, wrote, read))
-    return type(wrote) is type(read)
+    return type(wrote) is type(read) and type(read) is not float
 
 
 def _mismatch(wrote, read, path: str):
@@ -150,7 +151,7 @@ def _mismatch(wrote, read, path: str):
     differs from ``wrote``, what the loaded object writes back, or None.
 
     Keys, list lengths and leaves must be equal, a leaf with its JSON type
-    or a rational in any spelling :func:`parse_rat` accepts.  A key the file
+    (never a float) or a rational in any spelling :func:`parse_rat` accepts.  A key the file
     omits matches only where the loader has a default: an empty object or
     array, or a map kind of ``piecewise``.
     """
@@ -169,6 +170,8 @@ def _mismatch(wrote, read, path: str):
         return next(filter(None, (_mismatch(w, r, f"{path}[{i}]")
                                   for i, (w, r) in enumerate(zip(wrote, read)))), None)
     if type(wrote) is type(read) and wrote == read:
+        if type(read) is float:
+            return f"{path or 'the file'} reads the float {_show(read)}, which no file holds"
         return None
     try:
         if type(wrote) is str and type(read) in (str, int) and parse_rat(read) == parse_rat(wrote):

@@ -85,7 +85,13 @@ class TreeMap:
             if v not in self.vertex_images:
                 raise GeometryError(f"no image for vertex {v!r}")
             self.codomain.check_point(self.vertex_images[v])
+        if len(self.vertex_images) > len(self.domain.vertices):  # an extra image
+            known = set(self.domain.vertices)
+            v = next(v for v in self.vertex_images if v not in known)
+            raise GeometryError(f"image for unknown vertex {v!r}")
         for e, brs in self.edge_breaks.items():
+            if not 0 <= e < len(self.domain.edges):
+                raise GeometryError(f"breakpoints on unknown edge {e}")
             L = self.domain.edge_length(e)
             last = F0
             for t, p in brs:

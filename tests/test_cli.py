@@ -97,6 +97,27 @@ def test_gen_reads_its_family_options(tmp_path, args, params):
     assert load_json(out)["descriptor"]["params"] == params
 
 
+# ---------------------------------------------------------------- run options
+
+
+@pytest.mark.parametrize("scenario, option, value", [
+    ("odometer-diam", "--rho", "2"),
+    ("odometer-diam", "--map", "nofile.json"),
+    ("odometer-diam", "--seed", "0"),
+    ("gch-verdict", "--steps", "3"),
+    ("gch-verdict", "--map-out", "map.json"),
+    ("exactness", "--N", "4"),
+    ("exactness", "--family", "free_arcs"),
+    ("exactness", "--alpha", "1^inf"),
+])
+def test_run_refuses_an_option_its_scenario_does_not_read(tmp_path, capsys, scenario,
+                                                          option, value):
+    out = tmp_path / "out"
+    assert run(["run", "--scenario", scenario, option, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: run {scenario} does not read {option}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------- odometer scenario
 
 
@@ -212,6 +233,27 @@ def _glued_map_with(name, edit):
     return dumps_json(d)
 
 
+def _tent_map_with(edit):
+    """The unit-arc tent map (0 and 1 to 0, the midpoint to 1) as a file,
+    after ``edit`` has changed its dict in place."""
+    from dendro.length_expanding import unit_arc
+    from dendro.metric_tree import PointRef
+    from dendro.serialize import dumps_json
+    from dendro.tree_map import TreeMap
+
+    arc = unit_arc()
+    d = TreeMap(arc, arc, {"0": PointRef(vertex="0"), "1": PointRef(vertex="0")},
+                {0: ((F(1, 2), PointRef(vertex="1")),)}).to_dict()
+    edit(d)
+    return dumps_json(d)
+
+
+def _breaks_moved_to(key):
+    def edit(d):
+        d["edge_breaks"] = {key: d["edge_breaks"]["0"]}
+    return edit
+
+
 def _every_target_one(d):
     for entry in d["manifest"]["parts"]:
         entry["target"] = 1
@@ -289,6 +331,15 @@ def _last_part_dropped(d):
     (lambda: _point_map_with_laps(6), "parts[0].nu.laps reads 4 but loads as 6"),
     (lambda: _point_map_with_laps(0),
      "manifest.parts[0].laps is 0, but must be a positive integer"),
+    # breakpoints and images are read only on the domain's own edges and
+    # vertices, in a piecewise map and in a glued part's g alike
+    (lambda: _tent_map_with(_breaks_moved_to("-1")), "breakpoints on unknown edge -1"),
+    (lambda: _tent_map_with(_breaks_moved_to("9")), "breakpoints on unknown edge 9"),
+    (lambda: _tent_map_with(lambda d: d["vertex_images"].update(zz={"vertex": "1"})),
+     "image for unknown vertex 'zz'"),
+    (lambda: _glued_map_with(
+        "comb", lambda d: d["parts"][0]["g"]["vertex_images"].update(zz={"vertex": "b@0"})),
+     "image for unknown vertex 'zz'"),
 ], ids=["top_level_list", "unknown_kind", "list_kind", "missing_field", "wrong_shape",
         "pieces_arc_radius_7", "psi_root_list", "psi_reach_differs", "psi_bush_differs",
         "root_differs", "nu_codomain_length_differs", "psi_kind_unknown",
@@ -296,7 +347,8 @@ def _last_part_dropped(d):
         "g_codomain_differs", "base_not_connected", "every_target_one", "psi_laps_2",
         "phi_laps_differs", "nu_laps_differs", "nu_start_differs", "last_part_dropped",
         "g_kind_unknown", "unknown_key", "g_domain_length_differs", "g_moves_root",
-        "point_laps_differs", "point_laps_zero"])
+        "point_laps_differs", "point_laps_zero", "breaks_on_edge_minus_1",
+        "breaks_on_edge_9", "image_of_unknown_vertex", "g_image_of_unknown_vertex"])
 def test_run_gch_verdict_rejects_bad_map(tmp_path, capsys, content, message):
     mapfile = tmp_path / "bad.json"
     mapfile.write_text(content() if callable(content) else content)
@@ -534,6 +586,33 @@ def test_exactness_refuses_rho_at_most_one(tmp_path, capsys, rho):
         "--rho", rho, "--out", str(cert_file), "--map-out", str(map_file),
     ]) == 1
     assert capsys.readouterr().err == f"error: rho is {rho}, but must exceed 1\n"
+    assert not cert_file.exists() and not map_file.exists()
+
+
+@pytest.mark.parametrize("descriptor, message", [
+    ({"family": "comb", "q": 0.5},
+     "malformed dendrite: descriptor.q reads the float 0.5, which no file holds"),
+    ({"family": "comb", "qs": ["1/2", 0.5]},
+     "malformed dendrite: descriptor.qs[1] reads the float 0.5, which no file holds"),
+    ("comb", "dendrite field 'descriptor' must be a JSON object"),
+    (["comb"], "dendrite field 'descriptor' must be a JSON object"),
+], ids=["float", "float_in_list", "string", "list"])
+def test_exactness_refuses_a_descriptor_no_file_holds(tmp_path, capsys, descriptor,
+                                                      message):
+    # a descriptor is copied through as it is read, so it must already be
+    # what a file may hold: an object free of floats
+    dfile = tmp_path / "comb3.json"
+    run(["gen", "comb", "--depth", "3", "-o", str(dfile)])
+    d = load_json(dfile)
+    d["descriptor"] = descriptor
+    dfile.write_text(json.dumps(d))
+    capsys.readouterr()
+    cert_file, map_file = tmp_path / "cert.json", tmp_path / "map.json"
+    assert run([
+        "run", "--scenario", "exactness", "--dendrite", str(dfile), "--arc", "A",
+        "--out", str(cert_file), "--map-out", str(map_file),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not cert_file.exists() and not map_file.exists()
 
 

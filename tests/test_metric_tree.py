@@ -142,6 +142,35 @@ def test_vdist_memory_stays_linear_on_gehman_tree():
     assert peak < 8 * 2**20
 
 
+def _container_sizes(D):
+    return {name: len(value) for name, value in vars(D).items()
+            if isinstance(value, (tuple, list, dict, set, frozenset))}
+
+
+@pytest.mark.parametrize("make", [lambda: gehman_tree(6), _leaf_first_comb],
+                         ids=["gehman_tree6", "comb_leaf_root"])
+def test_queries_leave_the_tree_as_built(make):
+    # the rooted index is built with the tree, so distance queries store
+    # nothing on it: no container of the tree grows and none appears
+    D = make()
+    built = _container_sizes(D)
+    verts = [V(v) for v in D.vertices]
+    inner = [D.point(ei, e.length / 3) for ei, e in enumerate(D.edges)]
+    for x in verts:
+        for y in verts:
+            dist(D, x, y)
+    for x in inner:
+        for y in verts[::3] + inner[::3]:
+            dist(D, x, y)
+    rng = random.Random(5)
+    spans = [span_subtree(D, [rng.choice(verts + inner) for _ in range(rng.randint(2, 4))])
+             for _ in range(12)]
+    for S1 in spans:
+        for S2 in spans:
+            subtree_dist(D, S1, S2)
+    assert _container_sizes(D) == built
+
+
 def test_dist_interior_points(star3):
     x = star3.point(0, F(1, 4))  # on arm 1
     y = star3.point(1, F(1, 6))  # on arm 2
